@@ -8,12 +8,11 @@ that cost.
 """
 from .stats import (
     DegenerateSamplesError,
-    DomPoint,
     PowerSpec,
     SampleSummary,
     TimingDistribution,
     dom_curves,
-    dom_series,
+    effect_size,
     mc_power_oracle,
     normal_approx_sample_size,
     ovl,
@@ -72,6 +71,7 @@ from .attacks import (
     qp_fingerprint,
     uc_classify,
 )
+from .csvout import write_csv, write_records
 from .mitigations import (
     KINDS,
     Mitigation,
@@ -81,6 +81,6 @@ from .mitigations import (
     timer_noise_inflation,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

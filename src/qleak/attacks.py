@@ -11,11 +11,9 @@ power-analysis plan instead of testing sequentially.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -28,11 +26,10 @@ from .baseline import (
 )
 from .cloudsim import DeviceProfile
 from .stats import (
-    DomPoint,
     PowerSpec,
-    TimingDistribution,
+    SampleSummary,
     dom_curves,
-    normal_quantile,
+    effect_size,
     pooled_t_power,
     required_sample_size,
 )
@@ -67,40 +64,6 @@ class AttackVerdict:
         if not self.label:
             raise ValueError("label must be non-empty")
 
-    def csv_row(self) -> list:
-        return [
-            self.attack,
-            self.label,
-            self.measurements_used,
-            f"{self.statistic:.9g}",
-            f"{self.planned_n:.9g}",
-            f"{self.confidence:.9g}",
-            int(self.ambiguous),
-            int(self.underpowered),
-        ]
-
-
-VERDICT_CSV_HEADER = [
-    "attack", "label", "measurements_used", "statistic",
-    "planned_n", "confidence", "ambiguous", "underpowered",
-]
-
-
-def save_verdicts_csv(verdicts: Sequence[AttackVerdict], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(VERDICT_CSV_HEADER)
-        for v in verdicts:
-            writer.writerow(v.csv_row())
-
-
-def _trace_stats(trace: Trace) -> tuple[int, float, float]:
-    xs = np.asarray(trace.durations, dtype=float)
-    if xs.size == 0:
-        raise ValueError("empty trace")
-    var = float(xs.var(ddof=1)) if xs.size > 1 else 0.0
-    return int(xs.size), float(xs.mean()), var
-
 
 def _nearest_two(mu: float, candidates: list[tuple[str, float]]):
     """Best and runner-up candidates by |mean distance|, plus a tie flag."""
@@ -131,44 +94,29 @@ def uc_classify(
     neighbor; shorter traces still get the nearest-mean label, flagged
     under-powered.
     """
-    n, mean, var = _trace_stats(trace)
+    s = SampleSummary.from_samples(trace.durations)
     candidates = [(e.name, e.latency(backend)) for e in table.entries]
-    (label, ref_mu), _, tie = _nearest_two(mean, candidates)
-    _, planned = nearest_neighbor_requirement(table, label, backend, spec)
-    d_nearest = _label_effect_size(table, label, backend)
-    achieved = (
-        pooled_t_power(max(n, 2), d_nearest, spec.alpha)
-        if math.isfinite(d_nearest)
-        else 1.0
-    )
+    (label, ref_mu), _, tie = _nearest_two(s.mean, candidates)
+    neighbor, planned = nearest_neighbor_requirement(table, label, backend, spec)
+    d = effect_size(table.timing(label, backend), table.timing(neighbor, backend))
     return AttackVerdict(
         attack="UC",
         label=label,
-        measurements_used=n,
-        statistic=_mean_statistic(n, mean, var, ref_mu),
+        measurements_used=s.n,
+        statistic=_mean_statistic(s.n, s.mean, s.variance, ref_mu),
         planned_n=planned,
-        confidence=achieved,
+        confidence=pooled_t_power(max(s.n, 2), d, spec.alpha),
         ambiguous=tie,
-        underpowered=n < math.ceil(planned),
+        underpowered=s.n < math.ceil(planned),
     )
-
-
-def _label_effect_size(table: BaselineTable, label: str, backend: str) -> float:
-    mu = table.entry(label).latency(backend)
-    others = [
-        e.latency(backend) for e in table.entries if e.name != label
-    ]
-    dmu = min(abs(o - mu) for o in others)
-    if dmu == 0:
-        return 0.0
-    return dmu / math.sqrt(table.variance(backend))
 
 
 def detect_backend(
     trace: Trace, table: BaselineTable, spec: PowerSpec = PowerSpec()
 ) -> AttackVerdict:
     """Decide simulator vs hardware by nearest mean over both columns."""
-    n, mean, var = _trace_stats(trace)
+    s = SampleSummary.from_samples(trace.durations)
+    n, mean, var = s.n, s.mean, s.variance
     candidates = [
         (backend, e.latency(backend))
         for backend in BACKENDS
@@ -208,7 +156,8 @@ def co_identify(
     """
     if len(catalog) != 24:
         raise ValueError(f"expected a 24-variant catalog, got {len(catalog)}")
-    n, mean, var = _trace_stats(trace)
+    s = SampleSummary.from_samples(trace.durations)
+    n, mean, var = s.n, s.mean, s.variance
     cat = sorted(catalog, key=lambda v: v.index)
     ovl_m, req_m = catalog_matrices(cat, spec)
 
@@ -256,44 +205,20 @@ def _final_tenth_exceeds(dom: np.ndarray, band: np.ndarray) -> bool:
 
 def null_distinguishability(
     trace_a: Trace, trace_b: Trace, confidence: float = 0.95
-) -> tuple[str, list[DomPoint]]:
-    """Difference-of-means verdict for two traces of a common length.
+) -> tuple[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Difference-of-means verdict for two traces, with the (n, dom, band)
+    curve it rests on.
 
     "Distinguishable" only when the whole final tenth of the curve sits
     beyond the band; single-point excursions at the configured confidence
     are expected noise (null rate ~ NULL_RULE_FP_LEVEL). Length mismatch
     is resolved by truncating to the shorter trace.
     """
-    a = np.asarray(trace_a.durations, dtype=float)
-    b = np.asarray(trace_b.durations, dtype=float)
-    m = min(a.size, b.size)
-    if m < 2:
-        raise ValueError("need at least two measurements per trace")
-    ns, dom, band = dom_curves(a[:m], b[:m], confidence)
+    ns, dom, band = dom_curves(trace_a.durations, trace_b.durations, confidence)
     verdict = (
         DISTINGUISHABLE if _final_tenth_exceeds(dom, band) else INDISTINGUISHABLE
     )
-    points = [DomPoint(int(n), float(d), float(w)) for n, d, w in zip(ns, dom, band)]
-    return verdict, points
-
-
-def dom_vs_model(
-    xs: np.ndarray, model: TimingDistribution, confidence: float = 0.95
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Difference-of-means curve of a sample against a known reference
-    model (the model side contributes its exact mean and variance)."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.size < 2:
-        raise ValueError("need at least two measurements")
-    n = np.arange(1, xs.size + 1, dtype=float)
-    m = np.cumsum(xs) / n
-    ss = np.cumsum(xs * xs) - n * m * m
-    with np.errstate(invalid="ignore", divide="ignore"):
-        v = np.maximum(ss / (n - 1), 0.0)
-    z = normal_quantile((1 + confidence) / 2)
-    dom = (m - model.mean)[1:]
-    band = z * np.sqrt((v[1:] + model.variance) / n[1:])
-    return n[1:].astype(int), dom, band
+    return verdict, (ns, dom, band)
 
 
 def first_crossing(dom: np.ndarray, band: np.ndarray, ns: np.ndarray) -> Optional[int]:
@@ -306,9 +231,14 @@ def qp_fingerprint(
     devices: list[DeviceProfile],
     circuit: str,
     confidence: float = 0.95,
+    spec: PowerSpec = PowerSpec(),
 ) -> AttackVerdict:
     """Name the device whose reference model the trace stays consistent
-    with; every other device is rejected at its first band crossing."""
+    with; every other device is rejected at its first band crossing.
+
+    The plan is the requirement that tells apart the two devices whose
+    models lie closest, with the pooled sd of that pair.
+    """
     if len(devices) < 2:
         raise ValueError("need at least two candidate devices")
     xs = np.asarray(trace.durations, dtype=float)
@@ -317,17 +247,17 @@ def qp_fingerprint(
     kept: list[str] = []
     final_dom: dict[str, float] = {}
     for dev in devices:
-        model = dev.timing(circuit)
-        ns, dom, band = dom_vs_model(xs, model, confidence)
+        ns, dom, band = dom_curves(xs, dev.timing(circuit), confidence)
         final_dom[dev.name] = abs(float(dom[-1]))
         if _final_tenth_exceeds(dom, band):
             cross = first_crossing(dom, band, ns)
             rejected[dev.name] = cross if cross is not None else n
         else:
             kept.append(dev.name)
-    models = sorted(dev.timing(circuit).mean for dev in devices)
-    gaps = [b - a for a, b in zip(models[:-1], models[1:])]
-    ambiguous = len(kept) != 1 or min(gaps) < AMBIGUITY_EPS
+    models = sorted((dev.timing(circuit) for dev in devices), key=lambda t: t.mean)
+    nearest = min(zip(models[:-1], models[1:]), key=lambda pq: pq[1].mean - pq[0].mean)
+    gap = nearest[1].mean - nearest[0].mean
+    ambiguous = len(kept) != 1 or gap < AMBIGUITY_EPS
     if len(kept) == 1:
         label = kept[0]
     elif kept:
@@ -335,26 +265,12 @@ def qp_fingerprint(
     else:
         label = AMBIGUOUS
     used = max(rejected.values()) if rejected else n
-    sd = math.sqrt(
-        sum(dev.timing(circuit).variance for dev in devices) / len(devices)
-    )
-    planned = (
-        required_sample_size(min(gaps) / sd) if min(gaps) > 0 else math.inf
-    )
     return AttackVerdict(
         attack="QP",
         label=label,
         measurements_used=max(used, 1),
         statistic=float(len(rejected)),
-        planned_n=planned,
+        planned_n=required_sample_size(effect_size(*nearest), spec),
         confidence=confidence,
         ambiguous=ambiguous,
     )
-
-
-def save_dom_series_csv(points: Sequence[DomPoint], path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "dom", "band"])
-        for p in points:
-            writer.writerow([p.n, f"{p.dom:.9g}", f"{p.band:.9g}"])

@@ -5,7 +5,6 @@ variant catalog.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -13,7 +12,14 @@ from typing import Optional
 
 import numpy as np
 
-from .stats import PowerSpec, TimingDistribution, ovl, required_sample_size
+from .csvout import write_csv
+from .stats import (
+    PowerSpec,
+    TimingDistribution,
+    effect_size,
+    ovl,
+    required_sample_size,
+)
 
 SIMULATOR = "simulator"
 HARDWARE = "hardware"
@@ -161,29 +167,18 @@ def load_table(
     return BaselineTable(tuple(entries), sim_variance, qc_variance)
 
 
-def _fmt(value: Optional[float]) -> str:
-    if value is None:
-        return ""
-    # 12 significant digits: lossless for the published 10-digit values
-    return f"{value:.12g}"
-
-
 def save_table(table: BaselineTable, path: str | Path) -> None:
-    """Write a baseline table as CSV with 9 significant digits."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for e in table.entries:
-            writer.writerow(
-                [
-                    e.name,
-                    _fmt(e.sim_latency),
-                    _fmt(e.qc_latency),
-                    _fmt(e.sim_required),
-                    _fmt(e.qc_required),
-                ]
-            )
+    """Write a baseline table as CSV with 12 significant digits, lossless
+    for the published 10-digit values; absent requirements stay empty."""
+    write_csv(
+        path,
+        _CSV_HEADER,
+        (
+            [e.name, e.sim_latency, e.qc_latency, e.sim_required, e.qc_required]
+            for e in table.entries
+        ),
+        digits=12,
+    )
 
 
 def bundled_table_path() -> Path:
@@ -205,14 +200,12 @@ def pairwise_matrix(
     """
     if len(table) < 2:
         raise ValueError("need at least two entries")
-    mus = np.array([e.latency(backend) for e in table.entries])
-    sd = math.sqrt(table.variance(backend))
-    k = len(mus)
+    timings = [table.timing(name, backend) for name in table.names]
+    k = len(timings)
     out = np.full((k, k), np.nan)
     for i in range(k):
         for j in range(i + 1, k):
-            dmu = abs(mus[i] - mus[j])
-            n = math.inf if dmu == 0 else required_sample_size(dmu / sd, spec)
+            n = required_sample_size(effect_size(timings[i], timings[j]), spec)
             out[i, j] = out[j, i] = n
     return out
 
@@ -234,10 +227,8 @@ def nearest_neighbor_requirement(
         raise ValueError("table has a single entry")
     mu = entry.latency(backend)
     neighbor = min(others, key=lambda e: abs(e.latency(backend) - mu))
-    dmu = abs(neighbor.latency(backend) - mu)
-    sd = math.sqrt(table.variance(backend))
-    n = math.inf if dmu == 0 else required_sample_size(dmu / sd, spec)
-    return neighbor.name, max(n, 1.0)
+    d = effect_size(table.timing(name, backend), table.timing(neighbor.name, backend))
+    return neighbor.name, required_sample_size(d, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -330,40 +321,5 @@ def catalog_matrices(
         for j in range(i + 1, k):
             ti, tj = sorted_cat[i].timing, sorted_cat[j].timing
             ovl_m[i, j] = ovl_m[j, i] = ovl(ti, tj)
-            dmu = abs(ti.mean - tj.mean)
-            sd = math.sqrt((ti.variance + tj.variance) / 2.0)
-            n = math.inf if dmu == 0 else required_sample_size(dmu / sd, spec)
-            req_m[i, j] = req_m[j, i] = n
+            req_m[i, j] = req_m[j, i] = required_sample_size(effect_size(ti, tj), spec)
     return ovl_m, req_m
-
-
-def write_matrix_csv(path: str | Path, labels: list[str], matrix: np.ndarray) -> None:
-    """Matrix with row/column headers as CSV."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([""] + labels)
-        for label, row in zip(labels, matrix):
-            writer.writerow([label] + [_cell(v) for v in row])
-
-
-def write_long_form_csv(
-    path: str | Path, ovl_matrix: np.ndarray, req_matrix: np.ndarray
-) -> None:
-    """Long-form `i,j,ovl,required_n` rows for external plotting."""
-    k = ovl_matrix.shape[0]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "ovl", "required_n"])
-        for i in range(k):
-            for j in range(k):
-                writer.writerow(
-                    [i + 1, j + 1, _cell(ovl_matrix[i, j]), _cell(req_matrix[i, j])]
-                )
-
-
-def _cell(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return ""
-    if v == math.inf:
-        return "inf"
-    return f"{v:.9g}"

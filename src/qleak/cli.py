@@ -16,16 +16,15 @@ for usage errors. QLEAK_SEED provides a default seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import attacks, baseline, cloudsim, mitigations, trace as trace_mod
+from .csvout import write_csv, write_records
 from .stats import PowerSpec, TimingDistribution, mc_power_oracle, required_sample_size
 
 EXIT_OK = 0
@@ -60,8 +59,26 @@ def _spec(args) -> PowerSpec:
     return PowerSpec(alpha=args.alpha, power=args.power)
 
 
-def _writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
+def _out_dir(args) -> Path:
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_matrix(path: Path, labels: list[str], matrix: np.ndarray) -> None:
+    """Matrix with row/column headers; NaN cells stay empty."""
+    write_csv(path, ["", *labels], ([lab, *row] for lab, row in zip(labels, matrix)))
+
+
+def _pair_rows(ovl_m: np.ndarray, req_m: np.ndarray, diagonal: bool):
+    """Long-form `i,j,ovl,required_n` rows (1-based) for external plotting."""
+    k = ovl_m.shape[0]
+    return (
+        [i + 1, j + 1, ovl_m[i, j], req_m[i, j]]
+        for i in range(k)
+        for j in range(k)
+        if diagonal or i != j
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -74,16 +91,15 @@ def _table_row(table, name, backend, spec):
         table, name, backend, spec
     )
     if printed is None:
-        return [name, backend, neighbor, "", f"{computed:.9g}", "", "skipped"]
+        return [name, backend, neighbor, None, computed, None, "skipped"]
+    rel = abs(computed - printed) / printed
     if printed == 1.0:
         ok = computed == 1.0
-        rel = abs(computed - printed)
     else:
-        rel = abs(computed - printed) / printed
         ok = rel <= (TOL_LARGE if printed >= 100 else TOL_SMALL)
     return [
-        name, backend, neighbor, f"{printed:.9g}", f"{computed:.9g}",
-        f"{rel:.3e}", "ok" if ok else "FAIL",
+        name, backend, neighbor, printed, computed, f"{rel:.3e}",
+        "ok" if ok else "FAIL",
     ]
 
 
@@ -91,20 +107,12 @@ def cmd_reproduce_table(args) -> int:
     table = _load_table(args)
     spec = _spec(args)
     backends = [BACKEND_FLAG[args.backend]] if args.backend else list(baseline.BACKENDS)
-    jobs = [(e.name, b) for b in backends for e in table.entries]
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        rows = list(
-            pool.map(lambda nb: _table_row(table, nb[0], nb[1], spec), jobs)
-        )
-    w = _writer()
-    w.writerow([
+    rows = [_table_row(table, e.name, b, spec) for b in backends for e in table.entries]
+    write_csv(sys.stdout, [
         "name", "backend", "nearest_neighbor", "printed_n",
         "computed_n", "rel_err", "status",
-    ])
-    failures = 0
-    for row in rows:
-        w.writerow(row)
-        failures += row[-1] == "FAIL"
+    ], rows)
+    failures = sum(row[-1] == "FAIL" for row in rows)
     if args.mc_check:
         _mc_spot_check(table, spec, _default_seed(args))
     _err(f"{len(rows)} cells, {failures} outside tolerance")
@@ -147,22 +155,15 @@ def cmd_matrix(args) -> int:
     catalog = baseline.grover_catalog()
     ovl_m, req_m = baseline.catalog_matrices(catalog, spec)
     labels = [f"i{v.iterations}k{v.key}" for v in sorted(catalog, key=lambda v: v.index)]
+    header = ["i", "j", "ovl", "required_n"]
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        baseline.write_matrix_csv(out / "grover_ovl.csv", labels, ovl_m)
-        baseline.write_matrix_csv(out / "grover_required.csv", labels, req_m)
-        baseline.write_long_form_csv(out / "grover_pairs.csv", ovl_m, req_m)
+        out = _out_dir(args)
+        _write_matrix(out / "grover_ovl.csv", labels, ovl_m)
+        _write_matrix(out / "grover_required.csv", labels, req_m)
+        write_csv(out / "grover_pairs.csv", header, _pair_rows(ovl_m, req_m, True))
         _err(f"matrices written to {out}")
     else:
-        w = _writer()
-        w.writerow(["i", "j", "ovl", "required_n"])
-        k = ovl_m.shape[0]
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                w.writerow([i + 1, j + 1, f"{ovl_m[i, j]:.9g}", f"{req_m[i, j]:.9g}"])
+        write_csv(sys.stdout, header, _pair_rows(ovl_m, req_m, False))
     off = req_m[~np.isnan(req_m)]
     lo, hi = float(off.min()), float(off.max())
     _err(f"required-n range [{lo:.6g}, {hi:.6g}]")
@@ -185,9 +186,12 @@ def cmd_power(args) -> int:
         _err("power: give --effect-size or both --delta-mean and --variance")
         return EXIT_USAGE
     n = required_sample_size(d, spec)
-    w = _writer()
-    w.writerow(["effect_size", "alpha", "power", "required_n"])
-    w.writerow([f"{d:.9g}", spec.alpha, spec.power, f"{n:.9g}"])
+    # alpha and power are echoed unrounded
+    write_csv(
+        sys.stdout,
+        ["effect_size", "alpha", "power", "required_n"],
+        [[d, str(spec.alpha), str(spec.power), n]],
+    )
     if args.mc_check and math.isfinite(n):
         p = mc_power_oracle(
             TimingDistribution(0.0 + 1.0, 1.0),
@@ -217,18 +221,11 @@ def cmd_simulate(args) -> int:
         return EXIT_USAGE
     scenario, log = _run_scenario(args)
     if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        cloudsim.save_log_csv(log, out / "jobs.csv")
-        _err(f"job log written to {out / 'jobs.csv'}")
+        path = _out_dir(args) / "jobs.csv"
+        write_records(path, cloudsim.JobRecord, log, digits=12)
+        _err(f"job log written to {path}")
     else:
-        w = _writer()
-        w.writerow(["job_id", "owner", "circuit", "queued_at", "started_at", "ended_at"])
-        for r in log:
-            w.writerow([
-                r.job_id, r.owner, r.circuit,
-                f"{r.queued_at:.9f}", f"{r.started_at:.9f}", f"{r.ended_at:.9f}",
-            ])
+        write_records(sys.stdout, cloudsim.JobRecord, log, digits=12)
     _err(
         f"{len(log)} jobs ({len(log.by_owner(cloudsim.VICTIM))} victim), "
         f"{log.truncations} truncated durations"
@@ -248,22 +245,20 @@ def cmd_attack(args) -> int:
         return EXIT_USAGE
     spec = _spec(args)
     backend = BACKEND_FLAG[args.backend or "qc"]
-    w = _writer()
     kind = args.attack
 
     if kind in ("ca", "qm"):
         # null designs: two runs of the same scenario, different seeds
         _, log_a = _run_scenario(args, seed_shift=0)
         _, log_b = _run_scenario(args, seed_shift=1)
-        verdict, points = attacks.null_distinguishability(
+        verdict, (ns, dom, band) = attacks.null_distinguishability(
             _trace_from_log(log_a), _trace_from_log(log_b)
         )
-        w.writerow(["attack", "verdict", "points"])
-        w.writerow([kind.upper(), verdict, len(points)])
+        write_csv(sys.stdout, ["attack", "verdict", "points"],
+                  [[kind.upper(), verdict, len(ns)]])
         if args.out_dir:
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            attacks.save_dom_series_csv(points, out / f"{kind}_dom.csv")
+            write_csv(_out_dir(args) / f"{kind}_dom.csv", ["n", "dom", "band"],
+                      zip(ns, dom, band))
         _err(f"{kind.upper()} null comparison: {verdict}")
         return EXIT_TOLERANCE if verdict == attacks.DISTINGUISHABLE else EXIT_OK
 
@@ -275,22 +270,21 @@ def cmd_attack(args) -> int:
     elif kind == "co":
         verdict, ovl_m, req_m = attacks.co_identify(tr, baseline.grover_catalog(), spec)
         if args.out_dir:
-            out = Path(args.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
             labels = [f"v{i}" for i in range(1, 25)]
-            baseline.write_matrix_csv(out / "co_required.csv", labels, req_m)
+            _write_matrix(_out_dir(args) / "co_required.csv", labels, req_m)
     elif kind == "qp":
         devices = cloudsim.load_reference_devices(args.scenario)
         if len(devices) < 2:
             _err("attack qp: scenario needs a reference_devices list (>= 2)")
             return EXIT_USAGE
         scenario = cloudsim.load_scenario(args.scenario)
-        verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit)
+        verdict = attacks.qp_fingerprint(
+            tr, devices, scenario.victim_circuit, spec=spec
+        )
     else:
         _err(f"unknown attack {kind!r}")
         return EXIT_USAGE
-    w.writerow(attacks.VERDICT_CSV_HEADER)
-    w.writerow(verdict.csv_row())
+    write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     _err(
         f"{verdict.attack}: label={verdict.label!r} n={verdict.measurements_used}"
         + (" (under-powered)" if verdict.underpowered else "")
@@ -324,9 +318,7 @@ def cmd_mitigate(args) -> int:
     except (ValueError, KeyError) as exc:
         _err(f"mitigate: {exc}")
         return EXIT_USAGE
-    w = _writer()
-    w.writerow(mitigations.REPORT_CSV_HEADER)
-    w.writerow(report.csv_row())
+    write_records(sys.stdout, mitigations.MitigationReport, [report])
     _err(f"{m.kind}: requirement inflation x{report.inflation:.6g}")
     return EXIT_OK
 
@@ -345,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None,
                         help="override QLEAK_SEED / 0")
         sp.add_argument("--out-dir", default=None)
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
         sp.add_argument("--mc-check", action="store_true",
                         help="cross-check analytics with Monte Carlo")
         if scenario:

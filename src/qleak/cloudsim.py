@@ -6,7 +6,6 @@ monotonic clock; durations are Gaussian draws per circuit, truncated at a
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
@@ -139,19 +138,6 @@ def run_simulation(scenario: Scenario) -> JobLog:
 def ground_truth_durations(log: JobLog, owner: str = VICTIM) -> np.ndarray:
     """Actual per-job durations for one owner, in execution order."""
     return np.array([r.duration for r in log.by_owner(owner)])
-
-
-def save_log_csv(log: JobLog, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["job_id", "owner", "circuit", "queued_at", "started_at", "ended_at"]
-        )
-        for r in log:
-            writer.writerow(
-                [r.job_id, r.owner, r.circuit,
-                 f"{r.queued_at:.12g}", f"{r.started_at:.12g}", f"{r.ended_at:.12g}"]
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ import numpy as np
 
 from .baseline import BaselineTable
 from .cloudsim import Scenario
-from .stats import PowerSpec, TimingDistribution, ovl, required_sample_size
+from .stats import (
+    PowerSpec,
+    TimingDistribution,
+    effect_size,
+    ovl,
+    required_sample_size,
+)
 
 TIMER_NOISE = "timer-noise"
 COMPILE_RANDOMNESS = "compile-randomness"
@@ -151,16 +157,14 @@ class Mitigation:
             return TimingDistribution(mean, timing.variance)
         return timing
 
-    def apply_to_table(self, table: BaselineTable, backend: str) -> list:
-        """Per-entry transformed timing models, in table order."""
-        return [
-            self.apply(table.timing(e.name, backend), table, backend)
-            for e in table.entries
-        ]
-
     def apply_to_scenario(self, scenario: Scenario) -> Scenario:
-        """Scheduler-level rewrite: batching multiplies probe_every,
-        distribution-level kinds rewrite the device's circuit models."""
+        """Scheduler-level rewrite: batching multiplies probe_every and
+        timer noise adds its variance to every circuit model on the device.
+
+        Raises ValueError for compile-randomness and circuit-padding,
+        which are not modelled at scenario level (padding also needs a
+        baseline table to find its decoy).
+        """
         if self.kind == SCHEDULER_BATCHING:
             return replace(
                 scenario, probe_every=scenario.probe_every * self.batch_factor
@@ -173,7 +177,7 @@ class Mitigation:
             return replace(
                 scenario, device=replace(scenario.device, circuit_timings=timings)
             )
-        return scenario
+        raise ValueError(f"{self.kind} cannot be applied to a scenario")
 
 
 @dataclass(frozen=True)
@@ -188,33 +192,6 @@ class MitigationReport:
     overlap_after: float
     mean_overhead: float
     variance_overhead: float
-
-    def csv_row(self) -> list:
-        return [
-            self.kind,
-            f"{self.baseline_required_n:.9g}",
-            f"{self.mitigated_required_n:.9g}",
-            f"{self.inflation:.9g}",
-            f"{self.overlap_before:.9g}",
-            f"{self.overlap_after:.9g}",
-            f"{self.mean_overhead:.9g}",
-            f"{self.variance_overhead:.9g}",
-        ]
-
-
-REPORT_CSV_HEADER = [
-    "kind", "baseline_required_n", "mitigated_required_n", "inflation",
-    "overlap_before", "overlap_after", "mean_overhead", "variance_overhead",
-]
-
-
-def _pair_requirement(
-    a_mean: float, a_var: float, b_mean: float, b_var: float, spec: PowerSpec
-) -> float:
-    sd = math.sqrt((a_var + b_var) / 2)
-    if sd == 0:
-        return math.inf if a_mean == b_mean else 1.0
-    return required_sample_size(abs(a_mean - b_mean) / sd, spec)
 
 
 def evaluate(
@@ -236,7 +213,7 @@ def evaluate(
     per wall-clock unit by batch_factor, reported as inflation.
     """
     a, b = table.timing(victim, backend), table.timing(reference, backend)
-    before = _pair_requirement(a.mean, a.variance, b.mean, b.variance, spec)
+    before = required_sample_size(effect_size(a, b), spec)
     ovl_before = ovl(a, b)
 
     if mitigation.kind == SCHEDULER_BATCHING:
@@ -251,7 +228,7 @@ def evaluate(
     else:
         am = mitigation.apply(a, table, backend)
         bm = mitigation.apply(b, table, backend)
-        after = _pair_requirement(am.mean, am.variance, bm.mean, bm.variance, spec)
+        after = required_sample_size(effect_size(am, bm), spec)
         inflation = after / before if math.isfinite(before) else math.inf
         # mixtures are summarized by their first two moments for overlap
         ovl_after = ovl(

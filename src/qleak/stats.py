@@ -88,15 +88,6 @@ class PowerSpec:
             raise ValueError(f"power must be in (0,1), got {self.power}")
 
 
-@dataclass(frozen=True)
-class DomPoint:
-    """One prefix of a difference-of-means curve with its null band."""
-
-    n: int
-    dom: float
-    band: float
-
-
 def normal_cdf(x: float) -> float:
     return float(special.ndtr(x))
 
@@ -131,52 +122,46 @@ def welch_satterthwaite_df(a: SampleSummary, b: SampleSummary) -> float:
     return num / den
 
 
-def dom_curves(
-    a: np.ndarray, b: np.ndarray, confidence: float = 0.95
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array form of :func:`dom_series`.
+def _prefix_moments(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running means and unbiased variances of x over prefixes of length n."""
+    mean = np.cumsum(x) / n
+    ss = np.cumsum(x * x) - n * mean * mean
+    with np.errstate(invalid="ignore", divide="ignore"):
+        var = ss / (n - 1)
+    # rounding can push the centered sum of squares slightly negative
+    return mean, np.maximum(var, 0.0)
 
-    Returns (n, dom, band) for prefix lengths n = 2..min(len(a), len(b)),
-    with bands from running unbiased variances and the normal quantile of
-    (1 + confidence) / 2.
+
+def dom_curves(
+    a: Sequence[float],
+    b: Sequence[float] | TimingDistribution,
+    confidence: float = 0.95,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Difference-of-means curve over growing prefixes, with its null band.
+
+    `b` is a second ordered sample (both are truncated to the shorter) or
+    a reference model, which contributes its exact mean and variance.
+    Returns (n, dom, band) for prefix lengths n = 2..len(a), where band is
+    the half-width of the equal-population confidence band from running
+    unbiased variances and the normal quantile of (1 + confidence) / 2.
+    A prefix is "distinguished" when |dom| exceeds the band.
     """
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must be in (0,1), got {confidence}")
     a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    m = min(a.size, b.size)
-    if m < 2:
+    model = isinstance(b, TimingDistribution)
+    if not model:
+        b = np.asarray(b, dtype=float)
+        a, b = a[: b.size], b[: a.size]
+    if a.size < 2:
         raise ValueError("need at least two observations per set")
-    a, b = a[:m], b[:m]
-    n = np.arange(1, m + 1, dtype=float)
-    ma = np.cumsum(a) / n
-    mb = np.cumsum(b) / n
-    ssa = np.cumsum(a * a) - n * ma * ma
-    ssb = np.cumsum(b * b) - n * mb * mb
-    with np.errstate(invalid="ignore", divide="ignore"):
-        va = ssa / (n - 1)
-        vb = ssb / (n - 1)
-    # rounding can push the centered sum of squares slightly negative
-    va = np.maximum(va, 0.0)
-    vb = np.maximum(vb, 0.0)
+    n = np.arange(1, a.size + 1, dtype=float)
+    ma, va = _prefix_moments(a, n)
+    mb, vb = (b.mean, b.variance) if model else _prefix_moments(b, n)
     z = normal_quantile((1 + confidence) / 2)
     dom = (ma - mb)[1:]
     band = z * np.sqrt((va + vb)[1:] / n[1:])
     return n[1:].astype(int), dom, band
-
-
-def dom_series(
-    a: Sequence[float], b: Sequence[float], confidence: float = 0.95
-) -> list[DomPoint]:
-    """Difference-of-means curve over growing prefixes of two ordered sets.
-
-    A prefix is "distinguished" when |dom| exceeds the band, the half-width
-    of the equal-population confidence band at the requested level.
-    """
-    ns, dom, band = dom_curves(np.asarray(a), np.asarray(b), confidence)
-    return [
-        DomPoint(int(n), float(d), float(w)) for n, d, w in zip(ns, dom, band)
-    ]
 
 
 def ovl(p: TimingDistribution, q: TimingDistribution) -> float:
@@ -218,6 +203,18 @@ def ovl_numeric(p: TimingDistribution, q: TimingDistribution) -> float:
         lambda x: min(p.pdf(x), q.pdf(x)), lo, hi, limit=200
     )
     return float(val)
+
+
+def effect_size(p, q) -> float:
+    """Standardized mean gap |p.mean - q.mean| / sqrt((p.var + q.var) / 2).
+
+    Takes any two objects with `mean` and `variance` (timing models,
+    mixtures, sample summaries); the pooled sd is that of the pair.
+    """
+    pooled = (p.variance + q.variance) / 2.0
+    if not pooled > 0:
+        raise ValueError("effect size needs a positive pooled variance")
+    return abs(p.mean - q.mean) / math.sqrt(pooled)
 
 
 def noncentral_t_sf(t: float, df: float, ncp: float) -> float:

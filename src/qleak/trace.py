@@ -10,10 +10,8 @@ intervals, not executions.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -126,11 +124,3 @@ def assemble_trace(
         durations.extend([per_execution] * count)
         counts.append(count)
     return Trace(np.array(durations), counts, dropped)
-
-
-def save_trace_csv(trace: Trace, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["duration_s"])
-        for d in trace.durations:
-            writer.writerow([f"{d:.12g}"])

@@ -17,7 +17,6 @@ from scipy.stats import binomtest
 from qleak.attacks import (
     DISTINGUISHABLE,
     NULL_RULE_FP_LEVEL,
-    dom_vs_model,
     first_crossing,
     null_distinguishability,
     uc_classify,
@@ -38,6 +37,8 @@ from qleak.stats import (
     PowerSpec,
     SampleSummary,
     TimingDistribution,
+    dom_curves,
+    effect_size,
     mc_power_oracle,
     normal_cdf,
     normal_quantile,
@@ -59,10 +60,10 @@ def table():
     return bundled_table()
 
 
-def _pair_requirement(table, a, b, backend):
-    """Planning n for one pair, clamped at 1 as the table prints it."""
-    d = abs(table.entry(a).latency(backend) - table.entry(b).latency(backend))
-    return max(required_sample_size(d / math.sqrt(table.variance(backend))), 1.0)
+def _pair_n(table, a, b, backend):
+    """Planning n for one pair of the table."""
+    d = effect_size(table.timing(a, backend), table.timing(b, backend))
+    return required_sample_size(d)
 
 
 def _pairs_reproducing(table, backend, printed):
@@ -82,7 +83,7 @@ def _pairs_reproducing(table, backend, printed):
     lo, hi = 0, len(pairs)
     while lo < hi:  # first pair whose n is at or below the printed value
         mid = (lo + hi) // 2
-        if _pair_requirement(table, *pairs[mid], backend) > printed:
+        if _pair_n(table, *pairs[mid], backend) > printed:
             lo = mid + 1
         else:
             hi = mid
@@ -90,7 +91,7 @@ def _pairs_reproducing(table, backend, printed):
     for step, start in ((-1, lo - 1), (1, lo)):
         i = start
         while 0 <= i < len(pairs) and within_tolerance(
-            printed, _pair_requirement(table, *pairs[i], backend)
+            printed, _pair_n(table, *pairs[i], backend)
         ):
             found.append(pairs[i])
             i += step
@@ -121,7 +122,7 @@ def test_criterion_1_table_regression(table):
             unexplained.append(f"{name}/{backend}")
             if _pairs_reproducing(table, backend, printed):
                 mismatched.append(f"{name}/{backend}")
-        elif not within_tolerance(printed, _pair_requirement(table, *pair, backend)):
+        elif not within_tolerance(printed, _pair_n(table, *pair, backend)):
             mismatched.append(f"{name}/{backend}")
 
     ok = (
@@ -267,7 +268,7 @@ def test_criterion_4_qp_crossing():
         scenario = Scenario(dev_a, "grover", 60, "probe", probe_every=1, seed=seed)
         log = run_simulation(scenario)
         tr = assemble_trace(AttackerView.from_log(log), avg_victim=1.85)
-        ns, dom, band = dom_vs_model(tr.durations, model_b)
+        ns, dom, band = dom_curves(tr.durations, model_b)
         cross = first_crossing(dom, band, ns)
         hits += cross is not None and cross <= 10
     rate = hits / seeds

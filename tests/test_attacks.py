@@ -9,16 +9,15 @@ from qleak.attacks import (
     AttackVerdict,
     co_identify,
     detect_backend,
-    dom_vs_model,
     first_crossing,
     null_distinguishability,
     qp_fingerprint,
-    save_verdicts_csv,
     uc_classify,
 )
 from qleak.baseline import HARDWARE, SIMULATOR, bundled_table, grover_catalog
 from qleak.cloudsim import DeviceProfile
-from qleak.stats import TimingDistribution
+from qleak.csvout import write_records
+from qleak.stats import PowerSpec, TimingDistribution, dom_curves
 from qleak.trace import Trace
 
 
@@ -40,10 +39,14 @@ class TestVerdict:
             AttackVerdict("UC", "x", 0, 0.0, 1.0, 0.8)
 
     def test_csv(self, tmp_path):
-        v = AttackVerdict("UC", "x", 10, 0.5, 3.0, 0.8)
+        v = AttackVerdict("UC", "x", 10, 0.5, 3.0, 0.8, underpowered=True)
         p = tmp_path / "v.csv"
-        save_verdicts_csv([v], p)
-        assert len(p.read_text().strip().splitlines()) == 2
+        write_records(p, AttackVerdict, [v])
+        assert p.read_text().splitlines() == [
+            "attack,label,measurements_used,statistic,planned_n,confidence,"
+            "ambiguous,underpowered",
+            "UC,x,10,0.5,3,0.8,0,1",
+        ]
 
 
 class TestUc:
@@ -110,9 +113,9 @@ class TestNullRule:
         rng = np.random.default_rng(7)
         a = Trace.from_durations(rng.normal(2.0, 0.5, 400))
         b = Trace.from_durations(rng.normal(2.0, 0.5, 400))
-        verdict, points = null_distinguishability(a, b)
+        verdict, (ns, dom, band) = null_distinguishability(a, b)
         assert verdict == INDISTINGUISHABLE
-        assert len(points) == 399
+        assert len(ns) == len(dom) == len(band) == 399
 
     def test_separated_distributions_distinguishable(self):
         rng = np.random.default_rng(8)
@@ -150,9 +153,19 @@ class TestQp:
         model = TimingDistribution(3.075851148, 0.3)
         rng = np.random.default_rng(10)
         xs = rng.normal(1.853176702, math.sqrt(0.3), 100)
-        ns, dom, band = dom_vs_model(xs, model)
+        ns, dom, band = dom_curves(xs, model)
         cross = first_crossing(dom, band, ns)
         assert cross is not None and cross <= 10
+
+    def test_plan_follows_spec(self):
+        rng = np.random.default_rng(9)
+        tr = Trace.from_durations(rng.normal(1.853176702, math.sqrt(0.3), 100))
+        default = qp_fingerprint(tr, make_devices(), "grover")
+        stricter = qp_fingerprint(
+            tr, make_devices(), "grover", spec=PowerSpec(power=0.9)
+        )
+        assert stricter.planned_n > default.planned_n
+        assert stricter.label == default.label
 
     def test_no_crossing_returns_none(self):
         model = TimingDistribution(2.0, 0.3)

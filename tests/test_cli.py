@@ -103,6 +103,30 @@ class TestReproduceTable:
         assert len(fails) == 2
 
 
+    def test_rel_err_column(self, capsys):
+        # one formula on every row, the cells printed as 1 included; those
+        # pass only when the solver also reports a single measurement. The
+        # 9-digit computed column limits the check to about 1e-8.
+        code, out, _ = run_cli(capsys, "reproduce-table")
+        rows = parse_csv(out)[1:]
+        assert len(rows) == 52
+        for name, backend, _, printed, computed, rel, status in rows:
+            p, c = float(printed), float(computed)
+            assert float(rel) == pytest.approx(abs(c - p) / p, rel=2e-3, abs=1e-8)
+            if p == 1.0:
+                assert status == ("ok" if c == 1.0 else "FAIL")
+        ones = sorted((r[1], r[0]) for r in rows if r[3] == "1")
+        assert ones == [
+            (HARDWARE, "Quantum State Tomography"),
+            (HARDWARE, "Rabi Oscillations"),
+            (HARDWARE, "Randomized Benchmarking"),
+            (HARDWARE, "T1/Qubit Lifetimes"),
+            (HARDWARE, "T2/Decoherence"),
+            (HARDWARE, "Tphi Dephase Benchmark"),
+            (SIMULATOR, "Tphi Dephase Benchmark"),
+        ]
+
+
 class TestMatrix:
     def test_stdout_long_form(self, capsys):
         code, out, err = run_cli(capsys, "matrix")
@@ -126,6 +150,14 @@ class TestSimulateAndAttack:
         rows = parse_csv(out)
         assert len(rows) == 1 + 120 + 121
 
+    def test_simulate_stdout_matches_out_dir(self, capsys, scenario_file, tmp_path):
+        _, out, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", scenario_file, "--out-dir", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        assert parse_csv(out) == parse_csv((tmp_path / "jobs.csv").read_text())
+
     def test_attack_uc(self, capsys, scenario_file):
         code, out, _ = run_cli(
             capsys, "attack", "--scenario", scenario_file,
@@ -141,6 +173,15 @@ class TestSimulateAndAttack:
         )
         assert code == EXIT_OK
         assert parse_csv(out)[1][1] == "dev_a"
+
+    def test_attack_qp_power(self, capsys, scenario_file):
+        argv = ["attack", "--scenario", scenario_file, "--attack", "qp"]
+        _, out, _ = run_cli(capsys, *argv)
+        code, out_90, _ = run_cli(capsys, *argv, "--power", "0.9")
+        assert code == EXIT_OK
+        default, stricter = parse_csv(out), parse_csv(out_90)
+        col = default[0].index("planned_n")
+        assert float(stricter[1][col]) > float(default[1][col])
 
     def test_attack_null(self, capsys, scenario_file):
         code, out, _ = run_cli(

@@ -6,14 +6,15 @@ from qleak.cloudsim import (
     DURATION_FLOOR,
     VICTIM,
     DeviceProfile,
+    JobRecord,
     Scenario,
     ScenarioError,
     ground_truth_durations,
     load_reference_devices,
     load_scenario,
     run_simulation,
-    save_log_csv,
 )
+from qleak.csvout import write_records
 from qleak.stats import TimingDistribution
 
 
@@ -86,9 +87,13 @@ class TestSimulation:
     def test_log_csv(self, tmp_path):
         log = run_simulation(make_scenario(reps=5))
         path = tmp_path / "log.csv"
-        save_log_csv(log, path)
+        write_records(path, JobRecord, log, digits=12)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(log) + 1
+        assert lines[0] == "job_id,owner,circuit,queued_at,started_at,ended_at"
+        last = log.records[-1]
+        assert lines[-1].split(",")[:3] == [str(last.job_id), last.owner, last.circuit]
+        assert float(lines[-1].split(",")[-1]) == pytest.approx(last.ended_at, rel=1e-11)
 
 
 class TestValidation:

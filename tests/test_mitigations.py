@@ -94,6 +94,18 @@ class TestTransforms:
         assert s.probe_every == 10
         run_simulation(s)  # still a valid scenario
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=4),
+            Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ"),
+        ],
+        ids=[COMPILE_RANDOMNESS, CIRCUIT_PADDING],
+    )
+    def test_distribution_kinds_refuse_scenarios(self, m):
+        with pytest.raises(ValueError, match="cannot be applied to a scenario"):
+            m.apply_to_scenario(make_scenario())
+
     def test_timer_noise_rewrites_scenario(self):
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.5)
         s = m.apply_to_scenario(make_scenario())

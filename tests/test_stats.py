@@ -10,7 +10,7 @@ from qleak.stats import (
     SampleSummary,
     TimingDistribution,
     dom_curves,
-    dom_series,
+    effect_size,
     lehr_sample_size,
     mc_power_oracle,
     normal_approx_sample_size,
@@ -100,6 +100,28 @@ class TestOvl:
         assert 0.0 < ovl(p, q) < 1.0
 
 
+class TestEffectSize:
+    def test_pooled_over_the_pair(self):
+        p = TimingDistribution(1.0, 0.2)
+        q = TimingDistribution(1.6, 0.6)
+        assert effect_size(p, q) == pytest.approx(0.6 / math.sqrt(0.4))
+        assert effect_size(q, p) == effect_size(p, q)
+
+    def test_equal_means_give_zero_and_inf_n(self):
+        p = TimingDistribution(2.0, 0.3)
+        assert effect_size(p, p) == 0.0
+        assert required_sample_size(effect_size(p, p)) == math.inf
+
+    def test_accepts_sample_summaries(self):
+        a, b = SampleSummary(10, 1.0, 0.5), SampleSummary(12, 2.0, 1.5)
+        assert effect_size(a, b) == pytest.approx(1.0)
+
+    def test_zero_pooled_variance_rejected(self):
+        s = SampleSummary(1, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            effect_size(s, SampleSummary(1, 2.0, 0.0))
+
+
 class TestPower:
     def test_power_at_solution(self):
         for d in (0.05, 0.3, 1.0):
@@ -170,11 +192,21 @@ class TestDom:
 
     def test_truncates_to_shorter(self):
         ns, _, _ = dom_curves(np.zeros(10) + 1e-3, np.ones(7))
-        assert ns[-1] == 7
+        assert ns[0] == 2 and ns[-1] == 7
 
-    def test_series_form(self):
-        pts = dom_series([1.0, 2.0, 3.0], [1.1, 2.1, 2.9])
-        assert [p.n for p in pts] == [2, 3]
+    def test_model_side_is_exact(self):
+        # a model contributes its own mean and variance at every prefix
+        rng = np.random.default_rng(6)
+        xs = rng.normal(1.0, 0.5, 50)
+        model = TimingDistribution(1.2, 0.3)
+        ns, dom, band = dom_curves(xs, model, 0.9)
+        assert ns[0] == 2 and ns[-1] == 50
+        z = sps.norm.ppf(0.95)
+        for i, n in enumerate(ns):
+            assert dom[i] == pytest.approx(xs[:n].mean() - 1.2)
+            assert band[i] == pytest.approx(
+                z * math.sqrt((xs[:n].var(ddof=1) + 0.3) / n)
+            )
 
     def test_rejects_bad_confidence(self):
         with pytest.raises(ValueError):

@@ -9,8 +9,8 @@ from qleak.trace import (
     estimate_victim_mean,
     extract_intervals,
     infer_execution_count,
-    save_trace_csv,
 )
+from qleak.csvout import write_csv
 from tests.test_cloudsim import make_scenario
 
 
@@ -106,7 +106,7 @@ class TestAssembly:
             Trace(np.ones(3), [1, 1])
 
     def test_csv(self, tmp_path):
-        t = Trace.from_durations([1.0, 2.0])
+        t = Trace.from_durations([1.0, 2.0 / 3.0])
         p = tmp_path / "t.csv"
-        save_trace_csv(t, p)
-        assert len(p.read_text().strip().splitlines()) == 3
+        write_csv(p, ["duration_s"], ([d] for d in t.durations), digits=12)
+        assert p.read_bytes() == b"duration_s\r\n1\r\n0.666666666667\r\n"
