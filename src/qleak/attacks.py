@@ -26,6 +26,7 @@ from .baseline import (
 )
 from .cloudsim import DeviceProfile
 from .stats import (
+    DOM_CONFIDENCE,
     PowerSpec,
     SampleSummary,
     dom_curves,
@@ -39,7 +40,7 @@ from .trace import Trace
 AMBIGUITY_EPS = 1e-12
 
 #: measured false-positive rate of the "final tenth beyond the band" rule
-#: on identical distributions at 95% confidence (frozen by the null suite)
+#: on identical distributions at DOM_CONFIDENCE (frozen by the null suite)
 NULL_RULE_FP_LEVEL = 0.03
 
 DISTINGUISHABLE = "distinguishable"
@@ -204,17 +205,17 @@ def _final_tenth_exceeds(dom: np.ndarray, band: np.ndarray) -> bool:
 
 
 def null_distinguishability(
-    trace_a: Trace, trace_b: Trace, confidence: float = 0.95
+    trace_a: Trace, trace_b: Trace
 ) -> tuple[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Difference-of-means verdict for two traces, with the (n, dom, band)
     curve it rests on.
 
     "Distinguishable" only when the whole final tenth of the curve sits
-    beyond the band; single-point excursions at the configured confidence
-    are expected noise (null rate ~ NULL_RULE_FP_LEVEL). Length mismatch
+    beyond the band; single-point excursions at DOM_CONFIDENCE are
+    expected noise (null rate ~ NULL_RULE_FP_LEVEL). Length mismatch
     is resolved by truncating to the shorter trace.
     """
-    ns, dom, band = dom_curves(trace_a.durations, trace_b.durations, confidence)
+    ns, dom, band = dom_curves(trace_a.durations, trace_b.durations)
     verdict = (
         DISTINGUISHABLE if _final_tenth_exceeds(dom, band) else INDISTINGUISHABLE
     )
@@ -230,7 +231,6 @@ def qp_fingerprint(
     trace: Trace,
     devices: list[DeviceProfile],
     circuit: str,
-    confidence: float = 0.95,
     spec: PowerSpec = PowerSpec(),
 ) -> AttackVerdict:
     """Name the device whose reference model the trace stays consistent
@@ -247,7 +247,7 @@ def qp_fingerprint(
     kept: list[str] = []
     final_dom: dict[str, float] = {}
     for dev in devices:
-        ns, dom, band = dom_curves(xs, dev.timing(circuit), confidence)
+        ns, dom, band = dom_curves(xs, dev.timing(circuit))
         final_dom[dev.name] = abs(float(dom[-1]))
         if _final_tenth_exceeds(dom, band):
             cross = first_crossing(dom, band, ns)
@@ -271,6 +271,6 @@ def qp_fingerprint(
         measurements_used=max(used, 1),
         statistic=float(len(rejected)),
         planned_n=required_sample_size(effect_size(*nearest), spec),
-        confidence=confidence,
+        confidence=DOM_CONFIDENCE,
         ambiguous=ambiguous,
     )

@@ -119,11 +119,7 @@ def _parse_optional(raw: str, name: str, col: str) -> Optional[float]:
         raise TableFormatError(f"{name}: bad {col} value {raw!r}") from exc
 
 
-def load_table(
-    path: str | Path,
-    sim_variance: float = DEFAULT_SIM_VARIANCE,
-    qc_variance: float = DEFAULT_QC_VARIANCE,
-) -> BaselineTable:
+def load_table(path: str | Path) -> BaselineTable:
     """Read a baseline table from CSV (header required, UTF-8)."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -164,7 +160,7 @@ def load_table(
             )
     if not entries:
         raise TableFormatError(f"{path}: no data rows")
-    return BaselineTable(tuple(entries), sim_variance, qc_variance)
+    return BaselineTable(tuple(entries))
 
 
 def save_table(table: BaselineTable, path: str | Path) -> None:

@@ -11,7 +11,8 @@ Subcommands::
 
 Results go to stdout as CSV; diagnostics go to stderr. Exit status is 0
 on success, 1 when a tolerance or distinguishability check fails, and 2
-for usage errors. QLEAK_SEED provides a default seed.
+for usage errors; a flag the subcommand does not read is one. QLEAK_SEED
+provides a default seed.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +70,11 @@ def _out_dir(args) -> Path:
 def _write_matrix(path: Path, labels: list[str], matrix: np.ndarray) -> None:
     """Matrix with row/column headers; NaN cells stay empty."""
     write_csv(path, ["", *labels], ([lab, *row] for lab, row in zip(labels, matrix)))
+
+
+def _grover_labels(catalog) -> list[str]:
+    """`i{iterations}k{key}` headers of the catalog matrices, index order."""
+    return [f"i{v.iterations}k{v.key}" for v in sorted(catalog, key=lambda v: v.index)]
 
 
 def _pair_rows(ovl_m: np.ndarray, req_m: np.ndarray, diagonal: bool):
@@ -122,17 +129,11 @@ def cmd_reproduce_table(args) -> int:
 def _mc_spot_check(table, spec, seed) -> None:
     """Monte-Carlo power at the planned n for a few small-n cells."""
     for backend in baseline.BACKENDS:
-        var = table.variance(backend)
-        picks = sorted(
-            table.entries,
-            key=lambda e: baseline.nearest_neighbor_requirement(
-                table, e.name, backend, spec
-            )[1],
-        )[:2]
-        for e in picks:
-            nb, n = baseline.nearest_neighbor_requirement(
-                table, e.name, backend, spec
-            )
+        cells = [
+            (e, *baseline.nearest_neighbor_requirement(table, e.name, backend, spec))
+            for e in table.entries
+        ]
+        for e, nb, n in sorted(cells, key=lambda cell: cell[2])[:2]:
             n_int = max(2, math.ceil(n))
             p = mc_power_oracle(
                 table.timing(e.name, backend),
@@ -154,7 +155,7 @@ def cmd_matrix(args) -> int:
     spec = _spec(args)
     catalog = baseline.grover_catalog()
     ovl_m, req_m = baseline.catalog_matrices(catalog, spec)
-    labels = [f"i{v.iterations}k{v.key}" for v in sorted(catalog, key=lambda v: v.index)]
+    labels = _grover_labels(catalog)
     header = ["i", "j", "ovl", "required_n"]
     if args.out_dir:
         out = _out_dir(args)
@@ -193,14 +194,12 @@ def cmd_power(args) -> int:
         [[d, str(spec.alpha), str(spec.power), n]],
     )
     if args.mc_check and math.isfinite(n):
+        n_int = max(2, math.ceil(n))
         p = mc_power_oracle(
-            TimingDistribution(0.0 + 1.0, 1.0),
-            TimingDistribution(1.0 + d, 1.0),
-            max(2, math.ceil(n)),
-            spec,
-            seed=_default_seed(args),
+            TimingDistribution(1.0, 1.0), TimingDistribution(1.0 + d, 1.0),
+            n_int, spec, seed=_default_seed(args),
         )
-        _err(f"mc-check: empirical power {p:.3f} at n={max(2, math.ceil(n))}")
+        _err(f"mc-check: empirical power {p:.3f} at n={n_int}")
         if abs(p - spec.power) > 0.05:
             return EXIT_TOLERANCE
     return EXIT_OK
@@ -216,10 +215,7 @@ def _run_scenario(args, seed_shift: int = 0):
 
 
 def cmd_simulate(args) -> int:
-    if not args.scenario:
-        _err("simulate: --scenario is required")
-        return EXIT_USAGE
-    scenario, log = _run_scenario(args)
+    _, log = _run_scenario(args)
     if args.out_dir:
         path = _out_dir(args) / "jobs.csv"
         write_records(path, cloudsim.JobRecord, log, digits=12)
@@ -240,9 +236,6 @@ def _trace_from_log(log) -> trace_mod.Trace:
 
 
 def cmd_attack(args) -> int:
-    if not args.scenario:
-        _err("attack: --scenario is required")
-        return EXIT_USAGE
     spec = _spec(args)
     backend = BACKEND_FLAG[args.backend or "qc"]
     kind = args.attack
@@ -262,28 +255,27 @@ def cmd_attack(args) -> int:
         _err(f"{kind.upper()} null comparison: {verdict}")
         return EXIT_TOLERANCE if verdict == attacks.DISTINGUISHABLE else EXIT_OK
 
-    _, log = _run_scenario(args)
+    if kind == "qp":
+        devices = cloudsim.load_reference_devices(args.scenario)
+        if len(devices) < 2:
+            _err("attack qp: scenario needs a reference_devices list (>= 2)")
+            return EXIT_USAGE
+    scenario, log = _run_scenario(args)
     tr = _trace_from_log(log)
     if kind == "uc":
         table = _load_table(args)
         verdict = attacks.uc_classify(tr, table, backend, spec)
     elif kind == "co":
-        verdict, ovl_m, req_m = attacks.co_identify(tr, baseline.grover_catalog(), spec)
+        catalog = baseline.grover_catalog()
+        verdict, _, req_m = attacks.co_identify(tr, catalog, spec)
         if args.out_dir:
-            labels = [f"v{i}" for i in range(1, 25)]
-            _write_matrix(_out_dir(args) / "co_required.csv", labels, req_m)
-    elif kind == "qp":
-        devices = cloudsim.load_reference_devices(args.scenario)
-        if len(devices) < 2:
-            _err("attack qp: scenario needs a reference_devices list (>= 2)")
-            return EXIT_USAGE
-        scenario = cloudsim.load_scenario(args.scenario)
+            _write_matrix(
+                _out_dir(args) / "co_required.csv", _grover_labels(catalog), req_m
+            )
+    else:
         verdict = attacks.qp_fingerprint(
             tr, devices, scenario.victim_circuit, spec=spec
         )
-    else:
-        _err(f"unknown attack {kind!r}")
-        return EXIT_USAGE
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     _err(
         f"{verdict.attack}: label={verdict.label!r} n={verdict.measurements_used}"
@@ -296,15 +288,11 @@ def cmd_attack(args) -> int:
 # mitigate
 
 def _build_mitigation(args) -> mitigations.Mitigation:
-    return mitigations.Mitigation(
-        kind=args.kind,
-        added_variance=args.added_variance,
-        layout_spread=args.layout_spread,
-        layouts=args.layouts,
-        pad_toward=args.pad_toward or args.reference,
-        pad_fraction=args.pad_fraction,
-        batch_factor=args.batch_factor,
-    )
+    params = {f.name: getattr(args, f.name) for f in fields(mitigations.Mitigation)}
+    if args.kind == mitigations.CIRCUIT_PADDING:
+        # the decoy defaults to the reference circuit
+        params["pad_toward"] = args.pad_toward or args.reference
+    return mitigations.Mitigation(**params)
 
 
 def cmd_mitigate(args) -> int:
@@ -325,61 +313,56 @@ def cmd_mitigate(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+#: every flag of the CLI; each subcommand declares the ones it reads
+FLAGS = {
+    "table": dict(help="baseline table CSV (default: bundled)"),
+    "backend": dict(choices=("sim", "qc")),
+    "alpha": dict(type=float, default=0.05),
+    "power": dict(type=float, default=0.80),
+    "seed": dict(type=int, help="override QLEAK_SEED / 0"),
+    "out-dir": dict(),
+    "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
+    "scenario": dict(required=True, help="scenario YAML file"),
+    "effect-size": dict(type=float),
+    "delta-mean": dict(type=float),
+    "variance": dict(type=float),
+    "attack": dict(choices=("uc", "co", "ca", "qm", "qp"), required=True),
+    "kind": dict(choices=mitigations.KINDS, required=True),
+    "victim": dict(required=True),
+    "reference": dict(required=True),
+    "added-variance": dict(type=float, default=0.0),
+    "layout-spread": dict(type=float, default=0.0),
+    "layouts": dict(type=int, default=2),
+    "pad-toward": dict(default=""),
+    "pad-fraction": dict(type=float, default=1.0),
+    "batch-factor": dict(type=int, default=1),
+}
+
+SUBCOMMANDS = (
+    ("reproduce-table", cmd_reproduce_table, "recompute the requirement table",
+     "table backend alpha power seed mc-check"),
+    ("matrix", cmd_matrix, "Grover catalog overlap/requirement matrices",
+     "alpha power out-dir"),
+    ("power", cmd_power, "sample-size planning",
+     "alpha power seed mc-check effect-size delta-mean variance"),
+    ("simulate", cmd_simulate, "run a scenario, dump the job log",
+     "scenario seed out-dir"),
+    ("attack", cmd_attack, "run an attack on a scenario",
+     "scenario attack table backend alpha power seed out-dir"),
+    ("mitigate", cmd_mitigate, "evaluate a countermeasure",
+     "table backend alpha power kind victim reference added-variance "
+     "layout-spread layouts pad-toward pad-fraction batch-factor"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qleak", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, scenario=False):
-        sp.add_argument("--table", help="baseline table CSV (default: bundled)")
-        sp.add_argument("--backend", choices=("sim", "qc"))
-        sp.add_argument("--alpha", type=float, default=0.05)
-        sp.add_argument("--power", type=float, default=0.80)
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override QLEAK_SEED / 0")
-        sp.add_argument("--out-dir", default=None)
-        sp.add_argument("--mc-check", action="store_true",
-                        help="cross-check analytics with Monte Carlo")
-        if scenario:
-            sp.add_argument("--scenario", help="scenario YAML file")
-
-    sp = sub.add_parser("reproduce-table", help="recompute the requirement table")
-    common(sp)
-    sp.set_defaults(func=cmd_reproduce_table)
-
-    sp = sub.add_parser("matrix", help="Grover catalog overlap/requirement matrices")
-    common(sp)
-    sp.set_defaults(func=cmd_matrix)
-
-    sp = sub.add_parser("power", help="sample-size planning")
-    common(sp)
-    sp.add_argument("--effect-size", type=float, default=None)
-    sp.add_argument("--delta-mean", type=float, default=None)
-    sp.add_argument("--variance", type=float, default=None)
-    sp.set_defaults(func=cmd_power)
-
-    sp = sub.add_parser("simulate", help="run a scenario, dump the job log")
-    common(sp, scenario=True)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("attack", help="run an attack on a scenario")
-    common(sp, scenario=True)
-    sp.add_argument("--attack", choices=("uc", "co", "ca", "qm", "qp"),
-                    required=True, dest="attack")
-    sp.set_defaults(func=cmd_attack)
-
-    sp = sub.add_parser("mitigate", help="evaluate a countermeasure")
-    common(sp)
-    sp.add_argument("--kind", choices=mitigations.KINDS, required=True)
-    sp.add_argument("--victim", required=True)
-    sp.add_argument("--reference", required=True)
-    sp.add_argument("--added-variance", type=float, default=0.0)
-    sp.add_argument("--layout-spread", type=float, default=0.0)
-    sp.add_argument("--layouts", type=int, default=2)
-    sp.add_argument("--pad-toward", default="")
-    sp.add_argument("--pad-fraction", type=float, default=1.0)
-    sp.add_argument("--batch-factor", type=int, default=1)
-    sp.set_defaults(func=cmd_mitigate)
-
+    for name, func, help_text, flags in SUBCOMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
+        sp.set_defaults(func=func)
     return p
 
 

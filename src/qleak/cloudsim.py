@@ -143,6 +143,16 @@ def ground_truth_durations(log: JobLog, owner: str = VICTIM) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Scenario config files
 
+def _check_keys(block, allowed: tuple[str, ...], where: str) -> dict:
+    """`block` itself, once it is a mapping holding only `allowed` keys."""
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{where} must be a mapping")
+    unknown = [k for k in block if k not in allowed]
+    if unknown:
+        raise ScenarioError(f"unknown key(s) {unknown} in {where}")
+    return block
+
+
 def _require(mapping: dict, key: str, where: str):
     if key not in mapping:
         raise ScenarioError(f"missing {key!r} in {where}")
@@ -150,15 +160,18 @@ def _require(mapping: dict, key: str, where: str):
 
 
 def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
+    _check_keys(block, ("name", "inter_job_gap", "circuits"), where)
     circuits = _require(block, "circuits", where)
     if not isinstance(circuits, dict) or not circuits:
         raise ScenarioError(f"{where}.circuits must be a non-empty map")
     timings = {}
     for cname, spec in circuits.items():
+        at = f"{where}.circuits.{cname}"
+        _check_keys(spec, ("mean", "variance"), at)
         try:
             timings[cname] = TimingDistribution(
-                float(_require(spec, "mean", f"{where}.circuits.{cname}")),
-                float(_require(spec, "variance", f"{where}.circuits.{cname}")),
+                float(_require(spec, "mean", at)),
+                float(_require(spec, "variance", at)),
             )
         except (TypeError, ValueError) as exc:
             raise ScenarioError(
@@ -174,7 +187,8 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
 def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """Load a scenario from YAML; `seed` overrides the file's value.
 
-    Schema::
+    Schema (every key shown, optional `reference_devices:` aside; any
+    other key is a ScenarioError)::
 
         device:
           name: desk_belem
@@ -188,11 +202,13 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """
     with Path(path).open(encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: scenario file must be a mapping")
+    _check_keys(raw, ("device", "victim", "attacker", "seed", "reference_devices"),
+                f"{path}: scenario file")
     device = _parse_device(_require(raw, "device", "scenario"))
-    victim = _require(raw, "victim", "scenario")
-    attacker = _require(raw, "attacker", "scenario")
+    victim = _check_keys(_require(raw, "victim", "scenario"),
+                         ("circuit", "repetitions"), "victim")
+    attacker = _check_keys(_require(raw, "attacker", "scenario"),
+                           ("probe_circuit", "every_k"), "attacker")
     return Scenario(
         device=device,
         victim_circuit=str(_require(victim, "circuit", "victim")),

@@ -18,7 +18,7 @@ distributions or on scheduler behavior:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,14 @@ COMPILE_RANDOMNESS = "compile-randomness"
 CIRCUIT_PADDING = "circuit-padding"
 SCHEDULER_BATCHING = "scheduler-batching"
 
-KINDS = (TIMER_NOISE, COMPILE_RANDOMNESS, CIRCUIT_PADDING, SCHEDULER_BATCHING)
+#: the Mitigation fields each kind reads; the others must keep their defaults
+KIND_PARAMS = {
+    TIMER_NOISE: ("added_variance",),
+    COMPILE_RANDOMNESS: ("layout_spread", "layouts"),
+    CIRCUIT_PADDING: ("pad_toward", "pad_fraction"),
+    SCHEDULER_BATCHING: ("batch_factor",),
+}
+KINDS = tuple(KIND_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -83,7 +90,7 @@ class MixtureTiming:
 class Mitigation:
     """One configured countermeasure.
 
-    kind-specific parameters:
+    kind-specific parameters (those of the other kinds keep their defaults):
       timer-noise: added_variance > 0
       compile-randomness: layout_spread > 0, layouts >= 2 (evenly spaced
         mean offsets spanning +/- layout_spread / 2)
@@ -103,6 +110,10 @@ class Mitigation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown mitigation kind {self.kind!r}")
+        own = ("kind", *KIND_PARAMS[self.kind])
+        for f in fields(self):
+            if f.name not in own and getattr(self, f.name) != f.default:
+                raise ValueError(f"{self.kind} does not read {f.name}")
         if self.kind == TIMER_NOISE and not self.added_variance > 0:
             raise ValueError("timer-noise needs added_variance > 0")
         if self.kind == COMPILE_RANDOMNESS:

@@ -16,6 +16,11 @@ from scipy import integrate, optimize, special
 from scipy import stats as sps
 
 
+#: confidence of the difference-of-means band; the null rule's
+#: false-positive level (attacks.NULL_RULE_FP_LEVEL) was measured at it
+DOM_CONFIDENCE = 0.95
+
+
 class DegenerateSamplesError(ValueError):
     """Both samples have zero variance and equal means: no test is defined."""
 
@@ -35,11 +40,6 @@ class SampleSummary:
             raise ValueError(f"negative variance {self.variance}")
         if self.n == 1 and self.variance != 0.0:
             raise ValueError("variance is undefined for a single observation")
-
-    @property
-    def degenerate(self) -> bool:
-        """True when the variance carries no information (n < 2)."""
-        return self.n < 2
 
     @classmethod
     def from_samples(cls, xs: Sequence[float]) -> "SampleSummary":
@@ -133,9 +133,7 @@ def _prefix_moments(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def dom_curves(
-    a: Sequence[float],
-    b: Sequence[float] | TimingDistribution,
-    confidence: float = 0.95,
+    a: Sequence[float], b: Sequence[float] | TimingDistribution
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Difference-of-means curve over growing prefixes, with its null band.
 
@@ -143,11 +141,9 @@ def dom_curves(
     a reference model, which contributes its exact mean and variance.
     Returns (n, dom, band) for prefix lengths n = 2..len(a), where band is
     the half-width of the equal-population confidence band from running
-    unbiased variances and the normal quantile of (1 + confidence) / 2.
+    unbiased variances and the normal quantile of (1 + DOM_CONFIDENCE) / 2.
     A prefix is "distinguished" when |dom| exceeds the band.
     """
-    if not 0 < confidence < 1:
-        raise ValueError(f"confidence must be in (0,1), got {confidence}")
     a = np.asarray(a, dtype=float)
     model = isinstance(b, TimingDistribution)
     if not model:
@@ -158,7 +154,7 @@ def dom_curves(
     n = np.arange(1, a.size + 1, dtype=float)
     ma, va = _prefix_moments(a, n)
     mb, vb = (b.mean, b.variance) if model else _prefix_moments(b, n)
-    z = normal_quantile((1 + confidence) / 2)
+    z = normal_quantile((1 + DOM_CONFIDENCE) / 2)
     dom = (ma - mb)[1:]
     band = z * np.sqrt((va + vb)[1:] / n[1:])
     return n[1:].astype(int), dom, band
@@ -252,13 +248,6 @@ def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
         return math.inf
     z = normal_quantile(1 - spec.alpha / 2) + normal_quantile(spec.power)
     return 2.0 * (z / d) ** 2
-
-
-def lehr_sample_size(d: float) -> float:
-    """Lehr's rule of thumb, n = 16 / d^2 per group."""
-    if d <= 0:
-        raise ValueError(f"effect size must be positive, got {d}")
-    return 16.0 / (d * d)
 
 
 @lru_cache(maxsize=4096)

@@ -1,10 +1,13 @@
+import argparse
 import csv
 import io
+import shlex
+from pathlib import Path
 
 import pytest
 
 from qleak.baseline import HARDWARE, SIMULATOR
-from qleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, main
+from qleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 from table1_divergences import divergent_names
 
 SCENARIO_YAML = """
@@ -63,9 +66,106 @@ class TestUsage:
         )
         assert code == EXIT_USAGE
 
+    def test_unknown_scenario_key(self, capsys, tmp_path):
+        p = tmp_path / "typo.yaml"
+        p.write_text(SCENARIO_YAML.replace("every_k: 1", "evry_k: 3"))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(p))
+        assert code == EXIT_USAGE
+        assert out == "" and "evry_k" in err
+
     def test_power_needs_effect(self, capsys):
         code, _, _ = run_cli(capsys, "power")
         assert code == EXIT_USAGE
+
+
+#: the options each subcommand declares: exactly those some run of it reads
+OPTIONS = {
+    "reproduce-table": {"table", "backend", "alpha", "power", "seed", "mc-check"},
+    "matrix": {"alpha", "power", "out-dir"},
+    "power": {"alpha", "power", "seed", "mc-check", "effect-size", "delta-mean",
+              "variance"},
+    "simulate": {"scenario", "seed", "out-dir"},
+    "attack": {"scenario", "attack", "table", "backend", "alpha", "power", "seed",
+               "out-dir"},
+    "mitigate": {"table", "backend", "alpha", "power", "kind", "victim",
+                 "reference", "added-variance", "layout-spread", "layouts",
+                 "pad-toward", "pad-fraction", "batch-factor"},
+}
+
+#: a valid run of each subcommand, to which one unread flag is added
+BASE_ARGV = {
+    "reproduce-table": [],
+    "matrix": [],
+    "power": ["--effect-size", "1.0"],
+    "simulate": ["--scenario", "SCENARIO"],
+    "attack": ["--scenario", "SCENARIO", "--attack", "uc"],
+    "mitigate": ["--kind", "timer-noise", "--victim", "GHZ",
+                 "--reference", "Quantum Phase Estimation", "--added-variance", "0.3"],
+}
+
+FLAG_VALUE = {"--table": ["/nonexistent.csv"], "--backend": ["qc"], "--seed": ["1"],
+              "--mc-check": [], "--out-dir": ["OUT"], "--alpha": ["0.05"],
+              "--power": ["0.8"]}
+
+UNREAD = [
+    ("reproduce-table", "--out-dir"),
+    *[("matrix", f) for f in ("--table", "--backend", "--seed", "--mc-check")],
+    *[("power", f) for f in ("--table", "--backend", "--out-dir")],
+    *[("simulate", f) for f in ("--table", "--backend", "--alpha", "--power",
+                                "--mc-check")],
+    ("attack", "--mc-check"),
+    *[("mitigate", f) for f in ("--seed", "--out-dir", "--mc-check")],
+]
+
+
+class TestFlags:
+    def test_option_sets(self):
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        declared = {
+            name: {
+                opt[2:]
+                for action in sp._actions
+                for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"
+            }
+            for name, sp in sub.choices.items()
+        }
+        assert declared == OPTIONS
+        assert sum(map(len, declared.values())) == 40
+        # with the 17 unread flags the subcommands declared 57
+        assert len(UNREAD) == 17
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_is_usage_error(
+        self, capsys, scenario_file, tmp_path, command, flag
+    ):
+        fill = {"SCENARIO": scenario_file, "OUT": str(tmp_path)}
+        argv = [*BASE_ARGV[command], flag, *FLAG_VALUE[flag]]
+        code, out, err = run_cli(capsys, command, *(fill.get(a, a) for a in argv))
+        assert code == EXIT_USAGE
+        assert out == "" and f"unrecognized arguments: {flag}" in err
+
+    def test_simulate_requires_scenario(self, capsys):
+        code, _, err = run_cli(capsys, "simulate")
+        assert code == EXIT_USAGE
+        assert "--scenario" in err
+
+    def test_readme_examples_parse(self):
+        # the documented commands name only flags their subcommand declares
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line, comments=True)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("qleak ")
+        ]
+        assert {argv[1] for argv in commands} == set(OPTIONS)
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
 
 
 class TestPower:
@@ -142,6 +242,17 @@ class TestMatrix:
         assert (tmp_path / "grover_required.csv").exists()
         assert (tmp_path / "grover_pairs.csv").exists()
 
+    def test_co_matrix_has_the_same_labels(self, capsys, scenario_file, tmp_path):
+        run_cli(capsys, "matrix", "--out-dir", str(tmp_path))
+        code, _, _ = run_cli(
+            capsys, "attack", "--scenario", scenario_file, "--attack", "co",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == EXIT_OK
+        co = (tmp_path / "co_required.csv").read_bytes()
+        assert co == (tmp_path / "grover_required.csv").read_bytes()
+        assert co.startswith(b",i1k000,i1k001,")
+
 
 class TestSimulateAndAttack:
     def test_simulate(self, capsys, scenario_file):
@@ -208,6 +319,15 @@ class TestMitigate:
         assert code == EXIT_OK
         row = parse_csv(out)[1]
         assert float(row[3]) == pytest.approx(2.0, rel=1e-3)
+
+    def test_foreign_parameter_rejected(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mitigate", "--kind", "timer-noise",
+            "--victim", "GHZ", "--reference", "Quantum Phase Estimation",
+            "--added-variance", "0.3", "--layouts", "7",
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "timer-noise does not read layouts" in err
 
     def test_unknown_victim(self, capsys):
         code, _, _ = run_cli(

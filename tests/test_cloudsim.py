@@ -153,6 +153,22 @@ class TestYaml:
         devs = load_reference_devices(p)
         assert [d.name for d in devs] == ["a", "b"]
 
+    @pytest.mark.parametrize("old,new,loader", [
+        ("every_k: 3", "evry_k: 3", load_scenario),
+        ("seed: 9", "sed: 9", load_scenario),
+        ("  inter_job_gap: 0.0", "  gap: 0.0", load_scenario),
+        ("victim: {mean: 2.0, variance: 0.3}\n    probe",
+         "victim: {mean: 2.0, varaince: 0.3}\n    probe", load_scenario),
+        ("repetitions: 12", "repetitions: 12, seed: 1", load_scenario),
+        ("  - name: b", "  - name: b\n    every_k: 2", load_reference_devices),
+    ], ids=["attacker", "top-level", "device", "circuit", "victim", "reference-device"])
+    def test_unknown_key(self, tmp_path, old, new, loader):
+        assert SCENARIO_YAML.count(old) == 1
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace(old, new))
+        with pytest.raises(ScenarioError, match="unknown key"):
+            loader(p)
+
     def test_missing_key(self, tmp_path):
         p = tmp_path / "s.yaml"
         p.write_text("device:\n  name: d\n  circuits:\n    x: {mean: 1, variance: 1}\n")

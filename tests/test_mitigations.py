@@ -8,6 +8,7 @@ from qleak.cloudsim import run_simulation
 from qleak.mitigations import (
     CIRCUIT_PADDING,
     COMPILE_RANDOMNESS,
+    KIND_PARAMS,
     SCHEDULER_BATCHING,
     TIMER_NOISE,
     Mitigation,
@@ -63,6 +64,22 @@ class TestValidation:
             Mitigation(kind=CIRCUIT_PADDING, pad_toward="")
         with pytest.raises(ValueError):
             Mitigation(kind=SCHEDULER_BATCHING, batch_factor=0)
+
+    @pytest.mark.parametrize("kind,own", [
+        (TIMER_NOISE, {"added_variance": 0.3}),
+        (COMPILE_RANDOMNESS, {"layout_spread": 0.5, "layouts": 3}),
+        (CIRCUIT_PADDING, {"pad_toward": "GHZ", "pad_fraction": 0.5}),
+        (SCHEDULER_BATCHING, {"batch_factor": 4}),
+    ])
+    def test_foreign_parameters_rejected(self, kind, own):
+        assert KIND_PARAMS[kind] == tuple(own)
+        Mitigation(kind=kind, **own)
+        foreign = {"added_variance": 0.1, "layout_spread": 0.1, "layouts": 7,
+                   "pad_toward": "GHZ", "pad_fraction": 0.5, "batch_factor": 2}
+        for name, value in foreign.items():
+            if name not in own:
+                with pytest.raises(ValueError, match=f"{kind} does not read {name}"):
+                    Mitigation(kind=kind, **own, **{name: value})
 
 
 class TestTransforms:

@@ -11,7 +11,6 @@ from qleak.stats import (
     TimingDistribution,
     dom_curves,
     effect_size,
-    lehr_sample_size,
     mc_power_oracle,
     normal_approx_sample_size,
     noncentral_t_sf,
@@ -152,9 +151,6 @@ class TestPower:
             required_sample_size(d), rel=1e-3
         )
 
-    def test_lehr_rule_of_thumb(self):
-        assert lehr_sample_size(0.1) == pytest.approx(1600.0)
-
     def test_mc_oracle_agrees(self):
         d = 0.28
         n = math.ceil(required_sample_size(d))
@@ -180,7 +176,7 @@ class TestDom:
         rng = np.random.default_rng(5)
         a = rng.normal(0.0, 1.0, 64)
         b = rng.normal(0.5, 2.0, 64)
-        ns, dom, band = dom_curves(a, b, 0.95)
+        ns, dom, band = dom_curves(a, b)
         z = sps.norm.ppf(0.975)
         for i, n in enumerate(ns):
             pa, pb = a[:n], b[:n]
@@ -199,15 +195,11 @@ class TestDom:
         rng = np.random.default_rng(6)
         xs = rng.normal(1.0, 0.5, 50)
         model = TimingDistribution(1.2, 0.3)
-        ns, dom, band = dom_curves(xs, model, 0.9)
+        ns, dom, band = dom_curves(xs, model)
         assert ns[0] == 2 and ns[-1] == 50
-        z = sps.norm.ppf(0.95)
+        z = sps.norm.ppf(0.975)
         for i, n in enumerate(ns):
             assert dom[i] == pytest.approx(xs[:n].mean() - 1.2)
             assert band[i] == pytest.approx(
                 z * math.sqrt((xs[:n].var(ddof=1) + 0.3) / n)
             )
-
-    def test_rejects_bad_confidence(self):
-        with pytest.raises(ValueError):
-            dom_curves(np.ones(5), np.ones(5), confidence=1.5)
