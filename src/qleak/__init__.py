@@ -7,7 +7,6 @@ inference attack needs, together with the countermeasures that raise
 that cost.
 """
 from .stats import (
-    DegenerateSamplesError,
     PowerSpec,
     SampleSummary,
     TimingDistribution,
@@ -16,10 +15,8 @@ from .stats import (
     mc_power_oracle,
     normal_approx_sample_size,
     ovl,
-    ovl_numeric,
     pooled_t_power,
     required_sample_size,
-    welch_satterthwaite_df,
     welch_t,
 )
 from .baseline import (
@@ -78,7 +75,6 @@ from .mitigations import (
     MitigationReport,
     MixtureTiming,
     evaluate,
-    timer_noise_inflation,
 )
 
 __version__ = "0.1.0"

@@ -152,9 +152,9 @@ def _mc_spot_check(table, spec, seed) -> None:
 # matrix
 
 def cmd_matrix(args) -> int:
-    spec = _spec(args)
+    # at the default alpha and power, which the envelope check assumes
     catalog = baseline.grover_catalog()
-    ovl_m, req_m = baseline.catalog_matrices(catalog, spec)
+    ovl_m, req_m = baseline.catalog_matrices(catalog)
     labels = _grover_labels(catalog)
     header = ["i", "j", "ovl", "required_n"]
     if args.out_dir:
@@ -277,6 +277,10 @@ def cmd_attack(args) -> int:
             tr, devices, scenario.victim_circuit, spec=spec
         )
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
+    if args.out_dir:
+        write_records(
+            _out_dir(args) / f"{kind}_verdict.csv", attacks.AttackVerdict, [verdict]
+        )
     _err(
         f"{verdict.attack}: label={verdict.label!r} n={verdict.measurements_used}"
         + (" (under-powered)" if verdict.underpowered else "")
@@ -342,7 +346,7 @@ SUBCOMMANDS = (
     ("reproduce-table", cmd_reproduce_table, "recompute the requirement table",
      "table backend alpha power seed mc-check"),
     ("matrix", cmd_matrix, "Grover catalog overlap/requirement matrices",
-     "alpha power out-dir"),
+     "out-dir"),
     ("power", cmd_power, "sample-size planning",
      "alpha power seed mc-check effect-size delta-mean variance"),
     ("simulate", cmd_simulate, "run a scenario, dump the job log",

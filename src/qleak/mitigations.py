@@ -258,12 +258,3 @@ def evaluate(
         variance_overhead=am.variance - a.variance,
     )
 
-
-def timer_noise_inflation(base_variance: float, added_variance: float) -> float:
-    """Closed-form requirement inflation when jitter of the given variance
-    is added service-wide: (sigma^2 + v) / sigma^2."""
-    if base_variance <= 0:
-        raise ValueError("base_variance must be positive")
-    if added_variance < 0:
-        raise ValueError("added_variance must be non-negative")
-    return (base_variance + added_variance) / base_variance

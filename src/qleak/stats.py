@@ -12,17 +12,12 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
-from scipy import stats as sps
+from scipy import optimize, special
 
 
 #: confidence of the difference-of-means band; the null rule's
 #: false-positive level (attacks.NULL_RULE_FP_LEVEL) was measured at it
 DOM_CONFIDENCE = 0.95
-
-
-class DegenerateSamplesError(ValueError):
-    """Both samples have zero variance and equal means: no test is defined."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +62,6 @@ class TimingDistribution:
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
-    def pdf(self, x):
-        return sps.norm.pdf(x, self.mean, self.sd)
-
     def sample(self, rng: np.random.Generator, size=None):
         return rng.normal(self.mean, self.sd, size)
 
@@ -98,28 +90,21 @@ def normal_quantile(p: float) -> float:
     return float(special.ndtri(p))
 
 
-def welch_t(a: SampleSummary, b: SampleSummary) -> float:
-    """Welch t-score (a.mean - b.mean) / sqrt(va/na + vb/nb)."""
-    if a.n < 2 or b.n < 2:
+def welch_t(mean_a, var_a, n_a, mean_b, var_b, n_b):
+    """Welch t-score (mean_a - mean_b) / sqrt(var_a/n_a + var_b/n_b) and its
+    Welch-Satterthwaite degrees of freedom, elementwise over arrays.
+
+    With zero variance on both sides t is +-inf (NaN for equal means) and
+    df is NaN.
+    """
+    if np.any(np.asarray(n_a) < 2) or np.any(np.asarray(n_b) < 2):
         raise ValueError("welch_t needs at least two observations per sample")
-    se2 = a.variance / a.n + b.variance / b.n
-    diff = a.mean - b.mean
-    if se2 == 0.0:
-        if diff == 0.0:
-            raise DegenerateSamplesError(
-                "zero variance on both sides with equal means"
-            )
-        return math.copysign(math.inf, diff)
-    return diff / math.sqrt(se2)
-
-
-def welch_satterthwaite_df(a: SampleSummary, b: SampleSummary) -> float:
-    ra, rb = a.variance / a.n, b.variance / b.n
-    num = (ra + rb) ** 2
-    den = ra**2 / (a.n - 1) + rb**2 / (b.n - 1)
-    if den == 0.0:
-        return float(a.n + b.n - 2)
-    return num / den
+    ra, rb = np.divide(var_a, n_a), np.divide(var_b, n_b)
+    se2 = ra + rb
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.subtract(mean_a, mean_b) / np.sqrt(se2)
+        df = se2**2 / (ra**2 / (n_a - 1) + rb**2 / (n_b - 1))
+    return t, df
 
 
 def _prefix_moments(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,7 +153,7 @@ def ovl(p: TimingDistribution, q: TimingDistribution) -> float:
         # densities cross once, midway between the means
         return 2.0 * normal_cdf(-abs(p.mean - q.mean) / (2.0 * p.sd))
     # unequal variances: the log-density difference is a quadratic with two
-    # real roots; accumulate the smaller cdf mass on each segment
+    # real roots; the narrower density is the smaller one outside them
     lo, hi = (p, q) if p.variance < q.variance else (q, p)
     a = 1.0 / (2 * lo.variance) - 1.0 / (2 * hi.variance)
     b = hi.mean / hi.variance - lo.mean / lo.variance
@@ -178,27 +163,9 @@ def ovl(p: TimingDistribution, q: TimingDistribution) -> float:
         - math.log(hi.sd / lo.sd)
     )
     r1, r2 = sorted(np.roots([a, b, c]).real)
-    cuts = [-math.inf, r1, r2, math.inf]
-    total = 0.0
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = r1 - 1.0 if left == -math.inf else (
-            r2 + 1.0 if right == math.inf else 0.5 * (left + right)
-        )
-        d = lo if lo.pdf(mid) < hi.pdf(mid) else hi
-        lcdf = 0.0 if left == -math.inf else sps.norm.cdf(left, d.mean, d.sd)
-        rcdf = 1.0 if right == math.inf else sps.norm.cdf(right, d.mean, d.sd)
-        total += rcdf - lcdf
+    cdf = lambda d, x: normal_cdf((x - d.mean) / d.sd)
+    total = cdf(lo, r1) + (cdf(hi, r2) - cdf(hi, r1)) + (1.0 - cdf(lo, r2))
     return float(min(total, 1.0))
-
-
-def ovl_numeric(p: TimingDistribution, q: TimingDistribution) -> float:
-    """Adaptive-quadrature cross-check for :func:`ovl`."""
-    lo = min(p.mean - 10 * p.sd, q.mean - 10 * q.sd)
-    hi = max(p.mean + 10 * p.sd, q.mean + 10 * q.sd)
-    val, _ = integrate.quad(
-        lambda x: min(p.pdf(x), q.pdf(x)), lo, hi, limit=200
-    )
-    return float(val)
 
 
 def effect_size(p, q) -> float:
@@ -213,33 +180,24 @@ def effect_size(p, q) -> float:
     return abs(p.mean - q.mean) / math.sqrt(pooled)
 
 
-def noncentral_t_sf(t: float, df: float, ncp: float) -> float:
-    """P(T' > t) for a noncentral t variable with `df` and noncentrality `ncp`."""
-    if not (math.isfinite(t) and math.isfinite(df) and math.isfinite(ncp)):
-        raise ValueError("non-finite argument")
-    if df <= 0:
-        raise ValueError(f"df must be positive, got {df}")
-    val = float(sps.nct.sf(t, df, ncp))
-    if math.isnan(val):
-        # scipy's nct loses it for extreme noncentrality; Satterthwaite-style
-        # normal approximation is ample there
-        val = normal_cdf((ncp - t) / math.sqrt(1.0 + t * t / (2.0 * df)))
-    return val
-
-
-def pooled_t_power(n: float, d: float, alpha: float = 0.05) -> float:
-    """Power of the two-sided pooled two-sample t-test at per-group size n."""
+def pooled_t_power(n, d: float, alpha: float = 0.05):
+    """Power of the two-sided pooled two-sample t-test at per-group size n
+    (a scalar, or an array evaluated elementwise)."""
+    n = np.asarray(n, dtype=float)
     df = 2.0 * n - 2.0
-    if df <= 0:
+    if np.any(df <= 0):
         raise ValueError("per-group n must exceed 1")
-    ncp = d * math.sqrt(n / 2.0)
-    tcrit = float(sps.t.ppf(1.0 - alpha / 2.0, df))
-    p = noncentral_t_sf(tcrit, df, ncp)
-    if ncp < 4.0:
-        # the opposite-tail term; below 1e-8 beyond this point (and scipy's
-        # nct.cdf goes NaN there)
-        p += float(sps.nct.cdf(-tcrit, df, ncp))
-    return min(p, 1.0)
+    ncp = d * np.sqrt(n / 2.0)
+    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
+    p = 1.0 - special.nctdtr(df, ncp, tcrit)
+    # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
+    # normal approximation is ample there
+    approx = special.ndtr((ncp - tcrit) / np.sqrt(1.0 + tcrit * tcrit / (2.0 * df)))
+    p = np.where(np.isnan(p), approx, p)
+    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
+    p = p + np.where(ncp < 4.0, special.nctdtr(df, ncp, -tcrit), 0.0)
+    p = np.minimum(p, 1.0)
+    return float(p) if p.ndim == 0 else p
 
 
 def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
@@ -256,13 +214,11 @@ def _solve_sample_size(d: float, alpha: float, power: float) -> float:
     hi = max(4.0 * normal_approx_sample_size(d, PowerSpec(alpha, power)), 16.0)
     # power is not monotone near n = 1 (vanishing df fattens the tails), so
     # locate the rightmost crossing by scanning down from the upper bracket
-    lo = None
-    for g in np.logspace(math.log10(1.5), math.log10(hi), 400)[::-1]:
-        if f(g) < 0:
-            lo = float(g)
-            break
-    if lo is None:
+    grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+    below = np.flatnonzero(pooled_t_power(grid, d, alpha) < power)
+    if below.size == 0:
         return 1.0
+    lo = float(grid[below[-1]])
     n = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
     # a pooled test needs two observations per group; solutions below that
     # mean a single measurement already settles the question
@@ -307,11 +263,10 @@ def mc_power_oracle(
         left -= m
         a = rng.normal(p.mean, p.sd, (m, n))
         b = rng.normal(q.mean, q.sd, (m, n))
-        ma, mb = a.mean(axis=1), b.mean(axis=1)
-        va, vb = a.var(axis=1, ddof=1), b.var(axis=1, ddof=1)
-        se2 = va / n + vb / n
-        t = (ma - mb) / np.sqrt(se2)
-        df = se2**2 / ((va / n) ** 2 / (n - 1) + (vb / n) ** 2 / (n - 1))
-        tcrit = sps.t.ppf(1.0 - spec.alpha / 2.0, df)
+        t, df = welch_t(
+            a.mean(axis=1), a.var(axis=1, ddof=1), n,
+            b.mean(axis=1), b.var(axis=1, ddof=1), n,
+        )
+        tcrit = special.stdtrit(df, 1.0 - spec.alpha / 2.0)
         rejected += int(np.count_nonzero(np.abs(t) > tcrit))
     return rejected / trials

@@ -81,7 +81,7 @@ class TestUsage:
 #: the options each subcommand declares: exactly those some run of it reads
 OPTIONS = {
     "reproduce-table": {"table", "backend", "alpha", "power", "seed", "mc-check"},
-    "matrix": {"alpha", "power", "out-dir"},
+    "matrix": {"out-dir"},
     "power": {"alpha", "power", "seed", "mc-check", "effect-size", "delta-mean",
               "variance"},
     "simulate": {"scenario", "seed", "out-dir"},
@@ -109,7 +109,8 @@ FLAG_VALUE = {"--table": ["/nonexistent.csv"], "--backend": ["qc"], "--seed": ["
 
 UNREAD = [
     ("reproduce-table", "--out-dir"),
-    *[("matrix", f) for f in ("--table", "--backend", "--seed", "--mc-check")],
+    *[("matrix", f) for f in ("--table", "--backend", "--seed", "--mc-check",
+                               "--alpha", "--power")],
     *[("power", f) for f in ("--table", "--backend", "--out-dir")],
     *[("simulate", f) for f in ("--table", "--backend", "--alpha", "--power",
                                 "--mc-check")],
@@ -134,9 +135,9 @@ class TestFlags:
             for name, sp in sub.choices.items()
         }
         assert declared == OPTIONS
-        assert sum(map(len, declared.values())) == 40
-        # with the 17 unread flags the subcommands declared 57
-        assert len(UNREAD) == 17
+        assert sum(map(len, declared.values())) == 38
+        # with the 19 unread flags the subcommands declared 57
+        assert len(UNREAD) == 19
 
     @pytest.mark.parametrize("command,flag", UNREAD)
     def test_unread_flag_is_usage_error(
@@ -284,6 +285,17 @@ class TestSimulateAndAttack:
         )
         assert code == EXIT_OK
         assert parse_csv(out)[1][1] == "dev_a"
+
+    @pytest.mark.parametrize("attack", ["uc", "qp"])
+    def test_attack_out_dir_holds_the_verdict(
+        self, capsys, scenario_file, tmp_path, attack
+    ):
+        argv = ["attack", "--scenario", scenario_file, "--attack", attack]
+        _, out, _ = run_cli(capsys, *argv)
+        code, _, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+        assert code == EXIT_OK
+        saved = (tmp_path / f"{attack}_verdict.csv").read_bytes()
+        assert saved.replace(b"\r\n", b"\n") == out.encode()
 
     def test_attack_qp_power(self, capsys, scenario_file):
         argv = ["attack", "--scenario", scenario_file, "--attack", "qp"]

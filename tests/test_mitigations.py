@@ -14,9 +14,9 @@ from qleak.mitigations import (
     Mitigation,
     MixtureTiming,
     evaluate,
-    timer_noise_inflation,
 )
 from qleak.stats import TimingDistribution
+from oracles import timer_noise_inflation
 from tests.test_cloudsim import make_scenario
 
 

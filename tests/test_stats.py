@@ -1,11 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats as sps
 
+from oracles import ovl_numeric
 from qleak.stats import (
-    DegenerateSamplesError,
     PowerSpec,
     SampleSummary,
     TimingDistribution,
@@ -13,12 +17,9 @@ from qleak.stats import (
     effect_size,
     mc_power_oracle,
     normal_approx_sample_size,
-    noncentral_t_sf,
     ovl,
-    ovl_numeric,
     pooled_t_power,
     required_sample_size,
-    welch_satterthwaite_df,
     welch_t,
 )
 
@@ -57,22 +58,21 @@ class TestWelch:
         b = rng.normal(0.3, 2.0, 55)
         sa, sb = SampleSummary.from_samples(a), SampleSummary.from_samples(b)
         ref = sps.ttest_ind(a, b, equal_var=False)
-        assert welch_t(sa, sb) == pytest.approx(ref.statistic)
-        df = welch_satterthwaite_df(sa, sb)
-        assert 2 * noncentral_t_sf(abs(welch_t(sa, sb)), df, 0.0) == pytest.approx(
-            ref.pvalue, rel=1e-9
-        )
+        t, df = welch_t(sa.mean, sa.variance, sa.n, sb.mean, sb.variance, sb.n)
+        assert t == pytest.approx(ref.statistic)
+        assert 2 * sps.t.sf(abs(t), df) == pytest.approx(ref.pvalue, rel=1e-9)
 
     def test_degenerate(self):
-        s = SampleSummary(5, 2.0, 0.0)
-        with pytest.raises(DegenerateSamplesError):
-            welch_t(s, s)
-        t = welch_t(SampleSummary(5, 3.0, 0.0), s)
-        assert t == math.inf
+        t, df = welch_t(3.0, 0.0, 5, 2.0, 0.0, 5)
+        assert t == math.inf and math.isnan(df)
+        t, _ = welch_t(2.0, 0.0, 5, 3.0, 0.0, 5)
+        assert t == -math.inf
+        t, df = welch_t(2.0, 0.0, 5, 2.0, 0.0, 5)
+        assert math.isnan(t) and math.isnan(df)
 
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
-            welch_t(SampleSummary(1, 0.0, 0.0), SampleSummary(5, 1.0, 1.0))
+            welch_t(0.0, 0.0, 1, 1.0, 1.0, 5)
 
 
 class TestOvl:
@@ -151,6 +151,38 @@ class TestPower:
             required_sample_size(d), rel=1e-3
         )
 
+    #: required_sample_size at the last scipy.stats-based solver, to 1e-12
+    FROZEN = [
+        (0.001, 15697721.979017163),
+        (0.01, 156978.17055699436),
+        (0.05, 6280.0489162914),
+        (0.08, 2453.7296428112963),
+        (0.28, 201.19091322795734),
+        (1.0, 16.714722447035765),
+        (2.0, 5.089994568269908),
+        (3.0, 3.0700090816768926),
+        (5.5, 2.0241004944698635),
+        (10.0, 1.0),  # brentq lands below two observations
+        (30.0, 1.0),  # here and at 50 no grid point falls below the target
+        (50.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("d,n", FROZEN)
+    def test_frozen_solutions(self, d, n):
+        assert required_sample_size(d) == pytest.approx(n, rel=1e-12)
+
+    def test_normal_fallback(self):
+        # the noncentral t cdf is NaN at ncp = 5.5 * sqrt(50); the normal
+        # approximation takes over
+        assert pooled_t_power(100, 5.5) == 1.0
+
+    def test_array_matches_scalar(self):
+        ns = np.array([1.5, 2.0, 7.3, 100.0, 2500.0, 1e6])
+        for d in (0.01, 0.3, 5.5):
+            powers = pooled_t_power(ns, d)
+            assert not np.isnan(powers).any()
+            assert powers.tolist() == [pooled_t_power(n, d) for n in ns]
+
     def test_mc_oracle_agrees(self):
         d = 0.28
         n = math.ceil(required_sample_size(d))
@@ -169,6 +201,23 @@ class TestPower:
             mc_power_oracle(p, p, 1)
         with pytest.raises(ValueError):
             mc_power_oracle(p, p, 10, trials=10)
+
+
+def test_import_skips_scipy_stats():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    src = str(root / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, qleak; print(sorted(m for m in sys.modules"
+        " if m in ('scipy.stats', 'scipy.integrate')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDom:
