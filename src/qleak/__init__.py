@@ -39,8 +39,8 @@ from .cloudsim import (
     ATTACKER,
     VICTIM,
     DeviceProfile,
+    JOB_COLUMNS,
     JobLog,
-    JobRecord,
     Scenario,
     ScenarioError,
     ground_truth_durations,

@@ -218,12 +218,12 @@ def cmd_simulate(args) -> int:
     _, log = _run_scenario(args)
     if args.out_dir:
         path = _out_dir(args) / "jobs.csv"
-        write_records(path, cloudsim.JobRecord, log, digits=12)
+        write_csv(path, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
         _err(f"job log written to {path}")
     else:
-        write_records(sys.stdout, cloudsim.JobRecord, log, digits=12)
+        write_csv(sys.stdout, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
     _err(
-        f"{len(log)} jobs ({len(log.by_owner(cloudsim.VICTIM))} victim), "
+        f"{len(log)} jobs ({int(log.victim.sum())} victim), "
         f"{log.truncations} truncated durations"
     )
     return EXIT_OK

@@ -6,7 +6,7 @@ monotonic clock; durations are Gaussian draws per circuit, truncated at a
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -67,77 +67,73 @@ class Scenario:
         self.device.timing(self.attacker_probe_circuit)
 
 
-@dataclass(frozen=True)
-class JobRecord:
-    job_id: int
-    owner: str
-    circuit: str
-    queued_at: float
-    started_at: float
-    ended_at: float
-
-    @property
-    def duration(self) -> float:
-        return self.ended_at - self.started_at
+JOB_COLUMNS = ("job_id", "owner", "circuit", "queued_at", "started_at", "ended_at")
 
 
 @dataclass
 class JobLog:
-    records: list[JobRecord] = field(default_factory=list)
+    """Every job in execution order, one array per column: `victim` masks
+    the victim's jobs (the rest are probes), and `queued_at`, `started_at`
+    and `ended_at` are clock readings. Each owner runs its one circuit."""
+
+    victim: np.ndarray
+    queued_at: np.ndarray
+    started_at: np.ndarray
+    ended_at: np.ndarray
+    victim_circuit: str
+    probe_circuit: str
     truncations: int = 0
 
-    def __iter__(self):
-        return iter(self.records)
-
     def __len__(self):
-        return len(self.records)
+        return len(self.victim)
 
-    def by_owner(self, owner: str) -> list[JobRecord]:
-        return [r for r in self.records if r.owner == owner]
+    def rows(self):
+        """The jobs.csv rows, in `JOB_COLUMNS` order."""
+        owners = np.where(self.victim, VICTIM, ATTACKER)
+        circuits = np.where(self.victim, self.victim_circuit, self.probe_circuit)
+        return zip(
+            range(len(self)), owners.tolist(), circuits.tolist(),
+            self.queued_at.tolist(), self.started_at.tolist(),
+            self.ended_at.tolist(),
+        )
 
 
 def run_simulation(scenario: Scenario) -> JobLog:
     """Execute the scenario serially, probes bracketing every k-th victim
-    batch. Identical scenarios (including seed) give bit-identical logs."""
+    batch. Identical scenarios (including seed) give bit-identical logs:
+    durations are drawn in job order and the clock sums 0, d0, gap, d1, ...
+    """
+    k, reps = scenario.probe_every, scenario.victim_repetitions
+    n = reps + -(-reps // k) + 1
+    slot = np.arange(n)
+    # a probe leads each batch of k; the last probe follows a short batch
+    victim = (slot % (k + 1) != 0) & (slot != n - 1)
+    v = scenario.device.timing(scenario.victim_circuit)
+    p = scenario.device.timing(scenario.attacker_probe_circuit)
     rng = np.random.default_rng(scenario.seed)
-    device = scenario.device
-    log = JobLog()
-    clock = 0.0
-
-    def submit(owner: str, circuit: str) -> None:
-        nonlocal clock
-        queued = clock
-        started = queued if not log.records else queued + device.inter_job_gap
-        model = device.timing(circuit)
-        duration = float(model.sample(rng))
-        if duration < DURATION_FLOOR:
-            duration = DURATION_FLOOR
-            log.truncations += 1
-        record = JobRecord(
-            job_id=len(log.records),
-            owner=owner,
-            circuit=circuit,
-            queued_at=queued,
-            started_at=started,
-            ended_at=started + duration,
-        )
-        log.records.append(record)
-        clock = record.ended_at
-
-    submit(ATTACKER, scenario.attacker_probe_circuit)
-    done = 0
-    while done < scenario.victim_repetitions:
-        batch = min(scenario.probe_every, scenario.victim_repetitions - done)
-        for _ in range(batch):
-            submit(VICTIM, scenario.victim_circuit)
-        done += batch
-        submit(ATTACKER, scenario.attacker_probe_circuit)
-    return log
+    durations = rng.normal(
+        np.where(victim, v.mean, p.mean), np.where(victim, v.sd, p.sd)
+    )
+    clamped = durations < DURATION_FLOOR
+    steps = np.full(2 * n, scenario.device.inter_job_gap)
+    steps[0] = 0.0
+    steps[1::2] = np.where(clamped, DURATION_FLOOR, durations)
+    clock = np.cumsum(steps)
+    ended = clock[1::2]
+    return JobLog(
+        victim=victim,
+        queued_at=np.concatenate(([0.0], ended[:-1])),
+        started_at=clock[0::2],
+        ended_at=ended,
+        victim_circuit=scenario.victim_circuit,
+        probe_circuit=scenario.attacker_probe_circuit,
+        truncations=int(clamped.sum()),
+    )
 
 
-def ground_truth_durations(log: JobLog, owner: str = VICTIM) -> np.ndarray:
-    """Actual per-job durations for one owner, in execution order."""
-    return np.array([r.duration for r in log.by_owner(owner)])
+def ground_truth_durations(log: JobLog) -> np.ndarray:
+    """Actual durations of the victim's jobs, in execution order."""
+    return (log.ended_at - log.started_at)[log.victim]
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ class Mitigation:
             )
         if self.kind == TIMER_NOISE:
             timings = {
-                name: TimingDistribution(t.mean, t.variance + self.added_variance)
+                name: self.apply(t)
                 for name, t in scenario.device.circuit_timings.items()
             }
             return replace(

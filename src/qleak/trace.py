@@ -1,7 +1,8 @@
 """Attacker-side reconstruction of victim durations from probe timestamps.
 
-The attacker sees only its own jobs' start/end times; victim execution
-time is the gap between the end of one probe and the start of the next.
+The attacker sees only its own jobs' start/end times, an (n, 2) array;
+victim execution time is the gap between the end of one probe and the
+start of the next, and all gaps are reconstructed at once as arrays.
 When several victim runs fall inside one gap, the per-execution values are
 the interval split evenly, so a count-k interval contributes k correlated
 durations: the sample mean is unbiased but the sample variance shrinks by
@@ -10,36 +11,33 @@ intervals, not executions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cloudsim import ATTACKER, JobLog
+from .cloudsim import JobLog
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackerView:
-    """Ordered, disjoint (started_at, ended_at) intervals of probe jobs."""
+    """Ordered, disjoint probe jobs as an (n, 2) array of rows
+    (started_at, ended_at); built from any sequence of such pairs."""
 
-    probe_records: tuple[tuple[float, float], ...]
+    probe_records: np.ndarray
 
     def __post_init__(self):
-        prev_end = -math.inf
-        for start, end in self.probe_records:
-            if start < prev_end:
-                raise ValueError("probe intervals overlap or are unordered")
-            if end <= start:
-                raise ValueError("probe with non-positive duration")
-            prev_end = end
+        probes = np.asarray(self.probe_records, dtype=float)
+        probes = probes.reshape(len(probes), 2)
+        object.__setattr__(self, "probe_records", probes)
+        if np.any(probes[1:, 0] < probes[:-1, 1]):
+            raise ValueError("probe intervals overlap or are unordered")
+        if np.any(probes[:, 1] <= probes[:, 0]):
+            raise ValueError("probe with non-positive duration")
 
     @classmethod
     def from_log(cls, log: JobLog) -> "AttackerView":
-        return cls(
-            tuple(
-                (r.started_at, r.ended_at) for r in log.by_owner(ATTACKER)
-            )
-        )
+        probe = ~log.victim
+        return cls(np.column_stack((log.started_at[probe], log.ended_at[probe])))
 
 
 @dataclass
@@ -66,31 +64,33 @@ class Trace:
 
 def extract_intervals(view: AttackerView) -> np.ndarray:
     """Gap between consecutive probes: next start minus previous end."""
-    if len(view.probe_records) < 2:
+    probes = view.probe_records
+    if len(probes) < 2:
         raise ValueError("need at least two probes to measure an interval")
-    starts = np.array([s for s, _ in view.probe_records])
-    ends = np.array([e for _, e in view.probe_records])
-    return starts[1:] - ends[:-1]
+    return probes[1:, 0] - probes[:-1, 1]
 
 
-def infer_execution_count(
-    interval: float, avg_victim: float
-) -> tuple[int, float]:
-    """Number of victim executions inside one interval and their implied
-    per-execution duration.
+def infer_execution_count(interval, avg_victim: float):
+    """Number of victim executions inside each interval and their implied
+    per-execution duration: (int, float) for a scalar interval, an int
+    and a float array for an array of them.
 
     Nearest-integer count, half-way cases rounding down (a phantom extra
     execution is worse than a missed one); floored at 1 for any positive
-    interval. A zero interval means no victim ran.
+    interval. A zero interval means no victim ran (count and duration 0).
     """
-    if avg_victim <= 0:
+    if not avg_victim > 0:
         raise ValueError("avg_victim must be positive")
-    if interval < 0:
-        raise ValueError("negative interval")
-    if interval == 0:
-        return 0, 0.0
-    count = max(1, math.ceil(interval / avg_victim - 0.5))
-    return count, interval / count
+    intervals = np.asarray(interval, dtype=float)
+    if not np.all(np.isfinite(intervals) & (intervals >= 0)):
+        raise ValueError("interval must be finite and non-negative")
+    counts = np.where(
+        intervals == 0, 0, np.maximum(1, np.ceil(intervals / avg_victim - 0.5))
+    ).astype(int)
+    per = intervals / np.maximum(counts, 1)
+    if intervals.ndim == 0:
+        return int(counts), float(per)
+    return counts, per
 
 
 def estimate_victim_mean(view: AttackerView) -> float:
@@ -106,21 +106,15 @@ def assemble_trace(
 
     Each interval's inferred count of executions is subtracted
     `gap_correction` seconds of overhead apiece before splitting evenly.
-    Intervals the correction would exhaust are dropped and counted.
+    Intervals the correction would exhaust are dropped and counted;
+    intervals with no execution keep their zero count.
     """
-    durations: list[float] = []
-    counts: list[int] = []
-    dropped = 0
-    for interval in extract_intervals(view):
-        count, _ = infer_execution_count(interval, avg_victim)
-        if count == 0:
-            counts.append(0)
-            continue
-        corrected = interval - gap_correction * count
-        if corrected <= 0:
-            dropped += 1
-            continue
-        per_execution = corrected / count
-        durations.extend([per_execution] * count)
-        counts.append(count)
-    return Trace(np.array(durations), counts, dropped)
+    intervals = extract_intervals(view)
+    counts, _ = infer_execution_count(intervals, avg_victim)
+    corrected = intervals - gap_correction * counts
+    kept = (counts == 0) | (corrected > 0)
+    counts = counts[kept]
+    per_execution = corrected[kept] / np.maximum(counts, 1)
+    return Trace(
+        np.repeat(per_execution, counts), counts.tolist(), int((~kept).sum())
+    )

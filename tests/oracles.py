@@ -1,7 +1,10 @@
 """Independent reference formulas the tests check the package against."""
 import math
 
+import numpy as np
 from scipy import integrate
+
+from qleak.cloudsim import DURATION_FLOOR
 
 
 def _normal_pdf(x: float, mean: float, sd: float) -> float:
@@ -29,3 +32,46 @@ def timer_noise_inflation(base_variance: float, added_variance: float) -> float:
     if added_variance < 0:
         raise ValueError("added_variance must be non-negative")
     return (base_variance + added_variance) / base_variance
+
+
+def loop_simulation(scenario):
+    """One job at a time: the reference the columnar
+    :func:`qleak.cloudsim.run_simulation` must match bit for bit. Returns
+    (victim flags, started_at, ended_at, truncations) as lists."""
+    k, reps = scenario.probe_every, scenario.victim_repetitions
+    victim = [False]
+    for done in range(0, reps, k):
+        victim += [True] * min(k, reps - done) + [False]
+    device = scenario.device
+    rng = np.random.default_rng(scenario.seed)
+    started, ended, truncations, clock = [], [], 0, 0.0
+    circuits = (scenario.attacker_probe_circuit, scenario.victim_circuit)
+    for i, is_victim in enumerate(victim):
+        circuit = circuits[is_victim]
+        start = clock if i == 0 else clock + device.inter_job_gap
+        duration = float(device.timing(circuit).sample(rng))
+        if duration < DURATION_FLOOR:
+            duration, truncations = DURATION_FLOOR, truncations + 1
+        clock = start + duration
+        started.append(start)
+        ended.append(clock)
+    return victim, started, ended, truncations
+
+
+def loop_assemble(intervals, avg_victim: float, gap_correction: float):
+    """One interval at a time: the reference for
+    :func:`qleak.trace.assemble_trace`. Returns (durations, counts,
+    dropped intervals)."""
+    durations, counts, dropped = [], [], 0
+    for interval in intervals:
+        if interval == 0:
+            counts.append(0)
+            continue
+        count = max(1, math.ceil(interval / avg_victim - 0.5))
+        corrected = interval - gap_correction * count
+        if corrected <= 0:
+            dropped += 1
+            continue
+        durations += [corrected / count] * count
+        counts.append(count)
+    return durations, counts, dropped

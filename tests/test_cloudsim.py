@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from qleak.cloudsim import (
-    ATTACKER,
     DURATION_FLOOR,
-    VICTIM,
+    JOB_COLUMNS,
     DeviceProfile,
-    JobRecord,
     Scenario,
     ScenarioError,
     ground_truth_durations,
@@ -14,7 +12,7 @@ from qleak.cloudsim import (
     load_scenario,
     run_simulation,
 )
-from qleak.csvout import write_records
+from qleak.csvout import write_csv
 from qleak.stats import TimingDistribution
 
 
@@ -40,43 +38,90 @@ def make_scenario(reps=20, k=1, seed=0, gap=0.0, victim_var=0.3):
     )
 
 
+# float.hex of the clock readings of two seeded logs, frozen from the
+# simulator that built its log one job record at a time. A change to the
+# order of the duration draws, or to the order in which the clock is
+# summed, moves these bits.
+GAPPED_STARTED = (
+    "0x0.0p+0", "0x1.ef9391dc64637p-3", "0x1.b7730ebeb2214p+0",
+    "0x1.e3e997416a24ap+1", "0x1.8d7e9f8b2ac5bp+2", "0x1.9e38c0c9ed309p+2",
+    "0x1.176f05de37e2ep+3", "0x1.5425b9cd60fb4p+3", "0x1.8ccadc65222ebp+3",
+    "0x1.950832bb61a55p+3", "0x1.f815c6dd5ca11p+3",
+)
+GAPPED_ENDED = (
+    "0x1.57e7e10b2b275p-5", "0x1.843fdb8b7eee1p+0", "0x1.ca4ffda7d08b0p+1",
+    "0x1.80b1d2be5df8ep+2", "0x1.916bf3fd2063cp+2", "0x1.11089f77d17c8p+3",
+    "0x1.4dbf5366fa94ep+3", "0x1.866475febbc85p+3", "0x1.8ea1cc54fb3efp+3",
+    "0x1.f1af6076f63abp+3", "0x1.f9c5b8d72d260p+3",
+)
+TRUNCATING_ENDED = (
+    "0x1.206563599ef12p-4", "0x1.20666fc918fc8p-4", "0x1.fe5352219b57ep-4",
+    "0x1.fa6504fc45958p-1", "0x1.08d6a957dfcacp+0", "0x1.4d39f47f5b2e0p+1",
+    "0x1.510a722df0dc9p+1", "0x1.0ad5434a89abap+2", "0x1.0d7ab4d312333p+2",
+    "0x1.9b696093b05e8p+3", "0x1.9d157943f0450p+3", "0x1.c683f8839fa6dp+3",
+    "0x1.c8068716e57f0p+3", "0x1.dd4541a0b57b2p+3", "0x1.de886b1debf36p+3",
+    "0x1.02c2c481e7027p+4", "0x1.03a34edf00f1dp+4", "0x1.1c0113b2ae87ap+4",
+    "0x1.1cf51b536c65bp+4", "0x1.369053e42c025p+4", "0x1.375e1f123efcfp+4",
+    "0x1.88d57c5c6cdf8p+4", "0x1.89b89d01b885ep+4", "0x1.998dc78da9c02p+4",
+    "0x1.9a531725d3f00p+4", "0x1.cb9f128245a1ep+4", "0x1.ccbb222d75d89p+4",
+    "0x1.e41a675e6d320p+4", "0x1.e4dd3a45602fep+4", "0x1.1278171f4d228p+5",
+    "0x1.12cc55eb4e53ep+5", "0x1.1e217315afc18p+5", "0x1.1e99ec87d65eap+5",
+    "0x1.37e309a112bccp+5", "0x1.384b4fd71cf2cp+5", "0x1.53040f2f2b46bp+5",
+    "0x1.533089de606c1p+5", "0x1.7387cfafa5efep+5", "0x1.73da8ec8a79adp+5",
+    "0x1.73da8f4edf57dp+5", "0x1.74469f147d71ap+5",
+)
+
+
 class TestSimulation:
     def test_deterministic(self):
         a = run_simulation(make_scenario(seed=42))
         b = run_simulation(make_scenario(seed=42))
-        assert [r.ended_at for r in a] == [r.ended_at for r in b]
+        assert np.array_equal(a.ended_at, b.ended_at)
 
     def test_seed_changes_outcome(self):
         a = run_simulation(make_scenario(seed=1))
         b = run_simulation(make_scenario(seed=2))
-        assert [r.ended_at for r in a] != [r.ended_at for r in b]
+        assert not np.array_equal(a.ended_at, b.ended_at)
 
     def test_job_counts(self):
         log = run_simulation(make_scenario(reps=20, k=1))
-        assert len(log.by_owner(VICTIM)) == 20
+        assert log.victim.sum() == 20
         # probes bracket every victim batch: one leading plus one per batch
-        assert len(log.by_owner(ATTACKER)) == 21
+        assert (~log.victim).sum() == 21
 
     def test_batched_probe_count(self):
         log = run_simulation(make_scenario(reps=20, k=4))
-        assert len(log.by_owner(ATTACKER)) == 6
+        assert (~log.victim).sum() == 6
 
     def test_ragged_final_batch(self):
         log = run_simulation(make_scenario(reps=10, k=4))
-        assert len(log.by_owner(ATTACKER)) == 4
+        assert (~log.victim).sum() == 4
+        assert not log.victim[-1] and log.victim[-3:-1].all()
 
     def test_serial_and_gapped(self):
         log = run_simulation(make_scenario(gap=0.5))
-        records = list(log)
-        for prev, cur in zip(records[:-1], records[1:]):
-            assert cur.started_at == pytest.approx(prev.ended_at + 0.5)
+        assert log.started_at[1:] == pytest.approx(log.ended_at[:-1] + 0.5)
+        assert np.array_equal(log.queued_at[1:], log.ended_at[:-1])
 
     def test_duration_floor(self):
         # a mean near zero draws negative durations that get clamped
         scenario = make_scenario(victim_var=4.0, seed=3)
         log = run_simulation(scenario)
         assert log.truncations > 0
-        assert min(r.duration for r in log) == pytest.approx(DURATION_FLOOR)
+        assert min(log.ended_at - log.started_at) == pytest.approx(DURATION_FLOOR)
+
+    def test_seeded_logs_are_frozen(self):
+        gapped = run_simulation(make_scenario(reps=7, k=3, gap=0.2, seed=5))
+        assert [x.hex() for x in gapped.started_at.tolist()] == list(GAPPED_STARTED)
+        assert [x.hex() for x in gapped.ended_at.tolist()] == list(GAPPED_ENDED)
+        assert gapped.truncations == 0
+        truncating = run_simulation(make_scenario(victim_var=4.0, seed=3))
+        ended = [x.hex() for x in truncating.ended_at.tolist()]
+        assert ended == list(TRUNCATING_ENDED)
+        # no gap: every job starts the instant the previous one ends
+        started = [x.hex() for x in truncating.started_at.tolist()]
+        assert started == ["0x0.0p+0", *TRUNCATING_ENDED[:-1]]
+        assert truncating.truncations == 2
 
     def test_ground_truth(self):
         log = run_simulation(make_scenario(reps=15))
@@ -87,13 +132,15 @@ class TestSimulation:
     def test_log_csv(self, tmp_path):
         log = run_simulation(make_scenario(reps=5))
         path = tmp_path / "log.csv"
-        write_records(path, JobRecord, log, digits=12)
+        write_csv(path, JOB_COLUMNS, log.rows(), digits=12)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == len(log) + 1
         assert lines[0] == "job_id,owner,circuit,queued_at,started_at,ended_at"
-        last = log.records[-1]
-        assert lines[-1].split(",")[:3] == [str(last.job_id), last.owner, last.circuit]
-        assert float(lines[-1].split(",")[-1]) == pytest.approx(last.ended_at, rel=1e-11)
+        assert lines[1].split(",")[:3] == ["0", "attacker", "probe"]
+        assert lines[2].split(",")[:3] == ["1", "victim", "victim"]
+        assert lines[-1].split(",")[:3] == [str(len(log) - 1), "attacker", "probe"]
+        last_end = float(lines[-1].split(",")[-1])
+        assert last_end == pytest.approx(log.ended_at[-1], rel=1e-11)
 
 
 class TestValidation:

@@ -1,6 +1,7 @@
 """Property suites: invariants that must hold across the whole input space."""
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from qleak.stats import (
     required_sample_size,
 )
 from qleak.trace import AttackerView, assemble_trace, infer_execution_count
+from oracles import loop_assemble, loop_simulation
 
 means = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
 variances = st.floats(min_value=1e-4, max_value=10.0, allow_nan=False)
@@ -98,13 +100,49 @@ class TestSimulationProperties:
         )
         scenario = Scenario(device, "v", reps, "p", probe_every=k, seed=seed)
         log = run_simulation(scenario)
-        assert len(log.by_owner("victim")) == reps
-        assert len(log.by_owner("attacker")) == math.ceil(reps / k) + 1
-        times = [r.started_at for r in log]
-        assert times == sorted(times)
+        assert log.victim.sum() == reps
+        assert (~log.victim).sum() == math.ceil(reps / k) + 1
+        assert np.all(np.diff(log.started_at) >= 0)
         # reconstruction conserves the inferred execution count
         trace = assemble_trace(AttackerView.from_log(log), avg_victim=1.5)
         assert sum(trace.inferred_counts) == len(trace)
+
+
+class TestColumnarMatchesLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=1000),
+        st.sampled_from([0.0, 0.2, 0.013]),
+        st.sampled_from([0.3, 4.0]),
+        st.sampled_from([0.0, 0.2, 0.4, 1.5]),
+    )
+    def test_bit_identical(self, reps, k, seed, gap, victim_var, correction):
+        device = DeviceProfile(
+            "d",
+            {
+                "v": TimingDistribution(2.0, victim_var),
+                "p": TimingDistribution(0.05, 1e-4),
+            },
+            inter_job_gap=gap,
+        )
+        scenario = Scenario(device, "v", reps, "p", probe_every=k, seed=seed)
+        log = run_simulation(scenario)
+        victim, started, ended, truncations = loop_simulation(scenario)
+        assert log.victim.tolist() == victim
+        assert log.started_at.tolist() == started
+        assert log.ended_at.tolist() == ended
+        assert log.truncations == truncations
+
+        probes = [(s, e) for v, s, e in zip(victim, started, ended) if not v]
+        intervals = [b[0] - a[1] for a, b in zip(probes, probes[1:])]
+        avg = float(np.mean(intervals))
+        trace = assemble_trace(AttackerView.from_log(log), avg, correction)
+        durations, counts, dropped = loop_assemble(intervals, avg, correction)
+        assert trace.durations.tolist() == durations
+        assert trace.inferred_counts == counts
+        assert trace.dropped_intervals == dropped
 
 
 class TestCatalogProperties:

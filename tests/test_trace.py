@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qleak.cloudsim import run_simulation
+from qleak.cloudsim import ground_truth_durations, run_simulation
 from qleak.trace import (
     AttackerView,
     Trace,
@@ -27,6 +27,10 @@ class TestView:
     def test_rejects_empty_probe(self):
         with pytest.raises(ValueError):
             AttackerView(((0.0, 0.0),))
+
+    def test_rejects_rows_that_are_not_pairs(self):
+        with pytest.raises(ValueError):
+            AttackerView(((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)))
 
 
 class TestIntervals:
@@ -61,6 +65,11 @@ class TestCountInference:
         count, _ = infer_execution_count(0.2, 3.0)
         assert count == 1
 
+    def test_elementwise(self):
+        counts, per = infer_execution_count(np.array([0.0, 3.0, 9.1]), 3.0)
+        assert counts.tolist() == [0, 1, 3]
+        assert per.tolist() == [0.0, 3.0, 9.1 / 3]
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             infer_execution_count(1.0, 0.0)
@@ -72,7 +81,7 @@ class TestAssembly:
     def test_k1_recovers_exact_durations(self):
         log = run_simulation(make_scenario(reps=30, k=1, seed=5))
         view = AttackerView.from_log(log)
-        truth = [r.duration for r in log.by_owner("victim")]
+        truth = ground_truth_durations(log)
         trace = assemble_trace(view, avg_victim=2.0)
         assert len(trace) == 30
         assert trace.durations == pytest.approx(truth)
@@ -80,7 +89,7 @@ class TestAssembly:
     def test_gap_correction(self):
         log = run_simulation(make_scenario(reps=30, k=1, seed=5, gap=0.25))
         view = AttackerView.from_log(log)
-        truth = [r.duration for r in log.by_owner("victim")]
+        truth = ground_truth_durations(log)
         # each interval spans one victim job plus two scheduling gaps
         trace = assemble_trace(view, avg_victim=2.5, gap_correction=0.5)
         assert trace.durations == pytest.approx(truth)
@@ -92,9 +101,23 @@ class TestAssembly:
         assert len(trace) == 40
         assert sum(trace.inferred_counts) == 40
         # averaged executions shrink spread relative to ground truth
-        truth = np.array([r.duration for r in log.by_owner("victim")])
+        truth = ground_truth_durations(log)
         assert trace.durations.var(ddof=1) < truth.var(ddof=1)
         assert trace.durations.mean() == pytest.approx(truth.mean(), rel=0.05)
+
+    def test_zero_and_exhausted_intervals(self):
+        # intervals 0, 2 and 0.5 at about 2 s a run: counts 0, 1 and 1; the
+        # 0.6 s correction exhausts the last, which leaves the counts
+        view = AttackerView(((0, 1), (1, 2), (4, 5), (5.5, 6)))
+        trace = assemble_trace(view, avg_victim=2.0, gap_correction=0.6)
+        assert list(trace.durations) == [1.4]
+        assert list(trace.inferred_counts) == [0, 1]
+        assert trace.dropped_intervals == 1
+
+    def test_nan_mean_rejected(self):
+        view = AttackerView(((0.0, 1.0), (3.0, 4.0)))
+        with pytest.raises(ValueError):
+            assemble_trace(view, float("nan"))
 
     def test_estimate_victim_mean(self):
         log = run_simulation(make_scenario(reps=50, k=1, seed=7))
