@@ -66,15 +66,13 @@ class AttackVerdict:
             raise ValueError("label must be non-empty")
 
 
-def _nearest_two(mu: float, candidates: list[tuple[str, float]]):
-    """Best and runner-up candidates by |mean distance|, plus a tie flag."""
-    ranked = sorted(candidates, key=lambda c: abs(c[1] - mu))
-    best = ranked[0]
-    tie = (
-        len(ranked) > 1
-        and abs(abs(ranked[1][1] - mu) - abs(best[1] - mu)) < AMBIGUITY_EPS
-    )
-    return best, ranked[1] if len(ranked) > 1 else None, tie
+def _nearest(mu: float, means: list[float]) -> tuple[int, bool]:
+    """Index of the first mean closest to mu, and whether another mean
+    lies within AMBIGUITY_EPS of that distance."""
+    dist = [abs(m - mu) for m in means]
+    ranked = sorted(dist)
+    tie = len(ranked) > 1 and ranked[1] - ranked[0] < AMBIGUITY_EPS
+    return dist.index(ranked[0]), tie
 
 
 def _mean_statistic(n: int, mean: float, var: float, ref_mean: float) -> float:
@@ -96,19 +94,20 @@ def uc_classify(
     under-powered.
     """
     s = SampleSummary.from_samples(trace.durations)
-    candidates = [(e.name, e.latency(backend)) for e in table.entries]
-    (label, ref_mu), _, tie = _nearest_two(s.mean, candidates)
+    means = [e.latency(backend) for e in table.entries]
+    best, tie = _nearest(s.mean, means)
+    label = table.entries[best].name
     neighbor, planned = nearest_neighbor_requirement(table, label, backend, spec)
     d = effect_size(table.timing(label, backend), table.timing(neighbor, backend))
     return AttackVerdict(
         attack="UC",
         label=label,
         measurements_used=s.n,
-        statistic=_mean_statistic(s.n, s.mean, s.variance, ref_mu),
+        statistic=_mean_statistic(s.n, s.mean, s.variance, means[best]),
         planned_n=planned,
         confidence=pooled_t_power(max(s.n, 2), d, spec.alpha),
         ambiguous=tie,
-        underpowered=s.n < math.ceil(planned),
+        underpowered=s.n < planned,
     )
 
 
@@ -118,22 +117,19 @@ def detect_backend(
     """Decide simulator vs hardware by nearest mean over both columns."""
     s = SampleSummary.from_samples(trace.durations)
     n, mean, var = s.n, s.mean, s.variance
-    candidates = [
-        (backend, e.latency(backend))
-        for backend in BACKENDS
-        for e in table.entries
-    ]
-    (label, ref_mu), runner, tie = _nearest_two(mean, candidates)
+    columns = [[e.latency(b) for e in table.entries] for b in BACKENDS]
+    means = columns[0] + columns[1]
+    best, tie = _nearest(mean, means)
+    side = best // len(table)
     # separation between the winning distance and the best distance on the
     # other column, in trace standard errors
-    other = [c for c in candidates if c[0] != label]
-    other_best = min(abs(c[1] - mean) for c in other)
-    sep = other_best - abs(ref_mu - mean)
+    other_best = min(abs(m - mean) for m in columns[1 - side])
+    sep = other_best - abs(means[best] - mean)
     se = math.sqrt(var / n) if n > 1 and var > 0 else 0.0
     statistic = sep / se if se > 0 else math.inf
     return AttackVerdict(
         attack="UC",
-        label=label,
+        label=BACKENDS[side],
         measurements_used=n,
         statistic=statistic,
         planned_n=1.0,
@@ -155,40 +151,33 @@ def co_identify(
     flagged under-powered. Returns (verdict, ovl matrix, requirement
     matrix) in catalog index order for export.
     """
-    if len(catalog) != 24:
-        raise ValueError(f"expected a 24-variant catalog, got {len(catalog)}")
+    cat = sorted(catalog, key=lambda v: v.index)
+    if [v.index for v in cat] != list(range(1, 25)):
+        raise ValueError("catalog must hold each variant index 1-24 exactly once")
     s = SampleSummary.from_samples(trace.durations)
     n, mean, var = s.n, s.mean, s.variance
-    cat = sorted(catalog, key=lambda v: v.index)
     ovl_m, req_m = catalog_matrices(cat, spec)
 
-    centers = []
-    for it in (1, 2, 3):
-        means = [v.timing.mean for v in cat if v.iterations == it]
-        centers.append((it, sum(means) / len(means)))
-    (iteration, _), _, iter_tie = _nearest_two(mean, centers)
-
-    within = [v for v in cat if v.iterations == iteration]
-    (variant_idx, ref_mu), _, key_tie = _nearest_two(
-        mean, [(v.index, v.timing.mean) for v in within]
-    )
-    variant = next(v for v in within if v.index == variant_idx)
-    # key-stage plan: requirement against the nearest same-iteration variant
-    idx = [v.index - 1 for v in within if v.index != variant_idx]
-    # nearest key has the smallest gap and therefore the largest requirement
-    planned = float(np.max(req_m[variant.index - 1, idx]))
-    underpowered = n < math.ceil(planned)
+    by_iteration = [cat[i : i + 8] for i in (0, 8, 16)]
+    centers = [sum(v.timing.mean for v in group) / 8 for group in by_iteration]
+    it, iter_tie = _nearest(mean, centers)
+    key, key_tie = _nearest(mean, [v.timing.mean for v in by_iteration[it]])
+    variant = by_iteration[it][key]
+    # key-stage plan: the nearest same-iteration variant has the smallest
+    # gap and so the largest requirement; the NaN diagonal drops the variant
+    planned = float(np.nanmax(req_m[variant.index - 1, 8 * it : 8 * it + 8]))
+    underpowered = n < planned
     label = (
-        f"iterations={iteration} key=under-powered"
+        f"iterations={variant.iterations} key=under-powered"
         if underpowered
-        else f"iterations={iteration} key={variant.key}"
+        else f"iterations={variant.iterations} key={variant.key}"
     )
     return (
         AttackVerdict(
             attack="CO",
             label=label,
             measurements_used=n,
-            statistic=_mean_statistic(n, mean, var, ref_mu),
+            statistic=_mean_statistic(n, mean, var, variant.timing.mean),
             planned_n=planned,
             confidence=spec.power,
             ambiguous=iter_tie or key_tie,

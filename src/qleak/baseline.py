@@ -5,6 +5,7 @@ variant catalog.
 from __future__ import annotations
 
 import csv
+import itertools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -186,6 +187,22 @@ def bundled_table() -> BaselineTable:
     return load_table(bundled_table_path())
 
 
+def _pairwise(timings: list, cell, diagonal: float) -> np.ndarray:
+    """Symmetric matrix of cell(timings[i], timings[j]) over every pair,
+    with `diagonal` on the diagonal."""
+    out = np.full((len(timings), len(timings)), diagonal)
+    for i, j in itertools.combinations(range(len(timings)), 2):
+        out[i, j] = out[j, i] = cell(timings[i], timings[j])
+    return out
+
+
+def _requirements(timings: list, spec: PowerSpec) -> np.ndarray:
+    """Planning n of every pair: NaN diagonal, inf for identical means."""
+    return _pairwise(
+        timings, lambda p, q: required_sample_size(effect_size(p, q), spec), np.nan
+    )
+
+
 def pairwise_matrix(
     table: BaselineTable, backend: str, spec: PowerSpec = PowerSpec()
 ) -> np.ndarray:
@@ -196,14 +213,7 @@ def pairwise_matrix(
     """
     if len(table) < 2:
         raise ValueError("need at least two entries")
-    timings = [table.timing(name, backend) for name in table.names]
-    k = len(timings)
-    out = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            n = required_sample_size(effect_size(timings[i], timings[j]), spec)
-            out[i, j] = out[j, i] = n
-    return out
+    return _requirements([table.timing(name, backend) for name in table.names], spec)
 
 
 def nearest_neighbor_requirement(
@@ -245,7 +255,6 @@ DEFAULT_GROVER_VARIANCE = 0.3
 class GroverVariant:
     key: str
     iterations: int
-    index: int
     timing: TimingDistribution
 
     def __post_init__(self):
@@ -253,12 +262,12 @@ class GroverVariant:
             raise ValueError(f"key must be a 3-bit string, got {self.key!r}")
         if not 1 <= self.iterations <= 3:
             raise ValueError(f"iterations must be 1..3, got {self.iterations}")
-        expect = (self.iterations - 1) * 8 + GROVER_KEYS.index(self.key) + 1
-        if self.index != expect:
-            raise ValueError(
-                f"index {self.index} inconsistent with "
-                f"(iterations={self.iterations}, key={self.key})"
-            )
+
+    @property
+    def index(self) -> int:
+        """Catalog position: 1-8 one iteration in key order 000..111,
+        9-16 two, 17-24 three."""
+        return (self.iterations - 1) * 8 + GROVER_KEYS.index(self.key) + 1
 
 
 def grover_key_offset(key: str, per_oracle_spread: float) -> float:
@@ -275,30 +284,22 @@ def grover_catalog(
 ) -> list[GroverVariant]:
     """All 24 Grover timing variants: 3 iteration counts x 8 hidden keys.
 
-    mean = base + iterations * per_iteration + key_offset(key). Indices
-    1-8 are one iteration in key order 000..111, 9-16 two, 17-24 three.
+    mean = base + iterations * per_iteration + key_offset(key), listed in
+    index order (see GroverVariant.index).
     """
     if base_latency <= 0 or per_iteration <= 0 or variance <= 0:
         raise ValueError("catalog parameters must be positive")
     if per_oracle_spread < 0:
         raise ValueError("per_oracle_spread must not be negative")
-    out = []
-    for iterations in (1, 2, 3):
-        for k, key in enumerate(GROVER_KEYS):
-            mean = (
-                base_latency
-                + iterations * per_iteration
-                + grover_key_offset(key, per_oracle_spread)
-            )
-            out.append(
-                GroverVariant(
-                    key=key,
-                    iterations=iterations,
-                    index=(iterations - 1) * 8 + k + 1,
-                    timing=TimingDistribution(mean, variance),
-                )
-            )
-    return out
+    return [
+        GroverVariant(key, it, TimingDistribution(
+            base_latency + it * per_iteration
+            + grover_key_offset(key, per_oracle_spread),
+            variance,
+        ))
+        for it in (1, 2, 3)
+        for key in GROVER_KEYS
+    ]
 
 
 def catalog_matrices(
@@ -309,13 +310,5 @@ def catalog_matrices(
     Requirement cells use the pooled standard deviation of the pair;
     identical means give inf, the requirement diagonal is NaN.
     """
-    k = len(catalog)
-    sorted_cat = sorted(catalog, key=lambda v: v.index)
-    ovl_m = np.ones((k, k))
-    req_m = np.full((k, k), np.nan)
-    for i in range(k):
-        for j in range(i + 1, k):
-            ti, tj = sorted_cat[i].timing, sorted_cat[j].timing
-            ovl_m[i, j] = ovl_m[j, i] = ovl(ti, tj)
-            req_m[i, j] = req_m[j, i] = required_sample_size(effect_size(ti, tj), spec)
-    return ovl_m, req_m
+    timings = [v.timing for v in sorted(catalog, key=lambda v: v.index)]
+    return _pairwise(timings, ovl, 1.0), _requirements(timings, spec)

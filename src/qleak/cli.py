@@ -91,6 +91,15 @@ def _pair_rows(ovl_m: np.ndarray, req_m: np.ndarray, diagonal: bool):
 # ---------------------------------------------------------------------------
 # reproduce-table
 
+def within_tolerance(printed: float, computed: float) -> bool:
+    """A printed 1 must come out exactly 1; otherwise the relative error
+    must lie within TOL_LARGE (printed n >= 100) or TOL_SMALL."""
+    if printed == 1.0:
+        return computed == 1.0
+    tol = TOL_LARGE if printed >= 100 else TOL_SMALL
+    return abs(computed - printed) / printed <= tol
+
+
 def _table_row(table, name, backend, spec):
     entry = table.entry(name)
     printed = entry.required(backend)
@@ -100,13 +109,9 @@ def _table_row(table, name, backend, spec):
     if printed is None:
         return [name, backend, neighbor, None, computed, None, "skipped"]
     rel = abs(computed - printed) / printed
-    if printed == 1.0:
-        ok = computed == 1.0
-    else:
-        ok = rel <= (TOL_LARGE if printed >= 100 else TOL_SMALL)
     return [
         name, backend, neighbor, printed, computed, f"{rel:.3e}",
-        "ok" if ok else "FAIL",
+        "ok" if within_tolerance(printed, computed) else "FAIL",
     ]
 
 
@@ -321,8 +326,8 @@ def cmd_mitigate(args) -> int:
 FLAGS = {
     "table": dict(help="baseline table CSV (default: bundled)"),
     "backend": dict(choices=("sim", "qc")),
-    "alpha": dict(type=float, default=0.05),
-    "power": dict(type=float, default=0.80),
+    "alpha": dict(type=float, default=PowerSpec.alpha),
+    "power": dict(type=float, default=PowerSpec.power),
     "seed": dict(type=int, help="override QLEAK_SEED / 0"),
     "out-dir": dict(),
     "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
@@ -334,12 +339,11 @@ FLAGS = {
     "kind": dict(choices=mitigations.KINDS, required=True),
     "victim": dict(required=True),
     "reference": dict(required=True),
-    "added-variance": dict(type=float, default=0.0),
-    "layout-spread": dict(type=float, default=0.0),
-    "layouts": dict(type=int, default=2),
-    "pad-toward": dict(default=""),
-    "pad-fraction": dict(type=float, default=1.0),
-    "batch-factor": dict(type=int, default=1),
+    **{
+        f.name.replace("_", "-"): dict(type=type(f.default), default=f.default)
+        for f in fields(mitigations.Mitigation)
+        if f.name != "kind"
+    },
 }
 
 SUBCOMMANDS = (

@@ -225,35 +225,26 @@ def evaluate(
     """
     a, b = table.timing(victim, backend), table.timing(reference, backend)
     before = required_sample_size(effect_size(a, b), spec)
-    ovl_before = ovl(a, b)
-
+    am = mitigation.apply(a, table, backend)
+    bm = mitigation.apply(b, table, backend)
+    after = required_sample_size(effect_size(am, bm), spec)
     if mitigation.kind == SCHEDULER_BATCHING:
         # averaging k executions per interval divides both the variance
         # and the intervals per unit time by k; requirement in intervals
         # falls by k but wall-clock cost rises back by k, and the victim
         # pays nothing
-        am, bm = a, b
-        after = before
         inflation = float(mitigation.batch_factor)
-        ovl_after = ovl_before
     else:
-        am = mitigation.apply(a, table, backend)
-        bm = mitigation.apply(b, table, backend)
-        after = required_sample_size(effect_size(am, bm), spec)
         inflation = after / before if math.isfinite(before) else math.inf
-        # mixtures are summarized by their first two moments for overlap
-        ovl_after = ovl(
-            TimingDistribution(am.mean, am.variance),
-            TimingDistribution(bm.mean, bm.variance),
-        )
 
     return MitigationReport(
         kind=mitigation.kind,
         baseline_required_n=before,
         mitigated_required_n=after,
         inflation=inflation,
-        overlap_before=ovl_before,
-        overlap_after=ovl_after,
+        overlap_before=ovl(a, b),
+        # mixtures are summarized by their first two moments for overlap
+        overlap_after=ovl(am, bm),
         mean_overhead=am.mean - a.mean,
         variance_overhead=am.variance - a.variance,
     )

@@ -1,6 +1,5 @@
 """The published cells of ``data/table1.csv`` that the single
-nearest-neighbour pairing rule cannot reproduce, and the tolerance rule
-``qleak reproduce-table`` judges cells by.
+nearest-neighbour pairing rule cannot reproduce.
 
 The acceptance gate and the CLI tests read this one list, so the known
 divergences are named once. The table breaks its own pairing (QPE's
@@ -8,7 +7,6 @@ printed hardware cell pairs QPE with GHZ, but GHZ's pairs GHZ with BV),
 so no single pairing rule reproduces all 52 cells.
 """
 from qleak.baseline import HARDWARE, SIMULATOR
-from qleak.cli import TOL_LARGE, TOL_SMALL
 
 BV = "Bernstein-Vazirani Algorithm"
 DJ = "Deutsch-Jozsa algorithm"
@@ -46,12 +44,3 @@ def divergent_names(backend: str) -> list[str]:
     """Sorted circuit names of the divergent cells in one column."""
     return sorted(name for name, b in DIVERGENT_CELLS if b == backend)
 
-
-def within_tolerance(printed: float, computed: float) -> bool:
-    """The ``reproduce-table`` rule: a printed 1 must come out exactly 1,
-    otherwise relative error within TOL_LARGE (printed n >= 100) or
-    TOL_SMALL (printed n < 100)."""
-    if printed == 1.0:
-        return computed == 1.0
-    tol = TOL_LARGE if printed >= 100 else TOL_SMALL
-    return abs(computed - printed) / printed <= tol

@@ -33,6 +33,7 @@ from qleak.baseline import (
     save_table,
 )
 from qleak.cloudsim import DeviceProfile, Scenario, ground_truth_durations, run_simulation
+from qleak.cli import within_tolerance
 from qleak.stats import (
     PowerSpec,
     TimingDistribution,
@@ -47,7 +48,7 @@ from qleak.stats import (
 )
 from qleak.trace import AttackerView, Trace, assemble_trace
 from oracles import ovl_numeric
-from table1_divergences import DIVERGENT_CELLS, within_tolerance
+from table1_divergences import DIVERGENT_CELLS
 
 
 def report(k: int, ok: bool, detail: str) -> None:

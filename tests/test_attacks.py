@@ -14,7 +14,14 @@ from qleak.attacks import (
     qp_fingerprint,
     uc_classify,
 )
-from qleak.baseline import HARDWARE, SIMULATOR, bundled_table, grover_catalog
+from qleak.baseline import (
+    HARDWARE,
+    SIMULATOR,
+    BaselineEntry,
+    BaselineTable,
+    bundled_table,
+    grover_catalog,
+)
 from qleak.cloudsim import DeviceProfile
 from qleak.csvout import write_records
 from qleak.stats import PowerSpec, TimingDistribution, dom_curves
@@ -77,6 +84,39 @@ class TestUc:
         v = detect_backend(tr, table)
         assert v.label == HARDWARE
 
+    def test_shared_latency_plans_infinity(self):
+        # two entries with one simulator latency: no n tells them apart
+        tied = BaselineTable((
+            BaselineEntry("a", 1.0, 5.0),
+            BaselineEntry("b", 1.0, 6.0),
+            BaselineEntry("c", 3.0, 7.0),
+        ))
+        v = uc_classify(Trace.from_durations([1.0, 1.0, 1.0]), tied, SIMULATOR)
+        assert v.planned_n == math.inf
+        assert v.underpowered
+        assert v.label == "a" and v.ambiguous
+
+    @pytest.mark.parametrize("x,ambiguous", [(2.0, True), (1.9, False)])
+    def test_tie_rule(self, x, ambiguous):
+        abc = BaselineTable((
+            BaselineEntry("a", 1.0, 2.0),
+            BaselineEntry("b", 3.0, 4.0),
+            BaselineEntry("c", 10.0, 11.0),
+        ))
+        v = uc_classify(Trace.from_durations([x, x]), abc, SIMULATOR)
+        assert v.label == "a"
+        assert v.ambiguous is ambiguous
+
+    def test_backend_tie_across_columns(self):
+        # x runs on the simulator as long as y runs on hardware
+        crossed = BaselineTable((
+            BaselineEntry("x", 1.0, 5.0),
+            BaselineEntry("y", 3.0, 1.0),
+        ))
+        v = detect_backend(Trace.from_durations([1.0, 1.0]), crossed)
+        assert v.label == SIMULATOR
+        assert v.ambiguous
+
 
 class TestCo:
     def test_iteration_stage(self):
@@ -106,6 +146,39 @@ class TestCo:
     def test_catalog_size_checked(self):
         with pytest.raises(ValueError):
             co_identify(Trace.from_durations([1.0, 2.0]), grover_catalog()[:5])
+
+    def test_catalog_indices_checked(self):
+        cat = grover_catalog()
+        # variant 24 missing, variant 1 twice
+        with pytest.raises(ValueError):
+            co_identify(Trace.from_durations([1.9, 1.9]), cat[:23] + [cat[0]])
+
+    def test_catalog_order_irrelevant(self):
+        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        shuffled = [cat[i] for i in np.random.default_rng(9).permutation(24)]
+        tr = synthetic_trace(cat[13].timing.mean, cat[13].timing.variance, 900, seed=9)
+        verdict, ovl_m, req_m = co_identify(tr, cat)
+        s_verdict, s_ovl, s_req = co_identify(tr, shuffled)
+        assert s_verdict == verdict
+        assert np.array_equal(s_ovl, ovl_m)
+        assert np.array_equal(s_req, req_m, equal_nan=True)
+
+    def test_zero_key_spread_plans_infinity(self):
+        # all eight keys of an iteration share one mean
+        cat = grover_catalog(per_oracle_spread=0.0)
+        mu = cat[0].timing.mean
+        verdict, _, _ = co_identify(Trace.from_durations([mu, mu, mu]), cat)
+        assert verdict.planned_n == math.inf
+        assert verdict.underpowered
+        assert verdict.label == "iterations=1 key=under-powered"
+        assert verdict.ambiguous
+
+    @pytest.mark.parametrize("x,ambiguous", [(4.5, True), (4.46, False)])
+    def test_key_tie_rule(self, x, ambiguous):
+        # keys 000 and 001 of one iteration sit at 4.45 and 4.55
+        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        verdict, _, _ = co_identify(Trace.from_durations([x, x]), cat)
+        assert verdict.ambiguous is ambiguous
 
 
 class TestNullRule:

@@ -6,6 +6,7 @@ from qleak.baseline import (
     DEFAULT_QC_VARIANCE,
     DEFAULT_SIM_VARIANCE,
     GROVER_KEYS,
+    GroverVariant,
     HARDWARE,
     SIMULATOR,
     BaselineEntry,
@@ -20,6 +21,7 @@ from qleak.baseline import (
     pairwise_matrix,
     save_table,
 )
+from qleak.stats import TimingDistribution
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +112,14 @@ class TestGroverCatalog:
         assert [v.index for v in cat] == list(range(1, 25))
         assert {v.iterations for v in cat} == {1, 2, 3}
         assert sorted({v.key for v in cat}) == sorted(GROVER_KEYS)
+
+    def test_index_derived(self):
+        t = TimingDistribution(2.0, 0.3)
+        assert GroverVariant("110", 2, t).index == 15
+        with pytest.raises(ValueError):
+            GroverVariant("1100", 2, t)
+        with pytest.raises(ValueError):
+            GroverVariant("110", 4, t)
 
     def test_key_offsets_centered_and_even(self):
         offs = [grover_key_offset(k, 0.0035) for k in GROVER_KEYS]
