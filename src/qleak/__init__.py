@@ -8,7 +8,6 @@ that cost.
 """
 from .stats import (
     PowerSpec,
-    SampleSummary,
     TimingDistribution,
     dom_curves,
     effect_size,

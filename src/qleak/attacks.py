@@ -18,26 +18,24 @@ from typing import Optional
 import numpy as np
 
 from .baseline import (
+    AMBIGUITY_EPS,
     BACKENDS,
     BaselineTable,
     GroverVariant,
+    _nearest,
+    _neighbor,
     catalog_matrices,
-    nearest_neighbor_requirement,
 )
 from .cloudsim import DeviceProfile
 from .stats import (
     DOM_CONFIDENCE,
     PowerSpec,
-    SampleSummary,
     dom_curves,
     effect_size,
     pooled_t_power,
     required_sample_size,
 )
 from .trace import Trace
-
-#: distance below which two candidate means are treated as tied
-AMBIGUITY_EPS = 1e-12
 
 #: measured false-positive rate of the "final tenth beyond the band" rule
 #: on identical distributions at DOM_CONFIDENCE (frozen by the null suite)
@@ -66,19 +64,22 @@ class AttackVerdict:
             raise ValueError("label must be non-empty")
 
 
-def _nearest(mu: float, means: list[float]) -> tuple[int, bool]:
-    """Index of the first mean closest to mu, and whether another mean
-    lies within AMBIGUITY_EPS of that distance."""
-    dist = [abs(m - mu) for m in means]
-    ranked = sorted(dist)
-    tie = len(ranked) > 1 and ranked[1] - ranked[0] < AMBIGUITY_EPS
-    return dist.index(ranked[0]), tie
+def _moments(trace: Trace) -> tuple[int, float, float]:
+    """(n, mean, unbiased variance) of the trace's durations; one duration
+    has variance 0."""
+    xs = trace.durations
+    if xs.size < 1:
+        raise ValueError("empty trace")
+    return xs.size, float(xs.mean()), float(xs.var(ddof=1)) if xs.size > 1 else 0.0
 
 
-def _mean_statistic(n: int, mean: float, var: float, ref_mean: float) -> float:
-    if n < 2 or var == 0.0:
-        return math.inf if mean != ref_mean else 0.0
-    return (mean - ref_mean) / math.sqrt(var / n)
+def _in_se(gap: float, n: int, var: float) -> float:
+    """`gap` in standard errors of a mean of n draws with variance var;
+    with no spread, inf for a nonzero gap and 0 for none."""
+    se = math.sqrt(var / n) if n > 1 else 0.0
+    if se == 0.0:
+        return math.inf if gap != 0 else 0.0
+    return gap / se
 
 
 def uc_classify(
@@ -93,21 +94,21 @@ def uc_classify(
     neighbor; shorter traces still get the nearest-mean label, flagged
     under-powered.
     """
-    s = SampleSummary.from_samples(trace.durations)
+    n, mean, var = _moments(trace)
     means = [e.latency(backend) for e in table.entries]
-    best, tie = _nearest(s.mean, means)
+    best, tie = _nearest(mean, means)
     label = table.entries[best].name
-    neighbor, planned = nearest_neighbor_requirement(table, label, backend, spec)
-    d = effect_size(table.timing(label, backend), table.timing(neighbor, backend))
+    _, d = _neighbor(table, label, backend)
+    planned = required_sample_size(d, spec)
     return AttackVerdict(
         attack="UC",
         label=label,
-        measurements_used=s.n,
-        statistic=_mean_statistic(s.n, s.mean, s.variance, means[best]),
+        measurements_used=n,
+        statistic=_in_se(mean - means[best], n, var),
         planned_n=planned,
-        confidence=pooled_t_power(max(s.n, 2), d, spec.alpha),
+        confidence=pooled_t_power(max(n, 2), d, spec.alpha),
         ambiguous=tie,
-        underpowered=s.n < planned,
+        underpowered=n < planned,
     )
 
 
@@ -115,8 +116,7 @@ def detect_backend(
     trace: Trace, table: BaselineTable, spec: PowerSpec = PowerSpec()
 ) -> AttackVerdict:
     """Decide simulator vs hardware by nearest mean over both columns."""
-    s = SampleSummary.from_samples(trace.durations)
-    n, mean, var = s.n, s.mean, s.variance
+    n, mean, var = _moments(trace)
     columns = [[e.latency(b) for e in table.entries] for b in BACKENDS]
     means = columns[0] + columns[1]
     best, tie = _nearest(mean, means)
@@ -125,13 +125,11 @@ def detect_backend(
     # other column, in trace standard errors
     other_best = min(abs(m - mean) for m in columns[1 - side])
     sep = other_best - abs(means[best] - mean)
-    se = math.sqrt(var / n) if n > 1 and var > 0 else 0.0
-    statistic = sep / se if se > 0 else math.inf
     return AttackVerdict(
         attack="UC",
         label=BACKENDS[side],
         measurements_used=n,
-        statistic=statistic,
+        statistic=_in_se(sep, n, var),
         planned_n=1.0,
         confidence=spec.power,
         ambiguous=tie or sep < AMBIGUITY_EPS,
@@ -154,8 +152,7 @@ def co_identify(
     cat = sorted(catalog, key=lambda v: v.index)
     if [v.index for v in cat] != list(range(1, 25)):
         raise ValueError("catalog must hold each variant index 1-24 exactly once")
-    s = SampleSummary.from_samples(trace.durations)
-    n, mean, var = s.n, s.mean, s.variance
+    n, mean, var = _moments(trace)
     ovl_m, req_m = catalog_matrices(cat, spec)
 
     by_iteration = [cat[i : i + 8] for i in (0, 8, 16)]
@@ -177,7 +174,7 @@ def co_identify(
             attack="CO",
             label=label,
             measurements_used=n,
-            statistic=_mean_statistic(n, mean, var, variant.timing.mean),
+            statistic=_in_se(mean - variant.timing.mean, n, var),
             planned_n=planned,
             confidence=spec.power,
             ambiguous=iter_tie or key_tie,
@@ -230,30 +227,23 @@ def qp_fingerprint(
     """
     if len(devices) < 2:
         raise ValueError("need at least two candidate devices")
-    xs = np.asarray(trace.durations, dtype=float)
-    n = xs.size
     rejected: dict[str, int] = {}
     kept: list[str] = []
-    final_dom: dict[str, float] = {}
+    final_dom: list[float] = []
     for dev in devices:
-        ns, dom, band = dom_curves(xs, dev.timing(circuit))
-        final_dom[dev.name] = abs(float(dom[-1]))
+        ns, dom, band = dom_curves(trace.durations, dev.timing(circuit))
         if _final_tenth_exceeds(dom, band):
-            cross = first_crossing(dom, band, ns)
-            rejected[dev.name] = cross if cross is not None else n
+            rejected[dev.name] = first_crossing(dom, band, ns)
         else:
             kept.append(dev.name)
+            final_dom.append(float(dom[-1]))
     models = sorted((dev.timing(circuit) for dev in devices), key=lambda t: t.mean)
     nearest = min(zip(models[:-1], models[1:]), key=lambda pq: pq[1].mean - pq[0].mean)
     gap = nearest[1].mean - nearest[0].mean
     ambiguous = len(kept) != 1 or gap < AMBIGUITY_EPS
-    if len(kept) == 1:
-        label = kept[0]
-    elif kept:
-        label = min(kept, key=lambda name: final_dom[name])
-    else:
-        label = AMBIGUOUS
-    used = max(rejected.values()) if rejected else n
+    # the kept model nearest the trace mean: the smallest final |dom|
+    label = kept[_nearest(0.0, final_dom)[0]] if kept else AMBIGUOUS
+    used = max(rejected.values()) if rejected else len(trace)
     return AttackVerdict(
         attack="QP",
         label=label,

@@ -216,6 +216,32 @@ def pairwise_matrix(
     return _requirements([table.timing(name, backend) for name in table.names], spec)
 
 
+#: distance below which two candidate means are treated as tied
+AMBIGUITY_EPS = 1e-12
+
+
+def _nearest(mu: float, means: list[float]) -> tuple[int, bool]:
+    """Index of the first mean closest to mu, and whether another mean
+    lies within AMBIGUITY_EPS of that distance."""
+    dist = [abs(m - mu) for m in means]
+    ranked = sorted(dist)
+    tie = len(ranked) > 1 and ranked[1] - ranked[0] < AMBIGUITY_EPS
+    return dist.index(ranked[0]), tie
+
+
+def _neighbor(table: BaselineTable, name: str, backend: str) -> tuple[str, float]:
+    """The other entry nearest in mean (the first in table order on ties)
+    and its effect size against the named entry."""
+    mu = table.entry(name).latency(backend)
+    others = [e for e in table.entries if e.name != name]
+    if not others:
+        raise ValueError("table has a single entry")
+    best, _ = _nearest(mu, [e.latency(backend) for e in others])
+    neighbor = others[best].name
+    d = effect_size(table.timing(name, backend), table.timing(neighbor, backend))
+    return neighbor, d
+
+
 def nearest_neighbor_requirement(
     table: BaselineTable,
     name: str,
@@ -227,14 +253,8 @@ def nearest_neighbor_requirement(
     The nearest-mean neighbor maximizes the pairwise requirement, so this
     is the budget that distinguishes the entry from every other circuit.
     """
-    entry = table.entry(name)
-    others = [e for e in table.entries if e.name != name]
-    if not others:
-        raise ValueError("table has a single entry")
-    mu = entry.latency(backend)
-    neighbor = min(others, key=lambda e: abs(e.latency(backend) - mu))
-    d = effect_size(table.timing(name, backend), table.timing(neighbor.name, backend))
-    return neighbor.name, required_sample_size(d, spec)
+    neighbor, d = _neighbor(table, name, backend)
+    return neighbor, required_sample_size(d, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -126,29 +126,27 @@ def cmd_reproduce_table(args) -> int:
     ], rows)
     failures = sum(row[-1] == "FAIL" for row in rows)
     if args.mc_check:
-        _mc_spot_check(table, spec, _default_seed(args))
+        _mc_spot_check(table, rows, spec, _default_seed(args))
     _err(f"{len(rows)} cells, {failures} outside tolerance")
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
-def _mc_spot_check(table, spec, seed) -> None:
-    """Monte-Carlo power at the planned n for a few small-n cells."""
+def _mc_spot_check(table, rows, spec, seed) -> None:
+    """Monte-Carlo power at the planned n of the two smallest-n printed
+    rows of each backend."""
     for backend in baseline.BACKENDS:
-        cells = [
-            (e, *baseline.nearest_neighbor_requirement(table, e.name, backend, spec))
-            for e in table.entries
-        ]
-        for e, nb, n in sorted(cells, key=lambda cell: cell[2])[:2]:
+        cells = sorted((r for r in rows if r[1] == backend), key=lambda r: r[4])
+        for name, _, nb, _, n, *_ in cells[:2]:
             n_int = max(2, math.ceil(n))
             p = mc_power_oracle(
-                table.timing(e.name, backend),
+                table.timing(name, backend),
                 table.timing(nb, backend),
                 n_int,
                 spec,
                 seed=seed,
             )
             _err(
-                f"mc-check {backend} {e.name!r} vs {nb!r}: "
+                f"mc-check {backend} {name!r} vs {nb!r}: "
                 f"n={n_int} empirical power {p:.3f} (target {spec.power})"
             )
 

@@ -180,6 +180,16 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
     )
 
 
+def _read_scenario_file(path: str | Path) -> dict:
+    """The top-level mapping of a scenario file, its keys checked."""
+    with Path(path).open(encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    return _check_keys(
+        raw, ("device", "victim", "attacker", "seed", "reference_devices"),
+        f"{path}: scenario file",
+    )
+
+
 def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """Load a scenario from YAML; `seed` overrides the file's value.
 
@@ -196,10 +206,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         attacker: {probe_circuit: probe, every_k: 1}
         seed: 1234
     """
-    with Path(path).open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    _check_keys(raw, ("device", "victim", "attacker", "seed", "reference_devices"),
-                f"{path}: scenario file")
+    raw = _read_scenario_file(path)
     device = _parse_device(_require(raw, "device", "scenario"))
     victim = _check_keys(_require(raw, "victim", "scenario"),
                          ("circuit", "repetitions"), "victim")
@@ -218,9 +225,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
 def load_reference_devices(path: str | Path) -> list[DeviceProfile]:
     """Optional `reference_devices:` list from a scenario file (used by the
     processor-fingerprint attack)."""
-    with Path(path).open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    blocks = raw.get("reference_devices") if isinstance(raw, dict) else None
+    blocks = _read_scenario_file(path).get("reference_devices")
     if not blocks:
         return []
     return [_parse_device(b, f"reference_devices[{i}]") for i, b in enumerate(blocks)]

@@ -21,31 +21,6 @@ DOM_CONFIDENCE = 0.95
 
 
 @dataclass(frozen=True)
-class SampleSummary:
-    """Sufficient statistics of one duration sample (unbiased variance)."""
-
-    n: int
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"need at least one observation, got n={self.n}")
-        if self.variance < 0:
-            raise ValueError(f"negative variance {self.variance}")
-        if self.n == 1 and self.variance != 0.0:
-            raise ValueError("variance is undefined for a single observation")
-
-    @classmethod
-    def from_samples(cls, xs: Sequence[float]) -> "SampleSummary":
-        xs = np.asarray(xs, dtype=float)
-        if xs.size < 1:
-            raise ValueError("empty sample")
-        var = float(xs.var(ddof=1)) if xs.size > 1 else 0.0
-        return cls(n=int(xs.size), mean=float(xs.mean()), variance=var)
-
-
-@dataclass(frozen=True)
 class TimingDistribution:
     """Gaussian latency model for one circuit on one backend."""
 
@@ -172,7 +147,7 @@ def effect_size(p, q) -> float:
     """Standardized mean gap |p.mean - q.mean| / sqrt((p.var + q.var) / 2).
 
     Takes any two objects with `mean` and `variance` (timing models,
-    mixtures, sample summaries); the pooled sd is that of the pair.
+    mixtures); the pooled sd is that of the pair.
     """
     pooled = (p.variance + q.variance) / 2.0
     if not pooled > 0:

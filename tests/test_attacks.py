@@ -7,6 +7,8 @@ from qleak.attacks import (
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
     AttackVerdict,
+    _in_se,
+    _moments,
     co_identify,
     detect_backend,
     first_crossing,
@@ -21,10 +23,17 @@ from qleak.baseline import (
     BaselineTable,
     bundled_table,
     grover_catalog,
+    nearest_neighbor_requirement,
 )
 from qleak.cloudsim import DeviceProfile
 from qleak.csvout import write_records
-from qleak.stats import PowerSpec, TimingDistribution, dom_curves
+from qleak.stats import (
+    PowerSpec,
+    TimingDistribution,
+    dom_curves,
+    effect_size,
+    pooled_t_power,
+)
 from qleak.trace import Trace
 
 
@@ -116,6 +125,67 @@ class TestUc:
         v = detect_backend(Trace.from_durations([1.0, 1.0]), crossed)
         assert v.label == SIMULATOR
         assert v.ambiguous
+        # no separation and no spread: zero standard errors apart
+        assert v.statistic == 0.0
+
+
+class TestTraceReading:
+    def test_moments(self):
+        xs = [1.0, 2.0, 4.0]
+        n, mean, var = _moments(Trace.from_durations(xs))
+        assert n == 3
+        assert mean == pytest.approx(np.mean(xs))
+        assert var == pytest.approx(np.var(xs, ddof=1))
+        assert _moments(Trace.from_durations([2.5])) == (1, 2.5, 0.0)
+
+    def test_empty_trace_rejected(self, table):
+        empty = Trace.from_durations([])
+        for attack in (
+            lambda: uc_classify(empty, table, SIMULATOR),
+            lambda: detect_backend(empty, table),
+            lambda: co_identify(empty, grover_catalog()),
+        ):
+            with pytest.raises(ValueError, match="empty trace"):
+                attack()
+
+    @pytest.mark.parametrize("gap,n,var,expected", [
+        (0.6, 4, 0.09, 4.0),
+        (-0.6, 4, 0.09, -4.0),
+        (0.5, 1, 0.0, math.inf),
+        (-0.5, 3, 0.0, math.inf),
+        (0.0, 3, 0.0, 0.0),
+        (0.0, 1, 0.0, 0.0),
+    ])
+    def test_in_se(self, gap, n, var, expected):
+        assert _in_se(gap, n, var) == pytest.approx(expected)
+
+
+class TestSharedNearestRule:
+    """The table's neighbour pick and UC's plan are one rule."""
+
+    @pytest.mark.parametrize("backend", [SIMULATOR, HARDWARE])
+    def test_uc_plan_is_the_table_requirement(self, table, backend):
+        for e in table.entries:
+            exact = Trace.from_durations([e.latency(backend)] * 3)
+            v = uc_classify(exact, table, backend)
+            assert v.label == e.name
+            neighbor, n = nearest_neighbor_requirement(table, e.name, backend)
+            assert float.hex(v.planned_n) == float.hex(n)
+            d = effect_size(
+                table.timing(e.name, backend), table.timing(neighbor, backend)
+            )
+            assert float.hex(v.confidence) == float.hex(pooled_t_power(3, d))
+
+    def test_equidistant_candidates_pick_first_in_table_order(self):
+        # y sits midway between x and z; x comes first although its mean is larger
+        xyz = BaselineTable((
+            BaselineEntry("x", 3.0, 3.0),
+            BaselineEntry("y", 2.0, 2.0),
+            BaselineEntry("z", 1.0, 1.0),
+        ))
+        assert nearest_neighbor_requirement(xyz, "y", SIMULATOR)[0] == "x"
+        v = uc_classify(Trace.from_durations([1.5, 1.5]), xyz, SIMULATOR)
+        assert v.label == "y" and v.ambiguous
 
 
 class TestCo:

@@ -204,6 +204,14 @@ class TestReproduceTable:
         assert len(fails) == 2
 
 
+    def test_mc_check_follows_backend(self, capsys):
+        code, out, err = run_cli(
+            capsys, "reproduce-table", "--backend", "sim", "--mc-check"
+        )
+        checks = [line for line in err.splitlines() if line.startswith("mc-check")]
+        assert len(checks) == 2
+        assert all(line.startswith("mc-check simulator ") for line in checks)
+
     def test_rel_err_column(self, capsys):
         # one formula on every row, the cells printed as 1 included; those
         # pass only when the solver also reports a single measurement. The

@@ -200,20 +200,29 @@ class TestYaml:
         devs = load_reference_devices(p)
         assert [d.name for d in devs] == ["a", "b"]
 
-    @pytest.mark.parametrize("old,new,loader", [
-        ("every_k: 3", "evry_k: 3", load_scenario),
-        ("seed: 9", "sed: 9", load_scenario),
-        ("  inter_job_gap: 0.0", "  gap: 0.0", load_scenario),
+    @pytest.mark.parametrize("old,new,loader,error", [
+        ("every_k: 3", "evry_k: 3", load_scenario, "unknown key"),
+        ("seed: 9", "sed: 9", load_scenario, "unknown key"),
+        ("  inter_job_gap: 0.0", "  gap: 0.0", load_scenario, "unknown key"),
         ("victim: {mean: 2.0, variance: 0.3}\n    probe",
-         "victim: {mean: 2.0, varaince: 0.3}\n    probe", load_scenario),
-        ("repetitions: 12", "repetitions: 12, seed: 1", load_scenario),
-        ("  - name: b", "  - name: b\n    every_k: 2", load_reference_devices),
-    ], ids=["attacker", "top-level", "device", "circuit", "victim", "reference-device"])
-    def test_unknown_key(self, tmp_path, old, new, loader):
+         "victim: {mean: 2.0, varaince: 0.3}\n    probe", load_scenario,
+         "unknown key"),
+        ("repetitions: 12", "repetitions: 12, seed: 1", load_scenario,
+         "unknown key"),
+        ("  - name: b", "  - name: b\n    every_k: 2", load_reference_devices,
+         "unknown key"),
+        ("reference_devices:", "reference_device:", load_reference_devices,
+         "unknown key"),
+        (SCENARIO_YAML, "- reference_devices: []\n", load_reference_devices,
+         "must be a mapping"),
+    ], ids=["attacker", "top-level", "device", "circuit", "victim",
+            "reference-device", "reference-devices-top-level",
+            "reference-devices-list-file"])
+    def test_unknown_key(self, tmp_path, old, new, loader, error):
         assert SCENARIO_YAML.count(old) == 1
         p = tmp_path / "s.yaml"
         p.write_text(SCENARIO_YAML.replace(old, new))
-        with pytest.raises(ScenarioError, match="unknown key"):
+        with pytest.raises(ScenarioError, match=error):
             loader(p)
 
     def test_missing_key(self, tmp_path):

@@ -1,0 +1,66 @@
+"""The package exports every qleak name the demos and the benchmark use.
+
+The benchmark harness under perfbench/ reaches qleak only through its
+public names (``q.<name>``, ``qleak.<name>``, ``from qleak import ...``);
+a name dropped from the package would otherwise surface only as failed
+benchmark operations. Its tracer looks functions up by module, and skips
+any it cannot find, so those must exist where it looks.
+"""
+import ast
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+import qleak
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
+
+
+def used_names(path: Path) -> set[str]:
+    """Names read off the package: attributes of `q` or `qleak` and
+    `from qleak import` targets (code only, not strings)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("q", "qleak")
+        ):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "qleak":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_scripts_found():
+    assert any(p.parent.name == "perfbench" for p in SCRIPTS)
+    assert any(p.parent.name == "demos" for p in SCRIPTS)
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_package_exports_what_scripts_use(path):
+    missing = sorted(
+        name
+        for name in used_names(path)
+        if name not in qleak.__all__
+        and importlib.util.find_spec(f"qleak.{name}") is None
+    )
+    assert missing == [], f"{path.name} uses names qleak does not export"
+
+
+def _tracer_constant(name: str):
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == name:
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_traced_functions_exist():
+    for mod, func in _tracer_constant("LAYER_FUNCS"):
+        assert callable(getattr(importlib.import_module(f"qleak.{mod}"), func))
+    for mod, cls, meth, _ in _tracer_constant("LAYER_METHODS"):
+        klass = getattr(importlib.import_module(f"qleak.{mod}"), cls)
+        assert meth in vars(klass)
