@@ -12,7 +12,7 @@ power-analysis plan instead of testing sequentially.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -24,11 +24,10 @@ from .baseline import (
     GroverVariant,
     _nearest,
     _neighbor,
-    catalog_matrices,
+    _requirements,
 )
 from .cloudsim import DeviceProfile
 from .stats import (
-    DOM_CONFIDENCE,
     PowerSpec,
     dom_curves,
     effect_size,
@@ -48,6 +47,13 @@ AMBIGUOUS = "ambiguous"
 
 @dataclass(frozen=True)
 class AttackVerdict:
+    """`planned_n` is the requirement for the plan's pair of candidates,
+    `confidence` the pooled-test power at `measurements_used` (at least 2)
+    against that pair, `underpowered` is derived as `measurements_used <
+    planned_n`, and `ambiguous` marks tied candidates. Backend detection
+    still carries a placeholder plan (planned_n 1, confidence spec.power).
+    """
+
     attack: str
     label: str
     measurements_used: int
@@ -55,13 +61,24 @@ class AttackVerdict:
     planned_n: float
     confidence: float
     ambiguous: bool = False
-    underpowered: bool = False
+    underpowered: bool = field(init=False)
 
     def __post_init__(self):
         if self.measurements_used < 1:
             raise ValueError("measurements_used must be at least 1")
         if not self.label:
             raise ValueError("label must be non-empty")
+        object.__setattr__(
+            self, "underpowered", self.measurements_used < self.planned_n)
+
+
+def _verdict(attack: str, label: str, n: int, statistic: float, d: float,
+             spec: PowerSpec, ambiguous: bool) -> AttackVerdict:
+    """A decision on n measurements, planned against a pair at effect size d."""
+    return AttackVerdict(
+        attack, label, n, statistic, required_sample_size(d, spec),
+        pooled_t_power(max(n, 2), d, spec.alpha), ambiguous,
+    )
 
 
 def _moments(trace: Trace) -> tuple[int, float, float]:
@@ -99,17 +116,7 @@ def uc_classify(
     best, tie = _nearest(mean, means)
     label = table.entries[best].name
     _, d = _neighbor(table, label, backend)
-    planned = required_sample_size(d, spec)
-    return AttackVerdict(
-        attack="UC",
-        label=label,
-        measurements_used=n,
-        statistic=_in_se(mean - means[best], n, var),
-        planned_n=planned,
-        confidence=pooled_t_power(max(n, 2), d, spec.alpha),
-        ambiguous=tie,
-        underpowered=n < planned,
-    )
+    return _verdict("UC", label, n, _in_se(mean - means[best], n, var), d, spec, tie)
 
 
 def detect_backend(
@@ -140,49 +147,39 @@ def co_identify(
     trace: Trace,
     catalog: list[GroverVariant],
     spec: PowerSpec = PowerSpec(),
-) -> tuple[AttackVerdict, np.ndarray, np.ndarray]:
-    """Two-stage Grover variant recovery plus the full pairwise matrices.
+) -> tuple[AttackVerdict, np.ndarray]:
+    """Two-stage Grover variant recovery plus the requirement matrix.
 
     Iteration count is decided first (cross-iteration gaps are large),
     then the key within that iteration, which may demand orders of
     magnitude more data: short traces report the iteration with the key
-    flagged under-powered. Returns (verdict, ovl matrix, requirement
-    matrix) in catalog index order for export.
+    flagged under-powered. Returns (verdict, requirement matrix), the
+    matrix in catalog index order for export.
     """
     cat = sorted(catalog, key=lambda v: v.index)
     if [v.index for v in cat] != list(range(1, 25)):
         raise ValueError("catalog must hold each variant index 1-24 exactly once")
     n, mean, var = _moments(trace)
-    ovl_m, req_m = catalog_matrices(cat, spec)
+    req_m = _requirements([v.timing for v in cat], spec)
 
     by_iteration = [cat[i : i + 8] for i in (0, 8, 16)]
     centers = [sum(v.timing.mean for v in group) / 8 for group in by_iteration]
     it, iter_tie = _nearest(mean, centers)
     key, key_tie = _nearest(mean, [v.timing.mean for v in by_iteration[it]])
     variant = by_iteration[it][key]
-    # key-stage plan: the nearest same-iteration variant has the smallest
-    # gap and so the largest requirement; the NaN diagonal drops the variant
-    planned = float(np.nanmax(req_m[variant.index - 1, 8 * it : 8 * it + 8]))
-    underpowered = n < planned
-    label = (
-        f"iterations={variant.iterations} key=under-powered"
-        if underpowered
-        else f"iterations={variant.iterations} key={variant.key}"
+    # key-stage plan: the same-iteration variant with the largest
+    # requirement (the smallest gap); the NaN diagonal drops the variant
+    row = req_m[variant.index - 1, 8 * it : 8 * it + 8]
+    rival = by_iteration[it][int(np.nanargmax(row))]
+    head = f"iterations={variant.iterations}"
+    verdict = _verdict(
+        "CO", f"{head} key={variant.key}", n,
+        _in_se(mean - variant.timing.mean, n, var),
+        effect_size(variant.timing, rival.timing), spec, iter_tie or key_tie,
     )
-    return (
-        AttackVerdict(
-            attack="CO",
-            label=label,
-            measurements_used=n,
-            statistic=_in_se(mean - variant.timing.mean, n, var),
-            planned_n=planned,
-            confidence=spec.power,
-            ambiguous=iter_tie or key_tie,
-            underpowered=underpowered,
-        ),
-        ovl_m,
-        req_m,
-    )
+    if verdict.underpowered:
+        verdict = replace(verdict, label=f"{head} key=under-powered")
+    return verdict, req_m
 
 
 def _final_tenth_exceeds(dom: np.ndarray, band: np.ndarray) -> bool:
@@ -222,8 +219,10 @@ def qp_fingerprint(
     """Name the device whose reference model the trace stays consistent
     with; every other device is rejected at its first band crossing.
 
-    The plan is the requirement that tells apart the two devices whose
-    models lie closest, with the pooled sd of that pair.
+    `measurements_used` is the first band crossing of the last device
+    rejected (the whole trace when none is). The plan is the requirement
+    that tells apart the two devices whose models lie closest, with the
+    pooled sd of that pair.
     """
     if len(devices) < 2:
         raise ValueError("need at least two candidate devices")
@@ -240,16 +239,10 @@ def qp_fingerprint(
     models = sorted((dev.timing(circuit) for dev in devices), key=lambda t: t.mean)
     nearest = min(zip(models[:-1], models[1:]), key=lambda pq: pq[1].mean - pq[0].mean)
     gap = nearest[1].mean - nearest[0].mean
-    ambiguous = len(kept) != 1 or gap < AMBIGUITY_EPS
     # the kept model nearest the trace mean: the smallest final |dom|
     label = kept[_nearest(0.0, final_dom)[0]] if kept else AMBIGUOUS
     used = max(rejected.values()) if rejected else len(trace)
-    return AttackVerdict(
-        attack="QP",
-        label=label,
-        measurements_used=max(used, 1),
-        statistic=float(len(rejected)),
-        planned_n=required_sample_size(effect_size(*nearest), spec),
-        confidence=DOM_CONFIDENCE,
-        ambiguous=ambiguous,
+    return _verdict(
+        "QP", label, max(used, 1), float(len(rejected)), effect_size(*nearest),
+        spec, len(kept) != 1 or gap < AMBIGUITY_EPS,
     )

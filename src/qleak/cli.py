@@ -270,7 +270,7 @@ def cmd_attack(args) -> int:
         verdict = attacks.uc_classify(tr, table, backend, spec)
     elif kind == "co":
         catalog = baseline.grover_catalog()
-        verdict, _, req_m = attacks.co_identify(tr, catalog, spec)
+        verdict, req_m = attacks.co_identify(tr, catalog, spec)
         if args.out_dir:
             _write_matrix(
                 _out_dir(args) / "co_required.csv", _grover_labels(catalog), req_m

@@ -225,7 +225,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
 def load_reference_devices(path: str | Path) -> list[DeviceProfile]:
     """Optional `reference_devices:` list from a scenario file (used by the
     processor-fingerprint attack)."""
-    blocks = _read_scenario_file(path).get("reference_devices")
-    if not blocks:
-        return []
+    blocks = _read_scenario_file(path).get("reference_devices", [])
+    if not isinstance(blocks, list):
+        raise ScenarioError("reference_devices must be a list of devices")
     return [_parse_device(b, f"reference_devices[{i}]") for i, b in enumerate(blocks)]

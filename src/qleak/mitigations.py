@@ -10,10 +10,9 @@ distributions or on scheduler behavior:
   layouts drawn uniformly, turning a point latency into a mixture;
 - circuit padding: idle gates shift a circuit's mean toward a decoy's,
   shrinking the gap the attacker must resolve;
-- scheduler batching: victims run in larger bursts between probes, so
-  each probe interval averages more executions and per-execution
-  variance shrinks by the batch factor, while the attacker's interval
-  budget drops by the same factor.
+- scheduler batching: victims run batch_factor executions between
+  probes; its reported inflation is batch_factor as given, not derived
+  from the per-interval effect size (ROADMAP.md, item 4).
 """
 from __future__ import annotations
 
@@ -218,10 +217,10 @@ def evaluate(
 
     Benefit is the required-measurement inflation factor for the pooled
     two-sample design; cost is the added mean latency and variance the
-    victim's own jobs incur. scheduler-batching reshapes the attacker's
-    sampling (k intervals of k-averaged executions), which cancels in
-    per-interval effect size but divides the attacker's interval budget
-    per wall-clock unit by batch_factor, reported as inflation.
+    victim's own jobs incur. scheduler-batching acts on the attacker's
+    sampling, not on the timing models: its inflation is batch_factor as
+    given, not derived from the per-interval effect size (ROADMAP.md,
+    item 4).
     """
     a, b = table.timing(victim, backend), table.timing(reference, backend)
     before = required_sample_size(effect_size(a, b), spec)
@@ -229,10 +228,7 @@ def evaluate(
     bm = mitigation.apply(b, table, backend)
     after = required_sample_size(effect_size(am, bm), spec)
     if mitigation.kind == SCHEDULER_BATCHING:
-        # averaging k executions per interval divides both the variance
-        # and the intervals per unit time by k; requirement in intervals
-        # falls by k but wall-clock cost rises back by k, and the victim
-        # pays nothing
+        # batch_factor as given, not derived (ROADMAP.md, item 4)
         inflation = float(mitigation.batch_factor)
     else:
         inflation = after / before if math.isfinite(before) else math.inf

@@ -33,6 +33,7 @@ from qleak.stats import (
     dom_curves,
     effect_size,
     pooled_t_power,
+    required_sample_size,
 )
 from qleak.trace import Trace
 
@@ -55,14 +56,25 @@ class TestVerdict:
             AttackVerdict("UC", "x", 0, 0.0, 1.0, 0.8)
 
     def test_csv(self, tmp_path):
-        v = AttackVerdict("UC", "x", 10, 0.5, 3.0, 0.8, underpowered=True)
+        # 2 measurements against a plan of 3: the derived flag reads 1
+        v = AttackVerdict("UC", "x", 2, 0.5, 3.0, 0.8)
         p = tmp_path / "v.csv"
         write_records(p, AttackVerdict, [v])
         assert p.read_text().splitlines() == [
             "attack,label,measurements_used,statistic,planned_n,confidence,"
             "ambiguous,underpowered",
-            "UC,x,10,0.5,3,0.8,0,1",
+            "UC,x,2,0.5,3,0.8,0,1",
         ]
+
+    @pytest.mark.parametrize("n,planned,expected", [
+        (2, 3.0, True), (3, 3.0, False), (4, 3.0, False), (10**9, math.inf, True),
+    ])
+    def test_underpowered_is_derived(self, n, planned, expected):
+        assert AttackVerdict("UC", "x", n, 0.0, planned, 0.8).underpowered is expected
+
+    def test_underpowered_cannot_be_passed(self):
+        with pytest.raises(TypeError):
+            AttackVerdict("UC", "x", 10, 0.0, 3.0, 0.8, underpowered=False)
 
 
 class TestUc:
@@ -196,10 +208,10 @@ class TestCo:
         tr = Trace.from_durations(
             rng.normal(target.timing.mean, target.timing.sd, 4000)
         )
-        verdict, ovl_m, req_m = co_identify(tr, cat)
+        verdict, req_m = co_identify(tr, cat)
         assert "iterations=2" in verdict.label
         assert verdict.underpowered  # the key needs far more data
-        assert ovl_m.shape == (24, 24)
+        assert req_m.shape == (24, 24)
 
     def test_key_stage_with_enough_data(self):
         # widen the per-key spread so the key stage is affordable to test
@@ -209,7 +221,7 @@ class TestCo:
         tr = Trace.from_durations(
             rng.normal(target.timing.mean, target.timing.sd, 3000)
         )
-        verdict, _, _ = co_identify(tr, cat)
+        verdict, _ = co_identify(tr, cat)
         assert verdict.label == "iterations=1 key=110"
         assert not verdict.underpowered
 
@@ -227,17 +239,16 @@ class TestCo:
         cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
         shuffled = [cat[i] for i in np.random.default_rng(9).permutation(24)]
         tr = synthetic_trace(cat[13].timing.mean, cat[13].timing.variance, 900, seed=9)
-        verdict, ovl_m, req_m = co_identify(tr, cat)
-        s_verdict, s_ovl, s_req = co_identify(tr, shuffled)
+        verdict, req_m = co_identify(tr, cat)
+        s_verdict, s_req = co_identify(tr, shuffled)
         assert s_verdict == verdict
-        assert np.array_equal(s_ovl, ovl_m)
         assert np.array_equal(s_req, req_m, equal_nan=True)
 
     def test_zero_key_spread_plans_infinity(self):
         # all eight keys of an iteration share one mean
         cat = grover_catalog(per_oracle_spread=0.0)
         mu = cat[0].timing.mean
-        verdict, _, _ = co_identify(Trace.from_durations([mu, mu, mu]), cat)
+        verdict, _ = co_identify(Trace.from_durations([mu, mu, mu]), cat)
         assert verdict.planned_n == math.inf
         assert verdict.underpowered
         assert verdict.label == "iterations=1 key=under-powered"
@@ -247,7 +258,7 @@ class TestCo:
     def test_key_tie_rule(self, x, ambiguous):
         # keys 000 and 001 of one iteration sit at 4.45 and 4.55
         cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
-        verdict, _, _ = co_identify(Trace.from_durations([x, x]), cat)
+        verdict, _ = co_identify(Trace.from_durations([x, x]), cat)
         assert verdict.ambiguous is ambiguous
 
 
@@ -320,3 +331,57 @@ class TestQp:
             qp_fingerprint(
                 Trace.from_durations([1.0, 2.0]), make_devices()[:1], "grover"
             )
+
+
+class TestOneVerdictRule:
+    """UC, CO and QP state their plan one way: `planned_n` is the
+    requirement of the plan's pair, `confidence` the pooled-test power at
+    max(n, 2) against that pair, and `underpowered` is n < planned_n."""
+
+    @staticmethod
+    def check(v, d, underpowered):
+        spec = PowerSpec()
+        assert v.underpowered is (v.measurements_used < v.planned_n) is underpowered
+        assert float.hex(v.planned_n) == float.hex(required_sample_size(d, spec))
+        assert float.hex(v.confidence) == float.hex(
+            pooled_t_power(max(v.measurements_used, 2), d, spec.alpha)
+        )
+
+    @pytest.mark.parametrize("n", [1, 50, 3000])
+    def test_uc_plans_against_the_nearest_entry(self, table, n):
+        # GHZ's nearest hardware neighbour needs about 622 measurements
+        mu = table.entry("GHZ").latency(HARDWARE)
+        v = uc_classify(Trace.from_durations([mu] * n), table, HARDWARE)
+        assert v.label == "GHZ"
+        neighbor, _ = nearest_neighbor_requirement(table, "GHZ", HARDWARE)
+        d = effect_size(table.timing("GHZ", HARDWARE), table.timing(neighbor, HARDWARE))
+        self.check(v, d, n < 622)
+
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5000])
+    def test_co_plans_against_the_nearest_key(self, iterations, n):
+        # key 000 has one nearest same-iteration variant, key 001, whose
+        # requirement here is about 480
+        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        v000, v001 = (
+            next(v for v in cat if v.iterations == iterations and v.key == key)
+            for key in ("000", "001")
+        )
+        mu = v000.timing.mean
+        verdict, _ = co_identify(Trace.from_durations([mu] * n), cat)
+        self.check(verdict, effect_size(v000.timing, v001.timing), n < 480)
+        key = "under-powered" if verdict.underpowered else "000"
+        assert verdict.label == f"iterations={iterations} key={key}"
+
+    @pytest.mark.parametrize("seed,underpowered", [(3, True), (8, False)])
+    def test_qp_plans_against_the_closest_models(self, seed, underpowered):
+        # dev_c (1.2) lies closer to dev_a (1.85) than dev_b (3.08) does
+        devices = make_devices() + [
+            DeviceProfile("dev_c", {"grover": TimingDistribution(1.2, 0.3)})
+        ]
+        rng = np.random.default_rng(seed)
+        tr = Trace.from_durations(rng.normal(1.853176702, math.sqrt(0.3), 200))
+        v = qp_fingerprint(tr, devices, "grover")
+        assert v.label == "dev_a"
+        d = effect_size(devices[0].timing("grover"), devices[2].timing("grover"))
+        self.check(v, d, underpowered)

@@ -73,6 +73,17 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == "" and "evry_k" in err
 
+    def test_reference_devices_not_a_list(self, capsys, tmp_path):
+        p = tmp_path / "scalar.yaml"
+        head = SCENARIO_YAML[: SCENARIO_YAML.index("reference_devices:")]
+        p.write_text(f"{head}reference_devices: 3\n")
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", str(p), "--attack", "qp"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert "reference_devices must be a list" in err
+
     def test_power_needs_effect(self, capsys):
         code, _, _ = run_cli(capsys, "power")
         assert code == EXIT_USAGE

@@ -225,6 +225,16 @@ class TestYaml:
         with pytest.raises(ScenarioError, match=error):
             loader(p)
 
+    @pytest.mark.parametrize("value", [
+        "3", "\n  a: {circuits: {victim: {mean: 2.0, variance: 0.3}}}", "",
+    ], ids=["scalar", "mapping", "null"])
+    def test_reference_devices_must_be_a_list(self, tmp_path, value):
+        head = SCENARIO_YAML[: SCENARIO_YAML.index("reference_devices:")]
+        p = tmp_path / "s.yaml"
+        p.write_text(f"{head}reference_devices: {value}\n")
+        with pytest.raises(ScenarioError, match="reference_devices must be a list"):
+            load_reference_devices(p)
+
     def test_missing_key(self, tmp_path):
         p = tmp_path / "s.yaml"
         p.write_text("device:\n  name: d\n  circuits:\n    x: {mean: 1, variance: 1}\n")

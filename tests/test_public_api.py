@@ -8,8 +8,10 @@ any it cannot find, so those must exist where it looks.
 """
 import ast
 import importlib.util
+import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qleak
@@ -64,3 +66,41 @@ def test_traced_functions_exist():
     for mod, cls, meth, _ in _tracer_constant("LAYER_METHODS"):
         klass = getattr(importlib.import_module(f"qleak.{mod}"), cls)
         assert meth in vars(klass)
+
+
+def test_attack_results_lead_with_the_verdict():
+    # the benchmark reads co_identify(...)[0] and null_distinguishability(...)[0]
+    cat = qleak.grover_catalog()
+    rng = np.random.default_rng(0)
+    a, b = (qleak.Trace.from_durations(rng.normal(2.0, 0.5, 50)) for _ in range(2))
+    assert isinstance(qleak.co_identify(a, cat)[0], qleak.AttackVerdict)
+    verdict = qleak.null_distinguishability(a, b)[0]
+    assert verdict in (qleak.DISTINGUISHABLE, qleak.INDISTINGUISHABLE)
+
+
+def test_verdict_csv_columns():
+    # the benchmark reads the verdict row by these column names
+    out = io.StringIO()
+    qleak.write_records(out, qleak.AttackVerdict, [])
+    assert out.getvalue() == (
+        "attack,label,measurements_used,statistic,planned_n,confidence,"
+        "ambiguous,underpowered\n"
+    )
+
+
+def test_verdicts_are_built_in_one_place():
+    """Only the shared verdict rule and backend detection (which keeps a
+    placeholder plan) construct an AttackVerdict."""
+    callers = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name == "AttackVerdict":
+                scope = node
+                while scope in parent and not isinstance(scope, ast.FunctionDef):
+                    scope = parent[scope]
+                callers.append(getattr(scope, "name", f"{path.name} module level"))
+    assert sorted(callers) == ["_verdict", "detect_backend"]
