@@ -185,11 +185,18 @@ def cmd_power(args) -> int:
     if args.effect_size is not None:
         d = args.effect_size
     elif args.delta_mean is not None and args.variance is not None:
+        if not (math.isfinite(args.variance) and args.variance > 0):
+            _err(f"power: --variance must be positive and finite, got {args.variance}")
+            return EXIT_USAGE
         d = abs(args.delta_mean) / math.sqrt(args.variance)
     else:
         _err("power: give --effect-size or both --delta-mean and --variance")
         return EXIT_USAGE
-    n = required_sample_size(d, spec)
+    try:
+        n = required_sample_size(d, spec)
+    except ValueError as exc:
+        _err(f"power: {exc}")
+        return EXIT_USAGE
     # alpha and power are echoed unrounded
     write_csv(
         sys.stdout,

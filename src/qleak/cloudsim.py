@@ -37,6 +37,8 @@ class DeviceProfile:
     def __post_init__(self):
         if self.inter_job_gap < 0:
             raise ValueError("inter_job_gap must not be negative")
+        # an int gap would make the simulator's clock an int array
+        object.__setattr__(self, "inter_job_gap", float(self.inter_job_gap))
         if not self.circuit_timings:
             raise ValueError("device needs at least one circuit timing")
 

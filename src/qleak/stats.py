@@ -156,8 +156,26 @@ def effect_size(p, q) -> float:
 
 
 def pooled_t_power(n, d: float, alpha: float = 0.05):
-    """Power of the two-sided pooled two-sample t-test at per-group size n
-    (a scalar, or an array evaluated elementwise)."""
+    """Power of the two-sided pooled two-sample t-test at per-group size n.
+
+    A scalar n (a Python or numpy number, or a 0-d array) gives a Python
+    float; an array is evaluated elementwise. Both paths take the same
+    floating-point operations in the same order, so they agree bit for bit.
+    """
+    if np.ndim(n) == 0:
+        n = float(n)
+        df = 2.0 * n - 2.0
+        if df <= 0:
+            raise ValueError("per-group n must exceed 1")
+        ncp = d * math.sqrt(n / 2.0)
+        tcrit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
+        p = 1.0 - float(special.nctdtr(df, ncp, tcrit))
+        if math.isnan(p):
+            p = float(_normal_power(df, ncp, tcrit))
+        # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
+        if ncp < 4.0:
+            p += float(special.nctdtr(df, ncp, -tcrit))
+        return min(p, 1.0)
     n = np.asarray(n, dtype=float)
     df = 2.0 * n - 2.0
     if np.any(df <= 0):
@@ -165,14 +183,17 @@ def pooled_t_power(n, d: float, alpha: float = 0.05):
     ncp = d * np.sqrt(n / 2.0)
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
     p = 1.0 - special.nctdtr(df, ncp, tcrit)
+    nan = np.isnan(p)
+    p[nan] = _normal_power(df[nan], ncp[nan], tcrit[nan])
+    near = ncp < 4.0
+    p[near] += special.nctdtr(df[near], ncp[near], -tcrit[near])
+    return np.minimum(p, 1.0)
+
+
+def _normal_power(df, ncp, tcrit):
     # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
     # normal approximation is ample there
-    approx = special.ndtr((ncp - tcrit) / np.sqrt(1.0 + tcrit * tcrit / (2.0 * df)))
-    p = np.where(np.isnan(p), approx, p)
-    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
-    p = p + np.where(ncp < 4.0, special.nctdtr(df, ncp, -tcrit), 0.0)
-    p = np.minimum(p, 1.0)
-    return float(p) if p.ndim == 0 else p
+    return special.ndtr((ncp - tcrit) / np.sqrt(1.0 + tcrit * tcrit / (2.0 * df)))
 
 
 def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
@@ -183,18 +204,41 @@ def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     return 2.0 * (z / d) ** 2
 
 
+#: grid points per step of the right-to-left scan below n = 4
+_SCAN_CHUNK = 32
+
+
 @lru_cache(maxsize=4096)
 def _solve_sample_size(d: float, alpha: float, power: float) -> float:
-    f = lambda n: pooled_t_power(n, d, alpha) - power
+    short = lambda n: pooled_t_power(n, d, alpha) < power
     hi = max(4.0 * normal_approx_sample_size(d, PowerSpec(alpha, power)), 16.0)
-    # power is not monotone near n = 1 (vanishing df fattens the tails), so
-    # locate the rightmost crossing by scanning down from the upper bracket
+    # the bracket starts at the last point of this grid whose power is
+    # below target. Power rises with n from n = 4 up, so bisect that part.
     grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-    below = np.flatnonzero(pooled_t_power(grid, d, alpha) < power)
-    if below.size == 0:
-        return 1.0
-    lo = float(grid[below[-1]])
-    n = optimize.brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
+    first = int(np.searchsorted(grid, 4.0))
+    below, above = first - 1, grid.size
+    while above - below > 1:
+        mid = (below + above) // 2
+        if short(grid[mid]):
+            below = mid
+        else:
+            above = mid
+    if below < first:
+        # power is not monotone near n = 1 (vanishing df fattens the
+        # tails), so scan the points below 4 from the right, a chunk at a
+        # time, for the last one below target
+        for stop in range(first, 0, -_SCAN_CHUNK):
+            start = max(stop - _SCAN_CHUNK, 0)
+            hits = np.flatnonzero(short(grid[start:stop]))
+            if hits.size:
+                below = start + int(hits[-1])
+                break
+        else:
+            return 1.0
+    n = optimize.brentq(
+        lambda n: pooled_t_power(n, d, alpha) - power,
+        float(grid[below]), hi, xtol=1e-12, rtol=8.9e-16,
+    )
     # a pooled test needs two observations per group; solutions below that
     # mean a single measurement already settles the question
     return 1.0 if n < 2.0 else float(n)
@@ -203,10 +247,18 @@ def _solve_sample_size(d: float, alpha: float, power: float) -> float:
 def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     """Continuous per-group n for the pooled t-test to reach `spec.power`.
 
-    Solves P(|T'_{2n-2, d sqrt(n/2)}| > t_crit) = power by bracketing and
-    bisection. Returns inf for non-positive effect sizes; results below
-    two observations per group report as 1.0.
+    Solves P(|T'_{2n-2, d sqrt(n/2)}| > t_crit) = power with `brentq`,
+    bracketed below by the last point of a 400-point log grid whose power
+    falls short of the target; the grid runs from 1.5 to hi, four times the
+    normal-approximation n but at least 16. That point is found by
+    bisecting the grid from n = 4 up, where power rises with n, or, when
+    no point there falls short, by scanning the points below 4 from the
+    right. Returns inf for non-positive effect sizes and raises
+    `ValueError` for NaN; results below two observations per group, and
+    effect sizes whose grid never falls short, report as 1.0.
     """
+    if math.isnan(d):
+        raise ValueError("effect size must not be NaN")
     if d <= 0:
         return math.inf
     return _solve_sample_size(float(d), spec.alpha, spec.power)

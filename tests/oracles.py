@@ -2,9 +2,10 @@
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize, special
 
 from qleak.cloudsim import DURATION_FLOOR
+from qleak.stats import normal_approx_sample_size
 
 
 def _normal_pdf(x: float, mean: float, sd: float) -> float:
@@ -22,6 +23,37 @@ def ovl_numeric(p, q) -> float:
         lo, hi, limit=200,
     )
     return float(val)
+
+
+def where_power(n, d: float, alpha: float) -> np.ndarray:
+    """Pooled t-test power with the normal fallback and the opposite tail
+    computed at every point and picked by `np.where`: the reference for
+    both paths of :func:`qleak.stats.pooled_t_power`."""
+    n = np.asarray(n, dtype=float)
+    df = 2.0 * n - 2.0
+    ncp = d * np.sqrt(n / 2.0)
+    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
+    p = 1.0 - special.nctdtr(df, ncp, tcrit)
+    approx = special.ndtr((ncp - tcrit) / np.sqrt(1.0 + tcrit * tcrit / (2.0 * df)))
+    p = np.where(np.isnan(p), approx, p)
+    p = p + np.where(ncp < 4.0, special.nctdtr(df, ncp, -tcrit), 0.0)
+    return np.minimum(p, 1.0)
+
+
+def full_scan_sample_size(d: float, spec) -> float:
+    """Power at every point of the 400-point bracket grid, the bracket at
+    the last one below target, then `brentq`: the reference that
+    :func:`qleak.stats.required_sample_size` must match bit for bit."""
+    hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+    grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+    below = np.flatnonzero(where_power(grid, d, spec.alpha) < spec.power)
+    if below.size == 0:
+        return 1.0
+    n = optimize.brentq(
+        lambda n: float(where_power(n, d, spec.alpha)) - spec.power,
+        float(grid[below[-1]]), hi, xtol=1e-12, rtol=8.9e-16,
+    )
+    return 1.0 if n < 2.0 else float(n)
 
 
 def timer_noise_inflation(base_variance: float, added_variance: float) -> float:

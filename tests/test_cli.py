@@ -195,6 +195,23 @@ class TestPower:
         assert code == EXIT_OK
         assert float(parse_csv(out)[1][3]) == pytest.approx(3.7628, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--effect-size", "nan"),
+            ("--delta-mean", "1", "--variance", "nan"),
+            ("--delta-mean", "1", "--variance", "inf"),
+            ("--delta-mean", "1", "--variance", "0"),
+            ("--delta-mean", "1", "--variance", "-1"),
+            ("--delta-mean", "nan", "--variance", "1"),
+        ],
+    )
+    def test_bad_input_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "power", *argv)
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("power: ") and err.count("\n") == 1
+
 
 class TestReproduceTable:
     def test_qc_column_clean(self, capsys):

@@ -123,6 +123,14 @@ class TestSimulation:
         assert started == ["0x0.0p+0", *TRUNCATING_ENDED[:-1]]
         assert truncating.truncations == 2
 
+    @pytest.mark.parametrize("gap", [0, 1])
+    def test_integer_gap_keeps_the_clock_float(self, gap):
+        as_int = run_simulation(make_scenario(reps=7, k=3, gap=gap, seed=5))
+        as_float = run_simulation(make_scenario(reps=7, k=3, gap=float(gap), seed=5))
+        for column in ("queued_at", "started_at", "ended_at"):
+            a, b = getattr(as_int, column), getattr(as_float, column)
+            assert a.dtype == np.float64 and a.tobytes() == b.tobytes()
+
     def test_ground_truth(self):
         log = run_simulation(make_scenario(reps=15))
         xs = ground_truth_durations(log)

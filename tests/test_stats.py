@@ -8,8 +8,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy import special
 
-from oracles import ovl_numeric
+from oracles import full_scan_sample_size, ovl_numeric, where_power
+from qleak import stats
+from qleak.baseline import (
+    HARDWARE,
+    bundled_table,
+    catalog_matrices,
+    grover_catalog,
+    pairwise_matrix,
+)
 from qleak.stats import (
     PowerSpec,
     TimingDistribution,
@@ -123,6 +132,7 @@ class TestPower:
         # large effects need fewer than two observations per group and
         # report as one
         assert required_sample_size(50.0) == 1.0
+        assert required_sample_size(math.inf) == 1.0
 
     def test_monotone_in_effect(self):
         ns = [required_sample_size(d) for d in (0.02, 0.05, 0.1, 0.5)]
@@ -158,10 +168,33 @@ class TestPower:
     def test_frozen_solutions(self, d, n):
         assert required_sample_size(d) == pytest.approx(n, rel=1e-12)
 
+    def test_nan_effect_rejected(self):
+        with pytest.raises(ValueError):
+            required_sample_size(math.nan)
+
     def test_normal_fallback(self):
         # the noncentral t cdf is NaN at ncp = 5.5 * sqrt(50); the normal
         # approximation takes over
+        df = 198.0
+        tcrit = special.stdtrit(df, 0.975)
+        assert math.isnan(special.nctdtr(df, 5.5 * math.sqrt(50.0), tcrit))
         assert pooled_t_power(100, 5.5) == 1.0
+
+    @pytest.mark.parametrize(
+        "n", [1.0, np.float64(1.0), np.array(1.0), np.array([1.0, 2.0])]
+    )
+    def test_needs_two_per_group(self, n):
+        with pytest.raises(ValueError):
+            pooled_t_power(n, 0.3)
+
+    @pytest.mark.parametrize("n", [7, 7.3, np.float64(7.3), np.array(7.3)])
+    def test_scalar_gives_float(self, n):
+        assert type(pooled_t_power(n, 0.3)) is float
+
+    def test_matches_where_formula(self):
+        ns = np.logspace(math.log10(1.0001), 7, 400)
+        for d in (1e-3, 0.3, 5.5, 30.0):
+            assert pooled_t_power(ns, d).tolist() == where_power(ns, d, 0.05).tolist()
 
     def test_array_matches_scalar(self):
         ns = np.array([1.5, 2.0, 7.3, 100.0, 2500.0, 1e6])
@@ -188,6 +221,60 @@ class TestPower:
             mc_power_oracle(p, p, 1)
         with pytest.raises(ValueError):
             mc_power_oracle(p, p, 10, trials=10)
+
+
+class TestBracketSearch:
+    """`required_sample_size` against the full scan of its bracket grid."""
+
+    #: log-spaced effect sizes and 30; across both specs they reach the root
+    #: from n = 4 up, the root below 4, no grid point short of target and
+    #: the nctdtr NaN fallback (test_regimes_reached)
+    EFFECTS = np.append(np.logspace(-3, math.log10(50.0), 80), 30.0)
+
+    @pytest.mark.parametrize("spec", [PowerSpec(), PowerSpec(0.01, 0.9)])
+    def test_matches_full_scan(self, spec):
+        expected = [full_scan_sample_size(float(d), spec) for d in self.EFFECTS]
+        stats._solve_sample_size.cache_clear()
+        got = [required_sample_size(float(d), spec) for d in self.EFFECTS]
+        assert [n.hex() for n in got] == [n.hex() for n in expected]
+        assert max(expected) > 4.0 and any(2.0 <= n < 4.0 for n in expected)
+
+    def test_regimes_reached(self):
+        # at d = 30 and 50 the grid ends at hi = 16, no point of it falls
+        # short of the target, and nctdtr is NaN on part of it
+        grid = np.logspace(math.log10(1.5), math.log10(16.0), 400)
+        df = 2.0 * grid - 2.0
+        for d in (30.0, 50.0):
+            assert (where_power(grid, d, 0.05) >= 0.8).all()
+            cdf = special.nctdtr(df, d * np.sqrt(grid / 2.0), special.stdtrit(df, 0.975))
+            assert np.isnan(cdf).any()
+
+
+class TestSolverWork:
+    """Power points a cold solve evaluates, counted rather than timed. The
+    full scan of the 400-point grid took 131,345 for the hardware matrix
+    and 21,217 for the Grover catalog."""
+
+    @pytest.fixture
+    def points(self, monkeypatch):
+        count = [0]
+        inner = stats.pooled_t_power
+
+        def counting(n, d, alpha=0.05):
+            count[0] += np.size(n)
+            return inner(n, d, alpha)
+
+        monkeypatch.setattr(stats, "pooled_t_power", counting)
+        stats._solve_sample_size.cache_clear()
+        return count
+
+    def test_pairwise_matrix(self, points):
+        pairwise_matrix(bundled_table(), HARDWARE)
+        assert 0 < points[0] <= 60_000
+
+    def test_catalog_matrices(self, points):
+        catalog_matrices(grover_catalog())
+        assert 0 < points[0] <= 2_000
 
 
 def test_import_skips_scipy_stats():
