@@ -57,6 +57,17 @@ def _load_table(args) -> baseline.BaselineTable:
     return baseline.bundled_table()
 
 
+def _probability(text: str) -> float:
+    """argparse type of --alpha and --power: a number strictly inside (0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return value
+
+
 def _spec(args) -> PowerSpec:
     return PowerSpec(alpha=args.alpha, power=args.power)
 
@@ -331,8 +342,8 @@ def cmd_mitigate(args) -> int:
 FLAGS = {
     "table": dict(help="baseline table CSV (default: bundled)"),
     "backend": dict(choices=("sim", "qc")),
-    "alpha": dict(type=float, default=PowerSpec.alpha),
-    "power": dict(type=float, default=PowerSpec.power),
+    "alpha": dict(type=_probability, default=PowerSpec.alpha),
+    "power": dict(type=_probability, default=PowerSpec.power),
     "seed": dict(type=int, help="override QLEAK_SEED / 0"),
     "out-dir": dict(),
     "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),

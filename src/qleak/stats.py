@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 
 #: confidence of the difference-of-means band; the null rule's
@@ -165,7 +165,7 @@ def pooled_t_power(n, d: float, alpha: float = 0.05):
     if np.ndim(n) == 0:
         n = float(n)
         df = 2.0 * n - 2.0
-        if df <= 0:
+        if not df > 0:
             raise ValueError("per-group n must exceed 1")
         ncp = d * math.sqrt(n / 2.0)
         tcrit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
@@ -178,7 +178,7 @@ def pooled_t_power(n, d: float, alpha: float = 0.05):
         return min(p, 1.0)
     n = np.asarray(n, dtype=float)
     df = 2.0 * n - 2.0
-    if np.any(df <= 0):
+    if np.any(~(df > 0)):
         raise ValueError("per-group n must exceed 1")
     ncp = d * np.sqrt(n / 2.0)
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
@@ -202,6 +202,68 @@ def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
         return math.inf
     z = normal_quantile(1 - spec.alpha / 2) + normal_quantile(spec.power)
     return 2.0 * (z / d) ** 2
+
+
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f between xa and xb by Brent's method.
+
+    A step-for-step port of scipy's brentq.c: the same branches and the
+    same order of arithmetic in each expression, so it returns the same
+    bits as `scipy.optimize.brentq` without importing `scipy.optimize`.
+    Raises `ValueError` when f has the same sign at both ends or returns
+    NaN, and `RuntimeError` after `maxiter` steps.
+    """
+    def call(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    sign = lambda v: math.copysign(1.0, v)
+    if sign(fpre) == sign(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and sign(fpre) != sign(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            # min(b, a) picks like C's MIN(a, b), NaN included
+            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations")
 
 
 #: grid points per step of the right-to-left scan below n = 4
@@ -235,7 +297,7 @@ def _solve_sample_size(d: float, alpha: float, power: float) -> float:
                 break
         else:
             return 1.0
-    n = optimize.brentq(
+    n = _brentq(
         lambda n: pooled_t_power(n, d, alpha) - power,
         float(grid[below]), hi, xtol=1e-12, rtol=8.9e-16,
     )
@@ -247,9 +309,10 @@ def _solve_sample_size(d: float, alpha: float, power: float) -> float:
 def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     """Continuous per-group n for the pooled t-test to reach `spec.power`.
 
-    Solves P(|T'_{2n-2, d sqrt(n/2)}| > t_crit) = power with `brentq`,
-    bracketed below by the last point of a 400-point log grid whose power
-    falls short of the target; the grid runs from 1.5 to hi, four times the
+    Solves P(|T'_{2n-2, d sqrt(n/2)}| > t_crit) = power by Brent's method
+    as in scipy's `brentq` (the tests check it bit for bit), bracketed
+    below by the last point of a 400-point log grid whose power falls
+    short of the target; the grid runs from 1.5 to hi, four times the
     normal-approximation n but at least 16. That point is found by
     bisecting the grid from n = 4 up, where power rises with n, or, when
     no point there falls short, by scanning the points below 4 from the

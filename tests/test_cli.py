@@ -130,6 +130,28 @@ UNREAD = [
 ]
 
 
+class TestProbabilityFlags:
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            ("power", "--alpha", "nan"),
+            ("power", "--power", "1.5"),
+            ("reproduce-table", "--alpha", "2"),
+            ("attack", "--power", "0"),
+            ("attack", "--alpha", "inf"),
+            ("attack", "--power", "x"),
+        ],
+    )
+    def test_outside_unit_interval_is_a_usage_error(
+        self, capsys, scenario_file, command, flag, value
+    ):
+        argv = [scenario_file if a == "SCENARIO" else a for a in BASE_ARGV[command]]
+        code, out, err = run_cli(capsys, command, *argv, flag, value)
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert f"argument {flag}: must be a number in (0, 1)" in err
+
+
 class TestFlags:
     def test_option_sets(self):
         sub = next(

@@ -1,3 +1,4 @@
+import dis
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats as sps
-from scipy import special
+from scipy import optimize, special
 
 from oracles import full_scan_sample_size, ovl_numeric, where_power
 from qleak import stats
@@ -181,7 +182,11 @@ class TestPower:
         assert pooled_t_power(100, 5.5) == 1.0
 
     @pytest.mark.parametrize(
-        "n", [1.0, np.float64(1.0), np.array(1.0), np.array([1.0, 2.0])]
+        "n",
+        [
+            1.0, np.float64(1.0), np.array(1.0), np.array([1.0, 2.0]),
+            math.nan, np.array([np.nan, 3.0]),
+        ],
     )
     def test_needs_two_per_group(self, n):
         with pytest.raises(ValueError):
@@ -250,6 +255,79 @@ class TestBracketSearch:
             assert np.isnan(cdf).any()
 
 
+class TestBrent:
+    """`stats._brentq` against `scipy.optimize.brentq`, bit for bit."""
+
+    #: (f, a, b, xtol, rtol); between them the cases interpolate,
+    #: extrapolate, fall back to bisection, take the minimum `delta` step
+    #: and find a root at either end (test_cases_run_every_line)
+    CASES = {
+        "square": (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 8.9e-16),
+        "exp": (lambda x: math.exp(x) - 5.0, -4.0, 6.0, 1e-12, 8.9e-16),
+        "cos-loose-rtol": (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12, 1e-9),
+        "atan-coarse-xtol": (
+            lambda x: math.atan(x - 0.3), -50.0, 10.0, 1e-3, 8.9e-16
+        ),
+        "root-at-a": (lambda x: x - 1.0, 1.0, 5.0, 1e-12, 8.9e-16),
+        "root-at-b": (lambda x: x - 5.0, 1.0, 5.0, 1e-12, 8.9e-16),
+        # products of these values underflow to zero; only the signs count
+        "tiny-values": (
+            lambda x: math.copysign(1e-200, x - 0.3), 0.0, 1.0, 1e-12, 8.9e-16
+        ),
+        "power-solve": (
+            lambda n: pooled_t_power(n, 0.28) - 0.8, 50.0, 1000.0, 1e-12, 8.9e-16
+        ),
+    }
+
+    #: (f, a, b, maxiter) on which both solvers raise
+    FAILURES = {
+        "same-sign": (lambda x: x * x + 1.0, -1.0, 1.0, 100),
+        "same-sign-tiny": (lambda x: math.copysign(1e-200, x), 1.0, 2.0, 100),
+        "nan-at-end": (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, 100),
+        "nan-inside": (
+            lambda x: x - 1.0 if abs(x - 1.0) > 0.5 else math.nan, 0.0, 2.0, 100
+        ),
+        "too-flat": (lambda x: (x - 1.0) ** 9, 0.0, 3.0, 100),
+        "maxiter": (lambda x: x * x - 2.0, 0.0, 2.0, 2),
+    }
+
+    @pytest.mark.parametrize("f,a,b,xtol,rtol", CASES.values(), ids=list(CASES))
+    def test_matches_scipy(self, f, a, b, xtol, rtol):
+        got = stats._brentq(f, a, b, xtol, rtol)
+        assert got.hex() == optimize.brentq(f, a, b, xtol=xtol, rtol=rtol).hex()
+
+    @pytest.mark.parametrize("f,a,b,maxiter", FAILURES.values(), ids=list(FAILURES))
+    def test_raises_as_scipy(self, f, a, b, maxiter):
+        with pytest.raises((ValueError, RuntimeError)) as ref:
+            optimize.brentq(f, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=maxiter)
+        with pytest.raises(ref.type):
+            stats._brentq(f, a, b, 1e-12, 8.9e-16, maxiter)
+
+    def test_cases_run_every_line(self):
+        code = stats._brentq.__code__
+        ran = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            for f, a, b, xtol, rtol in self.CASES.values():
+                stats._brentq(f, a, b, xtol, rtol)
+            for f, a, b, maxiter in self.FAILURES.values():
+                with pytest.raises((ValueError, RuntimeError)):
+                    stats._brentq(f, a, b, 1e-12, 8.9e-16, maxiter)
+        finally:
+            sys.settrace(outer)
+        lines = {line for _, line in dis.findlinestarts(code) if line}
+        assert lines - ran <= {code.co_firstlineno}
+
+
 class TestSolverWork:
     """Power points a cold solve evaluates, counted rather than timed. The
     full scan of the 400-point grid took 131,345 for the hardware matrix
@@ -283,8 +361,8 @@ def test_import_skips_scipy_stats():
     src = str(root / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
-        "import sys, qleak; print(sorted(m for m in sys.modules"
-        " if m in ('scipy.stats', 'scipy.integrate')))"
+        "import sys, qleak, qleak.cli; print(sorted(m for m in sys.modules"
+        " if m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
