@@ -161,7 +161,10 @@ def pooled_t_power(n, d: float, alpha: float = 0.05):
     A scalar n (a Python or numpy number, or a 0-d array) gives a Python
     float; an array is evaluated elementwise. Both paths take the same
     floating-point operations in the same order, so they agree bit for bit.
+    Raises `ValueError` for n <= 1 or NaN, a NaN d, or alpha outside (0, 1).
     """
+    if math.isnan(d) or not 0 < alpha < 1:
+        raise ValueError(f"need a non-NaN d and alpha in (0,1), got {d}, {alpha}")
     if np.ndim(n) == 0:
         n = float(n)
         df = 2.0 * n - 2.0
@@ -201,7 +204,10 @@ def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     if d <= 0:
         return math.inf
     z = normal_quantile(1 - spec.alpha / 2) + normal_quantile(spec.power)
-    return 2.0 * (z / d) ** 2
+    try:
+        return 2.0 * (z / d) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
@@ -241,15 +247,19 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
         if fcur == 0 or abs(sbis) < delta:
             return xcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C's division gives inf or NaN, which fails the step test
+                stry = math.nan
             # min(b, a) picks like C's MIN(a, b), NaN included
             if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
                 spre, scur = scur, stry
@@ -266,37 +276,24 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     raise RuntimeError(f"failed to converge after {maxiter} iterations")
 
 
-#: grid points per step of the right-to-left scan below n = 4
-_SCAN_CHUNK = 32
-
-
 @lru_cache(maxsize=4096)
 def _solve_sample_size(d: float, alpha: float, power: float) -> float:
-    short = lambda n: pooled_t_power(n, d, alpha) < power
     hi = max(4.0 * normal_approx_sample_size(d, PowerSpec(alpha, power)), 16.0)
+    if not math.isfinite(hi):
+        return math.inf
     # the bracket starts at the last point of this grid whose power is
-    # below target. Power rises with n from n = 4 up, so bisect that part.
+    # below target. The points below target form a prefix of the grid
+    # (TestBracketSearch.test_short_points_are_a_prefix), so bisect it.
     grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-    first = int(np.searchsorted(grid, 4.0))
-    below, above = first - 1, grid.size
+    below, above = -1, grid.size
     while above - below > 1:
         mid = (below + above) // 2
-        if short(grid[mid]):
+        if pooled_t_power(grid[mid], d, alpha) < power:
             below = mid
         else:
             above = mid
-    if below < first:
-        # power is not monotone near n = 1 (vanishing df fattens the
-        # tails), so scan the points below 4 from the right, a chunk at a
-        # time, for the last one below target
-        for stop in range(first, 0, -_SCAN_CHUNK):
-            start = max(stop - _SCAN_CHUNK, 0)
-            hits = np.flatnonzero(short(grid[start:stop]))
-            if hits.size:
-                below = start + int(hits[-1])
-                break
-        else:
-            return 1.0
+    if below < 0:
+        return 1.0
     n = _brentq(
         lambda n: pooled_t_power(n, d, alpha) - power,
         float(grid[below]), hi, xtol=1e-12, rtol=8.9e-16,
@@ -313,17 +310,16 @@ def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     as in scipy's `brentq` (the tests check it bit for bit), bracketed
     below by the last point of a 400-point log grid whose power falls
     short of the target; the grid runs from 1.5 to hi, four times the
-    normal-approximation n but at least 16. That point is found by
-    bisecting the grid from n = 4 up, where power rises with n, or, when
-    no point there falls short, by scanning the points below 4 from the
-    right. Returns inf for non-positive effect sizes and raises
-    `ValueError` for NaN; results below two observations per group, and
-    effect sizes whose grid never falls short, report as 1.0.
+    normal-approximation n but at least 16. The points that fall short
+    form a prefix of the grid, so one bisection over all 400 indices
+    finds that point (`TestBracketSearch.test_short_points_are_a_prefix`
+    guards this). Returns inf for effect sizes whose hi is not finite:
+    non-positive ones and those below about 1.5e-154. Raises `ValueError`
+    for NaN; results below two observations per group, and effect sizes
+    whose grid never falls short, report as 1.0.
     """
     if math.isnan(d):
         raise ValueError("effect size must not be NaN")
-    if d <= 0:
-        return math.inf
     return _solve_sample_size(float(d), spec.alpha, spec.power)
 
 

@@ -217,6 +217,11 @@ class TestPower:
         assert code == EXIT_OK
         assert float(parse_csv(out)[1][3]) == pytest.approx(3.7628, rel=1e-3)
 
+    def test_overflowing_plan_prints_inf(self, capsys):
+        code, out, err = run_cli(capsys, "power", "--effect-size", "1e-200")
+        assert code == EXIT_OK and err == ""
+        assert parse_csv(out)[1] == ["1e-200", "0.05", "0.8", "inf"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -173,6 +174,29 @@ class TestPower:
         with pytest.raises(ValueError):
             required_sample_size(math.nan)
 
+    def test_overflowing_plan_is_inf(self):
+        # (z / d) ** 2 overflows below d of about 1.5e-154; at 5e-324 z / d
+        # is already inf. Neither may warn or raise.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (1e-154, 1e-200, 5e-324):
+                assert normal_approx_sample_size(d) == math.inf
+                assert required_sample_size(d) == math.inf
+                assert required_sample_size(d, PowerSpec(0.001, 0.99)) == math.inf
+
+    def test_tiny_effect_matches_scipy(self):
+        # the plan is finite but its Brent solve divides by zero on the way;
+        # scipy.optimize.brentq on the same bracket gives these bits
+        assert required_sample_size(1e-100).hex() == "0x1.4820074de3a81p+668"
+
+    @pytest.mark.parametrize("n", [10, np.array([3.0, 10.0])])
+    @pytest.mark.parametrize(
+        "d,alpha", [(math.nan, 0.05), (0.5, math.nan), (0.5, 0.0), (0.5, 1.0), (0.5, -0.1)]
+    )
+    def test_power_rejects_nan_effect_and_bad_alpha(self, n, d, alpha):
+        with pytest.raises(ValueError):
+            pooled_t_power(n, d, alpha)
+
     def test_normal_fallback(self):
         # the noncentral t cdf is NaN at ncp = 5.5 * sqrt(50); the normal
         # approximation takes over
@@ -231,12 +255,15 @@ class TestPower:
 class TestBracketSearch:
     """`required_sample_size` against the full scan of its bracket grid."""
 
-    #: log-spaced effect sizes and 30; across both specs they reach the root
+    #: log-spaced effect sizes and 30; across the specs they reach the root
     #: from n = 4 up, the root below 4, no grid point short of target and
     #: the nctdtr NaN fallback (test_regimes_reached)
     EFFECTS = np.append(np.logspace(-3, math.log10(50.0), 80), 30.0)
 
-    @pytest.mark.parametrize("spec", [PowerSpec(), PowerSpec(0.01, 0.9)])
+    @pytest.mark.parametrize(
+        "spec",
+        [PowerSpec(), PowerSpec(0.01, 0.9), PowerSpec(0.001, 0.99), PowerSpec(0.2, 0.5)],
+    )
     def test_matches_full_scan(self, spec):
         expected = [full_scan_sample_size(float(d), spec) for d in self.EFFECTS]
         stats._solve_sample_size.cache_clear()
@@ -254,13 +281,38 @@ class TestBracketSearch:
             cdf = special.nctdtr(df, d * np.sqrt(grid / 2.0), special.stdtrit(df, 0.975))
             assert np.isnan(cdf).any()
 
+    def test_short_points_are_a_prefix(self):
+        # the solver bisects its whole grid for the last point short of the
+        # target, which finds the full scan's point only if the points short
+        # of it come first: a run of True, then a run of False. Effect sizes
+        # from 2 up put that point below n = 4 or leave none, and those
+        # from about 15 to 50 take the nctdtr NaN fallback.
+        regimes, fallback = set(), False
+        for d in np.logspace(math.log10(2.0), math.log10(500.0), 30):
+            for alpha in (0.05, 0.01, 0.001):
+                for power in (0.5, 0.8, 0.9, 0.99):
+                    spec = PowerSpec(alpha, power)
+                    hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+                    grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+                    short = pooled_t_power(grid, d, alpha) < power
+                    k = int(np.count_nonzero(short))
+                    assert short[:k].all(), (d, alpha, power)
+                    regimes.add("none" if k == 0 else grid[k - 1] < 4.0)
+                df = 2.0 * grid - 2.0
+                cdf = special.nctdtr(
+                    df, d * np.sqrt(grid / 2.0), special.stdtrit(df, 1.0 - alpha / 2.0)
+                )
+                fallback |= bool(np.isnan(cdf).any())
+        # no point short, the last short point below 4, and from 4 up
+        assert regimes == {"none", True, False} and fallback
+
 
 class TestBrent:
     """`stats._brentq` against `scipy.optimize.brentq`, bit for bit."""
 
     #: (f, a, b, xtol, rtol); between them the cases interpolate,
-    #: extrapolate, fall back to bisection, take the minimum `delta` step
-    #: and find a root at either end (test_cases_run_every_line)
+    #: extrapolate, fall back to bisection, divide by zero, take the minimum
+    #: `delta` step and find a root at either end (test_cases_run_every_line)
     CASES = {
         "square": (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 8.9e-16),
         "exp": (lambda x: math.exp(x) - 5.0, -4.0, 6.0, 1e-12, 8.9e-16),
@@ -276,6 +328,12 @@ class TestBrent:
         ),
         "power-solve": (
             lambda n: pooled_t_power(n, 0.28) - 0.8, 50.0, 1000.0, 1e-12, 8.9e-16
+        ),
+        # the bracket of required_sample_size(1e-100): slopes near 1e-202
+        # multiply to zero, so extrapolation divides by zero and bisects
+        "zero-denominator": (
+            lambda n: pooled_t_power(n, 1e-100) - 0.8,
+            6.127199774293273e200, 6.279103787479272e201, 1e-12, 8.9e-16,
         ),
     }
 
@@ -331,7 +389,9 @@ class TestBrent:
 class TestSolverWork:
     """Power points a cold solve evaluates, counted rather than timed. The
     full scan of the 400-point grid took 131,345 for the hardware matrix
-    and 21,217 for the Grover catalog."""
+    and 21,217 for the Grover catalog; bisecting the grid from n = 4 up
+    and scanning below 4 took 37,676 and 849; bisecting all of it takes
+    4,072 and 877."""
 
     @pytest.fixture
     def points(self, monkeypatch):
@@ -348,7 +408,7 @@ class TestSolverWork:
 
     def test_pairwise_matrix(self, points):
         pairwise_matrix(bundled_table(), HARDWARE)
-        assert 0 < points[0] <= 60_000
+        assert 0 < points[0] <= 6_000
 
     def test_catalog_matrices(self, points):
         catalog_matrices(grover_catalog())
