@@ -72,7 +72,7 @@ def welch_t(mean_a, var_a, n_a, mean_b, var_b, n_b):
     With zero variance on both sides t is +-inf (NaN for equal means) and
     df is NaN.
     """
-    if np.any(np.asarray(n_a) < 2) or np.any(np.asarray(n_b) < 2):
+    if np.any(~(np.asarray(n_a) >= 2)) or np.any(~(np.asarray(n_b) >= 2)):
         raise ValueError("welch_t needs at least two observations per sample")
     ra, rb = np.divide(var_a, n_a), np.divide(var_b, n_b)
     se2 = ra + rb
@@ -200,7 +200,10 @@ def _normal_power(df, ncp, tcrit):
 
 
 def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
-    """Large-sample shortcut n = 2 ((z_{1-a/2} + z_power) / d)^2."""
+    """Large-sample shortcut n = 2 ((z_{1-a/2} + z_power) / d)^2; inf for
+    d <= 0 or an overflowing square, `ValueError` for a NaN d."""
+    if math.isnan(d):
+        raise ValueError("effect size must not be NaN")
     if d <= 0:
         return math.inf
     z = normal_quantile(1 - spec.alpha / 2) + normal_quantile(spec.power)
@@ -323,6 +326,10 @@ def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     return _solve_sample_size(float(d), spec.alpha, spec.power)
 
 
+#: draws per row block of mc_power_oracle, 512 KiB of float64
+_MC_BLOCK_DRAWS = 1 << 16
+
+
 def mc_power_oracle(
     p: TimingDistribution,
     q: TimingDistribution,
@@ -334,25 +341,41 @@ def mc_power_oracle(
     """Brute-force power estimate: fraction of trials in which a Welch test
     on n fresh draws per group rejects at level alpha.
 
-    Independent of the planning path: draws samples and runs the test.
+    Independent of the planning path: draws samples and runs the test. In
+    each batch of 4,000,000 // (2n) trials, all of p's rows of n draws come
+    from the seeded stream before all of q's. Rows are drawn and reduced to
+    their mean and variance in blocks of about 2^16 draws, so memory is one
+    block plus four floats per trial. Welch df lies in [n - 1, 2n - 2], where
+    the critical value falls as df rises, so only a |t| between the values
+    at those two ends (or an out-of-range df) needs its own `stdtrit`.
     """
     if n < 2:
         raise ValueError("per-group n must be at least 2")
     if trials < 1000:
         raise ValueError("use at least 1000 trials")
     rng = np.random.default_rng(seed)
+    level = 1.0 - spec.alpha / 2.0
+    # the 1e-6 margins are far wider than stdtrit's rounding
+    sure = float(special.stdtrit(n - 1, level)) * (1 + 1e-6)
+    never = float(special.stdtrit(2 * n - 2, level)) * (1 - 1e-6)
+    df_lo, df_hi = (n - 1) * (1 - 1e-9), (2 * n - 2) * (1 + 1e-9)
+    rows = max(1, _MC_BLOCK_DRAWS // n)
     rejected = 0
     left = trials
     batch = max(1, 4_000_000 // (2 * n))
     while left:
         m = min(batch, left)
         left -= m
-        a = rng.normal(p.mean, p.sd, (m, n))
-        b = rng.normal(q.mean, q.sd, (m, n))
-        t, df = welch_t(
-            a.mean(axis=1), a.var(axis=1, ddof=1), n,
-            b.mean(axis=1), b.var(axis=1, ddof=1), n,
-        )
-        tcrit = special.stdtrit(df, 1.0 - spec.alpha / 2.0)
-        rejected += int(np.count_nonzero(np.abs(t) > tcrit))
+        mv = np.empty((4, m))  # means and variances of p's rows, then q's
+        for k, dist in enumerate((p, q)):
+            for i in range(0, m, rows):
+                x = rng.normal(dist.mean, dist.sd, (min(rows, m - i), n))
+                mv[2 * k, i : i + len(x)] = x.mean(axis=1)
+                mv[2 * k + 1, i : i + len(x)] = x.var(axis=1, ddof=1)
+        t, df = welch_t(mv[0], mv[1], n, mv[2], mv[3], n)
+        t = np.abs(t)
+        reject = t > sure
+        exact = ~(reject | (t < never)) | ~((df >= df_lo) & (df <= df_hi))
+        reject[exact] = t[exact] > special.stdtrit(df[exact], level)
+        rejected += int(np.count_nonzero(reject))
     return rejected / trials

@@ -5,7 +5,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 from qleak.cloudsim import DURATION_FLOOR
-from qleak.stats import normal_approx_sample_size
+from qleak.stats import normal_approx_sample_size, welch_t
 
 
 def _normal_pdf(x: float, mean: float, sd: float) -> float:
@@ -54,6 +54,32 @@ def full_scan_sample_size(d: float, spec) -> float:
         float(grid[below[-1]]), hi, xtol=1e-12, rtol=8.9e-16,
     )
     return 1.0 if n < 2.0 else float(n)
+
+
+def direct_mc_power(p, q, n: int, spec, trials: int = 10_000, seed: int = 0) -> float:
+    """Each batch's (m, n) draws of both groups held at once and every
+    trial's critical value from `stdtrit`: the reference
+    :func:`qleak.stats.mc_power_oracle` must match exactly."""
+    if n < 2:
+        raise ValueError("per-group n must be at least 2")
+    if trials < 1000:
+        raise ValueError("use at least 1000 trials")
+    rng = np.random.default_rng(seed)
+    rejected = 0
+    left = trials
+    batch = max(1, 4_000_000 // (2 * n))
+    while left:
+        m = min(batch, left)
+        left -= m
+        a = rng.normal(p.mean, p.sd, (m, n))
+        b = rng.normal(q.mean, q.sd, (m, n))
+        t, df = welch_t(
+            a.mean(axis=1), a.var(axis=1, ddof=1), n,
+            b.mean(axis=1), b.var(axis=1, ddof=1), n,
+        )
+        tcrit = special.stdtrit(df, 1.0 - spec.alpha / 2.0)
+        rejected += int(np.count_nonzero(np.abs(t) > tcrit))
+    return rejected / trials
 
 
 def timer_noise_inflation(base_variance: float, added_variance: float) -> float:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 import scipy.stats as sps
 from scipy import optimize, special
 
-from oracles import full_scan_sample_size, ovl_numeric, where_power
+from oracles import direct_mc_power, full_scan_sample_size, ovl_numeric, where_power
 from qleak import stats
 from qleak.baseline import (
     HARDWARE,
@@ -28,6 +29,7 @@ from qleak.stats import (
     effect_size,
     mc_power_oracle,
     normal_approx_sample_size,
+    normal_quantile,
     ovl,
     pooled_t_power,
     required_sample_size,
@@ -70,6 +72,10 @@ class TestWelch:
     def test_needs_two_observations(self):
         with pytest.raises(ValueError):
             welch_t(0.0, 0.0, 1, 1.0, 1.0, 5)
+        # a NaN count fails "at least two" too, in a scalar or an array
+        for n_a, n_b in [(math.nan, 5), (5, math.nan), (np.array([5.0, np.nan]), 5)]:
+            with pytest.raises(ValueError):
+                welch_t(1.0, 1.0, n_a, 2.0, 1.0, n_b)
 
 
 class TestOvl:
@@ -173,6 +179,8 @@ class TestPower:
     def test_nan_effect_rejected(self):
         with pytest.raises(ValueError):
             required_sample_size(math.nan)
+        with pytest.raises(ValueError):
+            normal_approx_sample_size(math.nan)
 
     def test_overflowing_plan_is_inf(self):
         # (z / d) ** 2 overflows below d of about 1.5e-154; at 5e-324 z / d
@@ -250,6 +258,86 @@ class TestPower:
             mc_power_oracle(p, p, 1)
         with pytest.raises(ValueError):
             mc_power_oracle(p, p, 10, trials=10)
+
+
+class TestOracle:
+    """`mc_power_oracle` against the direct draws of `oracles.direct_mc_power`."""
+
+    #: trials per group size n, from 2 to the plan at d = 0.05; 4,001 trials
+    #: at n = 1,000 take three batches, the last of one trial, and no trial
+    #: count is a multiple of its block rows
+    SIZES = {2: 1500, 3: 1500, 7: 1500, 74: 1500, 483: 1500, 1000: 4001, 6280: 1001}
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """(config, oracle, reference) for every config of the sweep, and the
+        paths the oracle's last batches took: sure rejections, sure
+        acceptances and exact `stdtrit` comparisons."""
+        code = stats.mc_power_oracle.__code__
+        paths = set()
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "return":
+                v = frame.f_locals
+                decided = ~v["exact"]
+                paths.update(
+                    name for name, hit in (
+                        ("sure-reject", (v["reject"] & decided).any()),
+                        ("sure-accept", (~v["reject"] & decided).any()),
+                        ("exact", v["exact"].any()),
+                    ) if hit
+                )
+            return trace
+
+        results = []
+        outer = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            for n, trials in self.SIZES.items():
+                for var_b in (1.0, 2.5):
+                    for alpha in (0.05, 0.01):
+                        spec = PowerSpec(alpha)
+                        z = normal_quantile(1 - alpha / 2) + normal_quantile(spec.power)
+                        # no shift, and the shift whose normal-approximation plan is n
+                        for d in (0.0, z * math.sqrt((1.0 + var_b) / n)):
+                            p = TimingDistribution(1.0, 1.0)
+                            q = TimingDistribution(1.0 + d, var_b)
+                            got = mc_power_oracle(p, q, n, spec, trials, seed=n)
+                            want = direct_mc_power(p, q, n, spec, trials, seed=n)
+                            results.append(((n, var_b, alpha, d), got, want))
+        finally:
+            sys.settrace(outer)
+        return results, paths
+
+    def test_matches_direct_draws(self, sweep):
+        results, _ = sweep
+        assert [r for r in results if r[1] != r[2]] == []
+        powers = [got for _, got, _ in results]
+        assert min(powers) < 0.1 and max(powers) > 0.7
+        assert all(t % (stats._MC_BLOCK_DRAWS // n) for n, t in self.SIZES.items())
+        assert self.SIZES[1000] > 2 * (4_000_000 // (2 * 1000))  # three batches
+
+    def test_sweep_reaches_every_path(self, sweep):
+        _, paths = sweep
+        assert paths == {"sure-reject", "sure-accept", "exact"}
+
+    def test_memory_is_one_block(self):
+        # holding all (trials, n) draws of both groups peaks at about 23 MiB
+        p, q = TimingDistribution(1.0, 1.0), TimingDistribution(1.3, 1.0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            mc_power_oracle(p, q, 74, trials=13_514)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestBracketSearch:
