@@ -10,19 +10,15 @@ per-execution durations purely from the attacker's own timestamps, then:
 """
 from pathlib import Path
 
-import numpy as np
-
 from qleak import (
-    AttackerView,
     HARDWARE,
-    assemble_trace,
     bundled_table,
     detect_backend,
-    estimate_victim_mean,
     ground_truth_durations,
     load_reference_devices,
     load_scenario,
     qp_fingerprint,
+    reconstruct,
     run_simulation,
     uc_classify,
 )
@@ -33,9 +29,7 @@ log = run_simulation(scenario)
 print(f"simulated {len(log)} jobs on {scenario.device.name!r}")
 
 # --- the attacker's side: only its own probes are visible -------------
-view = AttackerView.from_log(log)
-avg = estimate_victim_mean(view)
-trace = assemble_trace(view, avg)
+trace = reconstruct(log)
 truth = ground_truth_durations(log)
 # unusually long draws can be double-counted, so compare distributions,
 # not elements: the trace mean is what every attack consumes

@@ -12,11 +12,9 @@ from .stats import (
     dom_curves,
     effect_size,
     mc_power_oracle,
-    normal_approx_sample_size,
     ovl,
     pooled_t_power,
     required_sample_size,
-    welch_t,
 )
 from .baseline import (
     BACKENDS,
@@ -35,10 +33,7 @@ from .baseline import (
     save_table,
 )
 from .cloudsim import (
-    ATTACKER,
-    VICTIM,
     DeviceProfile,
-    JOB_COLUMNS,
     JobLog,
     Scenario,
     ScenarioError,
@@ -52,8 +47,7 @@ from .trace import (
     Trace,
     assemble_trace,
     estimate_victim_mean,
-    extract_intervals,
-    infer_execution_count,
+    reconstruct,
 )
 from .attacks import (
     AMBIGUOUS,

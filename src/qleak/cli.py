@@ -250,12 +250,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _trace_from_log(log) -> trace_mod.Trace:
-    view = trace_mod.AttackerView.from_log(log)
-    avg = trace_mod.estimate_victim_mean(view)
-    return trace_mod.assemble_trace(view, avg)
-
-
 def cmd_attack(args) -> int:
     spec = _spec(args)
     backend = BACKEND_FLAG[args.backend or "qc"]
@@ -265,9 +259,13 @@ def cmd_attack(args) -> int:
         # null designs: two runs of the same scenario, different seeds
         _, log_a = _run_scenario(args, seed_shift=0)
         _, log_b = _run_scenario(args, seed_shift=1)
-        verdict, (ns, dom, band) = attacks.null_distinguishability(
-            _trace_from_log(log_a), _trace_from_log(log_b)
-        )
+        try:
+            verdict, (ns, dom, band) = attacks.null_distinguishability(
+                trace_mod.reconstruct(log_a), trace_mod.reconstruct(log_b)
+            )
+        except ValueError as exc:  # a trace too short to compare
+            _err(f"attack {kind}: {exc}")
+            return EXIT_USAGE
         write_csv(sys.stdout, ["attack", "verdict", "points"],
                   [[kind.upper(), verdict, len(ns)]])
         if args.out_dir:
@@ -282,7 +280,7 @@ def cmd_attack(args) -> int:
             _err("attack qp: scenario needs a reference_devices list (>= 2)")
             return EXIT_USAGE
     scenario, log = _run_scenario(args)
-    tr = _trace_from_log(log)
+    tr = trace_mod.reconstruct(log)
     if kind == "uc":
         table = _load_table(args)
         verdict = attacks.uc_classify(tr, table, backend, spec)
@@ -294,9 +292,13 @@ def cmd_attack(args) -> int:
                 _out_dir(args) / "co_required.csv", _grover_labels(catalog), req_m
             )
     else:
-        verdict = attacks.qp_fingerprint(
-            tr, devices, scenario.victim_circuit, spec=spec
-        )
+        try:
+            verdict = attacks.qp_fingerprint(
+                tr, devices, scenario.victim_circuit, spec=spec
+            )
+        except ValueError as exc:
+            _err(f"attack {kind}: {exc}")
+            return EXIT_USAGE
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     if args.out_dir:
         write_records(

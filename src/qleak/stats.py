@@ -7,6 +7,7 @@ Sample-size results are continuous per-group counts, not rounded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -155,48 +156,30 @@ def effect_size(p, q) -> float:
     return abs(p.mean - q.mean) / math.sqrt(pooled)
 
 
-def pooled_t_power(n, d: float, alpha: float = 0.05):
+def pooled_t_power(n, d: float, alpha: float = 0.05) -> float:
     """Power of the two-sided pooled two-sample t-test at per-group size n.
 
-    A scalar n (a Python or numpy number, or a 0-d array) gives a Python
-    float; an array is evaluated elementwise. Both paths take the same
-    floating-point operations in the same order, so they agree bit for bit.
+    `n` is a scalar: a Python or numpy number, or a 0-d array.
     Raises `ValueError` for n <= 1 or NaN, a NaN d, or alpha outside (0, 1).
     """
     if math.isnan(d) or not 0 < alpha < 1:
         raise ValueError(f"need a non-NaN d and alpha in (0,1), got {d}, {alpha}")
-    if np.ndim(n) == 0:
-        n = float(n)
-        df = 2.0 * n - 2.0
-        if not df > 0:
-            raise ValueError("per-group n must exceed 1")
-        ncp = d * math.sqrt(n / 2.0)
-        tcrit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
-        p = 1.0 - float(special.nctdtr(df, ncp, tcrit))
-        if math.isnan(p):
-            p = float(_normal_power(df, ncp, tcrit))
-        # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
-        if ncp < 4.0:
-            p += float(special.nctdtr(df, ncp, -tcrit))
-        return min(p, 1.0)
-    n = np.asarray(n, dtype=float)
+    n = float(n)
     df = 2.0 * n - 2.0
-    if np.any(~(df > 0)):
+    if not df > 0:
         raise ValueError("per-group n must exceed 1")
-    ncp = d * np.sqrt(n / 2.0)
-    tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
-    p = 1.0 - special.nctdtr(df, ncp, tcrit)
-    nan = np.isnan(p)
-    p[nan] = _normal_power(df[nan], ncp[nan], tcrit[nan])
-    near = ncp < 4.0
-    p[near] += special.nctdtr(df[near], ncp[near], -tcrit[near])
-    return np.minimum(p, 1.0)
-
-
-def _normal_power(df, ncp, tcrit):
-    # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
-    # normal approximation is ample there
-    return special.ndtr((ncp - tcrit) / np.sqrt(1.0 + tcrit * tcrit / (2.0 * df)))
+    ncp = d * math.sqrt(n / 2.0)
+    tcrit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
+    p = 1.0 - float(special.nctdtr(df, ncp, tcrit))
+    if math.isnan(p):
+        # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
+        # normal approximation is ample there
+        z = (ncp - tcrit) / math.sqrt(1.0 + tcrit * tcrit / (2.0 * df))
+        p = float(special.ndtr(z))
+    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
+    if ncp < 4.0:
+        p += float(special.nctdtr(df, ncp, -tcrit))
+    return min(p, 1.0)
 
 
 def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
@@ -348,11 +331,13 @@ def mc_power_oracle(
     block plus four floats per trial. Welch df lies in [n - 1, 2n - 2], where
     the critical value falls as df rises, so only a |t| between the values
     at those two ends (or an out-of-range df) needs its own `stdtrit`.
+    Raises `ValueError` unless n is an integer of at least 2 and trials an
+    integer of at least 1000 (numpy integers count).
     """
-    if n < 2:
-        raise ValueError("per-group n must be at least 2")
-    if trials < 1000:
-        raise ValueError("use at least 1000 trials")
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"per-group n must be an integer >= 2, got {n!r}")
+    if not isinstance(trials, numbers.Integral) or trials < 1000:
+        raise ValueError(f"trials must be an integer >= 1000, got {trials!r}")
     rng = np.random.default_rng(seed)
     level = 1.0 - spec.alpha / 2.0
     # the 1e-6 margins are far wider than stdtrit's rounding

@@ -8,6 +8,8 @@ the interval split evenly, so a count-k interval contributes k correlated
 durations: the sample mean is unbiased but the sample variance shrinks by
 roughly a factor of k. Power planning on such traces must budget by
 intervals, not executions.
+
+`reconstruct` is the entry point: it runs the whole chain on a job log.
 """
 from __future__ import annotations
 
@@ -118,3 +120,12 @@ def assemble_trace(
     return Trace(
         np.repeat(per_execution, counts), counts.tolist(), int((~kept).sum())
     )
+
+
+def reconstruct(log: JobLog) -> Trace:
+    """Victim trace from a job log: the attacker's view of its probes, the
+    victim mean estimated from it, then `assemble_trace`."""
+    # both steps are looked up at call time and given the log and the view
+    # positionally, which is where perfbench/tracer.py's wrappers read them
+    view = AttackerView.from_log(log)
+    return assemble_trace(view, estimate_victim_mean(view))

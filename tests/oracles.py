@@ -27,8 +27,9 @@ def ovl_numeric(p, q) -> float:
 
 def where_power(n, d: float, alpha: float) -> np.ndarray:
     """Pooled t-test power with the normal fallback and the opposite tail
-    computed at every point and picked by `np.where`: the reference for
-    both paths of :func:`qleak.stats.pooled_t_power`."""
+    computed at every point and picked by `np.where`, elementwise over an
+    array n: the reference that :func:`qleak.stats.pooled_t_power` must
+    match bit for bit at each point."""
     n = np.asarray(n, dtype=float)
     df = 2.0 * n - 2.0
     ncp = d * np.sqrt(n / 2.0)

@@ -84,6 +84,18 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         assert "reference_devices must be a list" in err
 
+    @pytest.mark.parametrize("attack", ["ca", "qm", "qp"])
+    def test_trace_too_short(self, capsys, tmp_path, attack):
+        # one victim run leaves one duration: nothing to compare a curve on
+        p = tmp_path / "one.yaml"
+        p.write_text(SCENARIO_YAML.replace("repetitions: 120", "repetitions: 1"))
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", str(p), "--attack", attack
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"attack {attack}: ") and err.count("\n") == 1
+
     def test_power_needs_effect(self, capsys):
         code, _, _ = run_cli(capsys, "power")
         assert code == EXIT_USAGE

@@ -104,3 +104,22 @@ def test_verdicts_are_built_in_one_place():
                     scope = parent[scope]
                 callers.append(getattr(scope, "name", f"{path.name} module level"))
     assert sorted(callers) == ["_verdict", "detect_backend"]
+
+
+def test_reconstruction_is_written_once():
+    """Only `trace.reconstruct` builds an attacker view from a job log, so
+    the reconstruction chain has one copy in src/ and demos/. perfbench/
+    keeps its own until the benchmark itself changes, so it is not read."""
+    callers = []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *ROOT.glob("demos/*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "attr", None) == "from_log":
+                scope = node
+                while scope in parent and not isinstance(scope, ast.FunctionDef):
+                    scope = parent[scope]
+                name = getattr(scope, "name", "module level")
+                callers.append(f"{path.relative_to(ROOT).as_posix()}:{name}")
+    assert callers == ["src/qleak/trace.py:reconstruct"]

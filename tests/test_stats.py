@@ -213,15 +213,14 @@ class TestPower:
         assert math.isnan(special.nctdtr(df, 5.5 * math.sqrt(50.0), tcrit))
         assert pooled_t_power(100, 5.5) == 1.0
 
-    @pytest.mark.parametrize(
-        "n",
-        [
-            1.0, np.float64(1.0), np.array(1.0), np.array([1.0, 2.0]),
-            math.nan, np.array([np.nan, 3.0]),
-        ],
-    )
+    @pytest.mark.parametrize("n", [1.0, np.float64(1.0), np.array(1.0), math.nan])
     def test_needs_two_per_group(self, n):
         with pytest.raises(ValueError):
+            pooled_t_power(n, 0.3)
+
+    @pytest.mark.parametrize("n", [np.array([1.0, 2.0]), np.array([np.nan, 3.0])])
+    def test_array_n_rejected(self, n):
+        with pytest.raises(TypeError):
             pooled_t_power(n, 0.3)
 
     @pytest.mark.parametrize("n", [7, 7.3, np.float64(7.3), np.array(7.3)])
@@ -231,14 +230,8 @@ class TestPower:
     def test_matches_where_formula(self):
         ns = np.logspace(math.log10(1.0001), 7, 400)
         for d in (1e-3, 0.3, 5.5, 30.0):
-            assert pooled_t_power(ns, d).tolist() == where_power(ns, d, 0.05).tolist()
-
-    def test_array_matches_scalar(self):
-        ns = np.array([1.5, 2.0, 7.3, 100.0, 2500.0, 1e6])
-        for d in (0.01, 0.3, 5.5):
-            powers = pooled_t_power(ns, d)
-            assert not np.isnan(powers).any()
-            assert powers.tolist() == [pooled_t_power(n, d) for n in ns]
+            powers = [pooled_t_power(n, d) for n in ns]
+            assert powers == where_power(ns, d, 0.05).tolist()
 
     def test_mc_oracle_agrees(self):
         d = 0.28
@@ -323,6 +316,20 @@ class TestOracle:
         _, paths = sweep
         assert paths == {"sure-reject", "sure-accept", "exact"}
 
+    @pytest.mark.parametrize(
+        "n,trials", [(74.0, 1000), (math.nan, 1000), (74, math.nan), (74, 1000.0)]
+    )
+    def test_rejects_non_integers(self, n, trials):
+        # a NaN trial count once passed the check and never returned
+        p = TimingDistribution(1.0, 1.0)
+        with pytest.raises(ValueError):
+            mc_power_oracle(p, p, n, trials=trials)
+
+    def test_numpy_integers_accepted(self):
+        p, q = TimingDistribution(1.0, 1.0), TimingDistribution(1.3, 1.0)
+        got = mc_power_oracle(p, q, np.int64(74), trials=np.int64(1000), seed=5)
+        assert got == mc_power_oracle(p, q, 74, trials=1000, seed=5)
+
     def test_memory_is_one_block(self):
         # holding all (trials, n) draws of both groups peaks at about 23 MiB
         p, q = TimingDistribution(1.0, 1.0), TimingDistribution(1.3, 1.0)
@@ -382,7 +389,7 @@ class TestBracketSearch:
                     spec = PowerSpec(alpha, power)
                     hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
                     grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-                    short = pooled_t_power(grid, d, alpha) < power
+                    short = where_power(grid, d, alpha) < power
                     k = int(np.count_nonzero(short))
                     assert short[:k].all(), (d, alpha, power)
                     regimes.add("none" if k == 0 else grid[k - 1] < 4.0)

@@ -9,6 +9,7 @@ from qleak.trace import (
     estimate_victim_mean,
     extract_intervals,
     infer_execution_count,
+    reconstruct,
 )
 from qleak.csvout import write_csv
 from tests.test_cloudsim import make_scenario
@@ -75,6 +76,26 @@ class TestCountInference:
             infer_execution_count(1.0, 0.0)
         with pytest.raises(ValueError):
             infer_execution_count(-1.0, 3.0)
+
+
+class TestReconstruct:
+    """`reconstruct` is the view, mean-estimate and assembly chain, bit for
+    bit, on the batching and gap grid; whatever those steps get wrong on
+    it (miscounted batches, gaps read as victim time) it gets wrong alike."""
+
+    @pytest.mark.parametrize("gap", [0.0, 0.2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_matches_the_chain(self, k, gap):
+        for seed in (0, 1):
+            log = run_simulation(make_scenario(reps=47, k=k, seed=seed, gap=gap))
+            view = AttackerView.from_log(log)
+            want = assemble_trace(view, estimate_victim_mean(view))
+            got = reconstruct(log)
+            assert [x.hex() for x in got.durations] == [
+                x.hex() for x in want.durations
+            ]
+            assert list(got.inferred_counts) == list(want.inferred_counts)
+            assert got.dropped_intervals == want.dropped_intervals
 
 
 class TestAssembly:
