@@ -54,6 +54,7 @@ print(f"[UC] backend: {backend.label}")
 devices = load_reference_devices(scenario_path)
 qp = qp_fingerprint(trace, devices, scenario.victim_circuit)
 print(
-    f"[QP] processor: {qp.label!r} - wrong candidates rejected within "
-    f"{qp.measurements_used} measurements"
+    f"[QP] processor: {qp.label!r} "
+    f"({qp.measurements_used} measurements, plan was {qp.planned_n:.0f}"
+    f"{', UNDER-POWERED' if qp.underpowered else ''})"
 )

@@ -50,7 +50,6 @@ from .trace import (
     reconstruct,
 )
 from .attacks import (
-    AMBIGUOUS,
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
     NULL_RULE_FP_LEVEL,

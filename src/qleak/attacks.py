@@ -6,8 +6,12 @@ CA  - ansatz-parameter recovery, a null test expected to fail.
 QM  - qubit-mapping recovery, likewise a null test.
 QP  - fingerprint which processor ran a known circuit.
 
-Attacks are fixed-sample designs: they compare the trace length against a
-power-analysis plan instead of testing sequentially.
+UC, backend detection, CO's key stage and QP are one nearest-model
+classifier over (label, model) candidates: the label is that of the model
+nearest the trace mean, and the plan is against its rival, the model with
+another label nearest the winner. Attacks are fixed-sample designs: they
+compare the trace length against that plan instead of testing
+sequentially.
 """
 from __future__ import annotations
 
@@ -18,17 +22,18 @@ from typing import Optional
 import numpy as np
 
 from .baseline import (
-    AMBIGUITY_EPS,
     BACKENDS,
     BaselineTable,
     GroverVariant,
+    _column,
     _nearest,
-    _neighbor,
     _requirements,
+    _rival,
 )
 from .cloudsim import DeviceProfile
 from .stats import (
     PowerSpec,
+    TimingDistribution,
     dom_curves,
     effect_size,
     pooled_t_power,
@@ -42,16 +47,18 @@ NULL_RULE_FP_LEVEL = 0.03
 
 DISTINGUISHABLE = "distinguishable"
 INDISTINGUISHABLE = "indistinguishable"
-AMBIGUOUS = "ambiguous"
 
 
 @dataclass(frozen=True)
 class AttackVerdict:
-    """`planned_n` is the requirement for the plan's pair of candidates,
-    `confidence` the pooled-test power at `measurements_used` (at least 2)
-    against that pair, `underpowered` is derived as `measurements_used <
-    planned_n`, and `ambiguous` marks tied candidates. Backend detection
-    still carries a placeholder plan (planned_n 1, confidence spec.power).
+    """`label` names the candidate model nearest the trace mean and
+    `statistic` is the trace mean minus that model's mean, in standard
+    errors of the trace mean.
+    `planned_n` is the requirement for telling that model from its rival,
+    the nearest model with another label; `confidence` is the pooled-test
+    power at `measurements_used` (at least 2) against that pair.
+    `underpowered` is derived as `measurements_used < planned_n`, and
+    `ambiguous` marks a tie for nearest.
     """
 
     attack: str
@@ -72,15 +79,6 @@ class AttackVerdict:
             self, "underpowered", self.measurements_used < self.planned_n)
 
 
-def _verdict(attack: str, label: str, n: int, statistic: float, d: float,
-             spec: PowerSpec, ambiguous: bool) -> AttackVerdict:
-    """A decision on n measurements, planned against a pair at effect size d."""
-    return AttackVerdict(
-        attack, label, n, statistic, required_sample_size(d, spec),
-        pooled_t_power(max(n, 2), d, spec.alpha), ambiguous,
-    )
-
-
 def _moments(trace: Trace) -> tuple[int, float, float]:
     """(n, mean, unbiased variance) of the trace's durations; one duration
     has variance 0."""
@@ -99,6 +97,27 @@ def _in_se(gap: float, n: int, var: float) -> float:
     return gap / se
 
 
+def _classify(
+    attack: str,
+    trace: Trace,
+    candidates: list[tuple[str, TimingDistribution]],
+    spec: PowerSpec,
+) -> AttackVerdict:
+    """Label the trace with the (label, model) candidate whose mean lies
+    nearest the trace mean, planned against that candidate's rival: the
+    candidate with another label nearest it in mean."""
+    n, mean, var = _moments(trace)
+    best, tie = _nearest(mean, [m.mean for _, m in candidates])
+    label, model = candidates[best]
+    _, rival = _rival(candidates, label, model.mean)
+    d = effect_size(model, rival)
+    return AttackVerdict(
+        attack, label, n, _in_se(mean - model.mean, n, var),
+        required_sample_size(d, spec), pooled_t_power(max(n, 2), d, spec.alpha),
+        tie,
+    )
+
+
 def uc_classify(
     trace: Trace,
     table: BaselineTable,
@@ -107,40 +126,23 @@ def uc_classify(
 ) -> AttackVerdict:
     """Label the victim's circuit by nearest baseline mean.
 
-    The plan is the requirement against the provisional label's nearest
-    neighbor; shorter traces still get the nearest-mean label, flagged
+    The plan is the requirement against the label's nearest neighbor in
+    the table; shorter traces still get the nearest-mean label, flagged
     under-powered.
     """
-    n, mean, var = _moments(trace)
-    means = [e.latency(backend) for e in table.entries]
-    best, tie = _nearest(mean, means)
-    label = table.entries[best].name
-    _, d = _neighbor(table, label, backend)
-    return _verdict("UC", label, n, _in_se(mean - means[best], n, var), d, spec, tie)
+    return _classify("UC", trace, _column(table, backend), spec)
 
 
 def detect_backend(
     trace: Trace, table: BaselineTable, spec: PowerSpec = PowerSpec()
 ) -> AttackVerdict:
-    """Decide simulator vs hardware by nearest mean over both columns."""
-    n, mean, var = _moments(trace)
-    columns = [[e.latency(b) for e in table.entries] for b in BACKENDS]
-    means = columns[0] + columns[1]
-    best, tie = _nearest(mean, means)
-    side = best // len(table)
-    # separation between the winning distance and the best distance on the
-    # other column, in trace standard errors
-    other_best = min(abs(m - mean) for m in columns[1 - side])
-    sep = other_best - abs(means[best] - mean)
-    return AttackVerdict(
-        attack="UC",
-        label=BACKENDS[side],
-        measurements_used=n,
-        statistic=_in_se(sep, n, var),
-        planned_n=1.0,
-        confidence=spec.power,
-        ambiguous=tie or sep < AMBIGUITY_EPS,
-    )
+    """Decide simulator vs hardware by nearest mean over both columns.
+
+    The label is the backend of the nearest table model; the plan is
+    against the model in the other column nearest that one.
+    """
+    candidates = [(b, m) for b in BACKENDS for _, m in _column(table, b)]
+    return _classify("UC", trace, candidates, spec)
 
 
 def co_identify(
@@ -150,41 +152,30 @@ def co_identify(
 ) -> tuple[AttackVerdict, np.ndarray]:
     """Two-stage Grover variant recovery plus the requirement matrix.
 
-    Iteration count is decided first (cross-iteration gaps are large),
-    then the key within that iteration, which may demand orders of
-    magnitude more data: short traces report the iteration with the key
-    flagged under-powered. Returns (verdict, requirement matrix), the
-    matrix in catalog index order for export.
+    The iteration count is the nearest of the three iteration centres
+    (cross-iteration gaps are large); the key is then classified among
+    that iteration's eight variants, planned against the nearest other
+    key, which may demand orders of magnitude more data: short traces
+    report the iteration with the key flagged under-powered. Returns
+    (verdict, requirement matrix), the matrix in catalog index order for
+    export.
     """
     cat = sorted(catalog, key=lambda v: v.index)
     if [v.index for v in cat] != list(range(1, 25)):
         raise ValueError("catalog must hold each variant index 1-24 exactly once")
-    n, mean, var = _moments(trace)
+    mean = _moments(trace)[1]
     req_m = _requirements([v.timing for v in cat], spec)
 
     by_iteration = [cat[i : i + 8] for i in (0, 8, 16)]
     centers = [sum(v.timing.mean for v in group) / 8 for group in by_iteration]
     it, iter_tie = _nearest(mean, centers)
-    key, key_tie = _nearest(mean, [v.timing.mean for v in by_iteration[it]])
-    variant = by_iteration[it][key]
-    # key-stage plan: the same-iteration variant with the largest
-    # requirement (the smallest gap); the NaN diagonal drops the variant
-    row = req_m[variant.index - 1, 8 * it : 8 * it + 8]
-    rival = by_iteration[it][int(np.nanargmax(row))]
-    head = f"iterations={variant.iterations}"
-    verdict = _verdict(
-        "CO", f"{head} key={variant.key}", n,
-        _in_se(mean - variant.timing.mean, n, var),
-        effect_size(variant.timing, rival.timing), spec, iter_tie or key_tie,
-    )
-    if verdict.underpowered:
-        verdict = replace(verdict, label=f"{head} key=under-powered")
-    return verdict, req_m
-
-
-def _final_tenth_exceeds(dom: np.ndarray, band: np.ndarray) -> bool:
-    k = max(1, int(0.1 * len(dom)))
-    return bool(np.all(np.abs(dom[-k:]) > band[-k:]))
+    keys = [(v.key, v.timing) for v in by_iteration[it]]
+    verdict = _classify("CO", trace, keys, spec)
+    key = "under-powered" if verdict.underpowered else verdict.label
+    return replace(
+        verdict, label=f"iterations={it + 1} key={key}",
+        ambiguous=verdict.ambiguous or iter_tie,
+    ), req_m
 
 
 def null_distinguishability(
@@ -199,10 +190,9 @@ def null_distinguishability(
     is resolved by truncating to the shorter trace.
     """
     ns, dom, band = dom_curves(trace_a.durations, trace_b.durations)
-    verdict = (
-        DISTINGUISHABLE if _final_tenth_exceeds(dom, band) else INDISTINGUISHABLE
-    )
-    return verdict, (ns, dom, band)
+    k = max(1, int(0.1 * len(dom)))
+    beyond = np.all(np.abs(dom[-k:]) > band[-k:])
+    return (DISTINGUISHABLE if beyond else INDISTINGUISHABLE), (ns, dom, band)
 
 
 def first_crossing(dom: np.ndarray, band: np.ndarray, ns: np.ndarray) -> Optional[int]:
@@ -216,33 +206,12 @@ def qp_fingerprint(
     circuit: str,
     spec: PowerSpec = PowerSpec(),
 ) -> AttackVerdict:
-    """Name the device whose reference model the trace stays consistent
-    with; every other device is rejected at its first band crossing.
+    """Name the device whose reference model for `circuit` lies nearest
+    the mean of the whole trace.
 
-    `measurements_used` is the first band crossing of the last device
-    rejected (the whole trace when none is). The plan is the requirement
-    that tells apart the two devices whose models lie closest, with the
-    pooled sd of that pair.
+    The plan is against the rival model: the one nearest the winner's
+    among devices of another name. Raises `ValueError` unless the devices
+    carry at least two distinct names.
     """
-    if len(devices) < 2:
-        raise ValueError("need at least two candidate devices")
-    rejected: dict[str, int] = {}
-    kept: list[str] = []
-    final_dom: list[float] = []
-    for dev in devices:
-        ns, dom, band = dom_curves(trace.durations, dev.timing(circuit))
-        if _final_tenth_exceeds(dom, band):
-            rejected[dev.name] = first_crossing(dom, band, ns)
-        else:
-            kept.append(dev.name)
-            final_dom.append(float(dom[-1]))
-    models = sorted((dev.timing(circuit) for dev in devices), key=lambda t: t.mean)
-    nearest = min(zip(models[:-1], models[1:]), key=lambda pq: pq[1].mean - pq[0].mean)
-    gap = nearest[1].mean - nearest[0].mean
-    # the kept model nearest the trace mean: the smallest final |dom|
-    label = kept[_nearest(0.0, final_dom)[0]] if kept else AMBIGUOUS
-    used = max(rejected.values()) if rejected else len(trace)
-    return _verdict(
-        "QP", label, max(used, 1), float(len(rejected)), effect_size(*nearest),
-        spec, len(kept) != 1 or gap < AMBIGUITY_EPS,
-    )
+    models = [(dev.name, dev.timing(circuit)) for dev in devices]
+    return _classify("QP", trace, models, spec)

@@ -229,17 +229,21 @@ def _nearest(mu: float, means: list[float]) -> tuple[int, bool]:
     return dist.index(ranked[0]), tie
 
 
-def _neighbor(table: BaselineTable, name: str, backend: str) -> tuple[str, float]:
-    """The other entry nearest in mean (the first in table order on ties)
-    and its effect size against the named entry."""
-    mu = table.entry(name).latency(backend)
-    others = [e for e in table.entries if e.name != name]
+def _rival(candidates: list[tuple[str, TimingDistribution]], label: str,
+           mu: float) -> tuple[str, TimingDistribution]:
+    """The (label, model) candidate labelled other than `label` whose mean
+    lies nearest mu, the first in list order on ties."""
+    others = [c for c in candidates if c[0] != label]
     if not others:
-        raise ValueError("table has a single entry")
-    best, _ = _nearest(mu, [e.latency(backend) for e in others])
-    neighbor = others[best].name
-    d = effect_size(table.timing(name, backend), table.timing(neighbor, backend))
-    return neighbor, d
+        raise ValueError(f"every candidate is {label!r}: no rival to plan against")
+    return others[_nearest(mu, [m.mean for _, m in others])[0]]
+
+
+def _column(table: BaselineTable, backend: str) -> list:
+    """(name, timing model) of every entry on one backend, in table order."""
+    var = table.variance(backend)
+    return [(e.name, TimingDistribution(e.latency(backend), var))
+            for e in table.entries]
 
 
 def nearest_neighbor_requirement(
@@ -253,8 +257,9 @@ def nearest_neighbor_requirement(
     The nearest-mean neighbor maximizes the pairwise requirement, so this
     is the budget that distinguishes the entry from every other circuit.
     """
-    neighbor, d = _neighbor(table, name, backend)
-    return neighbor, required_sample_size(d, spec)
+    model = table.timing(name, backend)
+    neighbor, rival = _rival(_column(table, backend), name, model.mean)
+    return neighbor, required_sample_size(effect_size(model, rival), spec)
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def cmd_attack(args) -> int:
             verdict = attacks.qp_fingerprint(
                 tr, devices, scenario.victim_circuit, spec=spec
             )
-        except ValueError as exc:
+        except ValueError as exc:  # devices that share one name
             _err(f"attack {kind}: {exc}")
             return EXIT_USAGE
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])

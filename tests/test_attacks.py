@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,12 @@ from qleak.baseline import (
     grover_catalog,
     nearest_neighbor_requirement,
 )
-from qleak.cloudsim import DeviceProfile
+from qleak.cloudsim import (
+    DeviceProfile,
+    load_reference_devices,
+    load_scenario,
+    run_simulation,
+)
 from qleak.csvout import write_records
 from qleak.stats import (
     PowerSpec,
@@ -35,7 +41,7 @@ from qleak.stats import (
     pooled_t_power,
     required_sample_size,
 )
-from qleak.trace import Trace
+from qleak.trace import Trace, reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -332,11 +338,31 @@ class TestQp:
                 Trace.from_durations([1.0, 2.0]), make_devices()[:1], "grover"
             )
 
+    def test_needs_two_device_names(self):
+        a, b = make_devices()
+        twin = DeviceProfile(a.name, b.circuit_timings)
+        with pytest.raises(ValueError, match="no rival"):
+            qp_fingerprint(Trace.from_durations([1.0, 2.0]), [a, twin], "grover")
+
+    def test_demo_sessions_are_right_and_fully_powered(self):
+        # the demo scenario's 700 runs are far beyond the 8-run plan, so
+        # no correct verdict may read under-powered
+        path = Path(__file__).resolve().parents[1] / "demos/scenarios/ghz_hardware.yaml"
+        devices = load_reference_devices(path)
+        verdicts = []
+        for seed in range(20):
+            scenario = load_scenario(path, seed=seed)
+            tr = reconstruct(run_simulation(scenario))
+            v = qp_fingerprint(tr, devices, scenario.victim_circuit)
+            verdicts.append((v.label, v.underpowered))
+        assert verdicts == [("qpu_east", False)] * 20
+
 
 class TestOneVerdictRule:
-    """UC, CO and QP state their plan one way: `planned_n` is the
-    requirement of the plan's pair, `confidence` the pooled-test power at
-    max(n, 2) against that pair, and `underpowered` is n < planned_n."""
+    """UC, backend detection, CO and QP state their plan one way:
+    `planned_n` is the requirement of the winner and its rival,
+    `confidence` the pooled-test power at max(n, 2) against that pair, and
+    `underpowered` is n < planned_n."""
 
     @staticmethod
     def check(v, d, underpowered):
@@ -373,15 +399,54 @@ class TestOneVerdictRule:
         key = "under-powered" if verdict.underpowered else "000"
         assert verdict.label == f"iterations={iterations} key={key}"
 
-    @pytest.mark.parametrize("seed,underpowered", [(3, True), (8, False)])
-    def test_qp_plans_against_the_closest_models(self, seed, underpowered):
-        # dev_c (1.2) lies closer to dev_a (1.85) than dev_b (3.08) does
+    @pytest.mark.parametrize("n,underpowered", [(3, True), (8, False)])
+    def test_qp_plans_against_the_closest_models(self, n, underpowered):
+        # dev_c (1.0) lies closer to dev_a (1.85) than dev_b (3.08) does;
+        # that pair needs about 7.5 measurements
         devices = make_devices() + [
-            DeviceProfile("dev_c", {"grover": TimingDistribution(1.2, 0.3)})
+            DeviceProfile("dev_c", {"grover": TimingDistribution(1.0, 0.3)})
         ]
-        rng = np.random.default_rng(seed)
-        tr = Trace.from_durations(rng.normal(1.853176702, math.sqrt(0.3), 200))
+        tr = Trace.from_durations([1.853176702] * n)
         v = qp_fingerprint(tr, devices, "grover")
         assert v.label == "dev_a"
         d = effect_size(devices[0].timing("grover"), devices[2].timing("grover"))
         self.check(v, d, underpowered)
+
+    @pytest.mark.parametrize("n", [3, 20])
+    def test_qp_plans_against_the_winners_rival(self, n):
+        # dev_a and dev_b are the closest pair, but the trace sits on
+        # dev_c, whose rival dev_b needs about 7 measurements
+        devices = [
+            DeviceProfile(name, {"grover": TimingDistribution(mu, 0.3)})
+            for name, mu in (("dev_a", 1.0), ("dev_b", 1.1), ("dev_c", 2.0))
+        ]
+        v = qp_fingerprint(Trace.from_durations([2.0] * n), devices, "grover")
+        assert v.label == "dev_c"
+        d = effect_size(devices[2].timing("grover"), devices[1].timing("grover"))
+        self.check(v, d, n < 7)
+
+    @pytest.mark.parametrize("n", [1, 3, 50])
+    def test_backend_plans_against_the_other_column(self, table, n):
+        # GHZ's nearest simulator model needs about 3.08 measurements
+        mu = table.entry("GHZ").latency(HARDWARE)
+        v = detect_backend(Trace.from_durations([mu] * n), table)
+        assert v.label == HARDWARE
+        rival = min(
+            (table.timing(name, SIMULATOR) for name in table.names),
+            key=lambda m: abs(m.mean - mu),
+        )
+        self.check(v, effect_size(table.timing("GHZ", HARDWARE), rival), n < 3.08)
+
+    def test_co_rival_is_the_largest_requirement_in_the_row(self):
+        # reference: the same-iteration variant whose requirement row
+        # entry is largest (the NaN diagonal drops the variant itself)
+        cat = grover_catalog()
+        for v in cat:
+            mu = v.timing.mean
+            verdict, req_m = co_identify(Trace.from_durations([mu, mu]), cat)
+            assert verdict.label.startswith(f"iterations={v.iterations} ")
+            start = 8 * (v.iterations - 1)
+            row = req_m[v.index - 1, start : start + 8]
+            rival = cat[start + int(np.nanargmax(row))]
+            d = effect_size(v.timing, rival.timing)
+            self.check(verdict, d, True)

@@ -84,7 +84,17 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         assert "reference_devices must be a list" in err
 
-    @pytest.mark.parametrize("attack", ["ca", "qm", "qp"])
+    def test_repeated_device_names(self, capsys, tmp_path):
+        p = tmp_path / "twins.yaml"
+        p.write_text(SCENARIO_YAML.replace("name: dev_b", "name: dev_a"))
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", str(p), "--attack", "qp"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("attack qp: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("attack", ["ca", "qm"])
     def test_trace_too_short(self, capsys, tmp_path, attack):
         # one victim run leaves one duration: nothing to compare a curve on
         p = tmp_path / "one.yaml"
@@ -371,6 +381,20 @@ class TestSimulateAndAttack:
         assert code == EXIT_OK
         saved = (tmp_path / f"{attack}_verdict.csv").read_bytes()
         assert saved.replace(b"\r\n", b"\n") == out.encode()
+
+    @pytest.mark.parametrize("attack", ["uc", "co", "qp"])
+    def test_one_run_is_an_underpowered_verdict(self, capsys, tmp_path, attack):
+        # one victim run leaves one duration: a label, flagged under-powered
+        p = tmp_path / "one.yaml"
+        p.write_text(SCENARIO_YAML.replace("repetitions: 120", "repetitions: 1"))
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", str(p), "--attack", attack
+        )
+        assert code == EXIT_OK
+        fields = dict(zip(*parse_csv(out)))
+        assert fields["measurements_used"] == "1"
+        assert fields["underpowered"] == "1"
+        assert err.endswith(" n=1 (under-powered)\n")
 
     def test_attack_qp_power(self, capsys, scenario_file):
         argv = ["attack", "--scenario", scenario_file, "--attack", "qp"]

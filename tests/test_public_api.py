@@ -89,8 +89,7 @@ def test_verdict_csv_columns():
 
 
 def test_verdicts_are_built_in_one_place():
-    """Only the shared verdict rule and backend detection (which keeps a
-    placeholder plan) construct an AttackVerdict."""
+    """Only the nearest-model classifier constructs an AttackVerdict."""
     callers = []
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -103,7 +102,7 @@ def test_verdicts_are_built_in_one_place():
                 while scope in parent and not isinstance(scope, ast.FunctionDef):
                     scope = parent[scope]
                 callers.append(getattr(scope, "name", f"{path.name} module level"))
-    assert sorted(callers) == ["_verdict", "detect_backend"]
+    assert callers == ["_classify"]
 
 
 def test_reconstruction_is_written_once():

@@ -197,7 +197,7 @@ class TestPower:
         # scipy.optimize.brentq on the same bracket gives these bits
         assert required_sample_size(1e-100).hex() == "0x1.4820074de3a81p+668"
 
-    @pytest.mark.parametrize("n", [10, np.array([3.0, 10.0])])
+    @pytest.mark.parametrize("n", [10, np.array(10.0)])
     @pytest.mark.parametrize(
         "d,alpha", [(math.nan, 0.05), (0.5, math.nan), (0.5, 0.0), (0.5, 1.0), (0.5, -0.1)]
     )
