@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -58,7 +57,7 @@ class AttackVerdict:
     the nearest model with another label; `confidence` is the pooled-test
     power at `measurements_used` (at least 2) against that pair.
     `underpowered` is derived as `measurements_used < planned_n`, and
-    `ambiguous` marks a tie for nearest.
+    `ambiguous` marks a tie for nearest with a model of another label.
     """
 
     attack: str
@@ -105,11 +104,13 @@ def _classify(
 ) -> AttackVerdict:
     """Label the trace with the (label, model) candidate whose mean lies
     nearest the trace mean, planned against that candidate's rival: the
-    candidate with another label nearest it in mean."""
+    candidate with another label nearest it in mean. A tie counts only
+    against the candidate with another label nearest the trace mean."""
     n, mean, var = _moments(trace)
-    best, tie = _nearest(mean, [m.mean for _, m in candidates])
-    label, model = candidates[best]
+    label, model = candidates[_nearest(mean, [m.mean for _, m in candidates])[0]]
     _, rival = _rival(candidates, label, model.mean)
+    _, runner_up = _rival(candidates, label, mean)
+    tie = _nearest(mean, [model.mean, runner_up.mean])[1]
     d = effect_size(model, rival)
     return AttackVerdict(
         attack, label, n, _in_se(mean - model.mean, n, var),
@@ -193,11 +194,6 @@ def null_distinguishability(
     k = max(1, int(0.1 * len(dom)))
     beyond = np.all(np.abs(dom[-k:]) > band[-k:])
     return (DISTINGUISHABLE if beyond else INDISTINGUISHABLE), (ns, dom, band)
-
-
-def first_crossing(dom: np.ndarray, band: np.ndarray, ns: np.ndarray) -> Optional[int]:
-    hits = np.nonzero(np.abs(dom) > band)[0]
-    return int(ns[hits[0]]) if hits.size else None
 
 
 def qp_fingerprint(

@@ -11,8 +11,9 @@ Subcommands::
 
 Results go to stdout as CSV; diagnostics go to stderr. Exit status is 0
 on success, 1 when a tolerance or distinguishability check fails, and 2
-for usage errors; a flag the subcommand does not read is one. QLEAK_SEED
-provides a default seed.
+for usage errors; a flag the subcommand does not read is one. Without
+--seed, QLEAK_SEED sets the seed, else the scenario file's `seed:` (0
+without a scenario).
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +45,12 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _default_seed(args) -> int:
+def _default_seed(args, fallback: int | None = 0) -> int | None:
+    """--seed, else QLEAK_SEED, else `fallback`."""
     if args.seed is not None:
         return args.seed
     env = os.environ.get("QLEAK_SEED")
-    return int(env) if env else 0
+    return int(env) if env else fallback
 
 
 def _load_table(args) -> baseline.BaselineTable:
@@ -195,6 +197,9 @@ def cmd_power(args) -> int:
     spec = _spec(args)
     if args.effect_size is not None:
         d = args.effect_size
+        if d < 0:
+            _err(f"power: --effect-size must be non-negative, got {d}")
+            return EXIT_USAGE
     elif args.delta_mean is not None and args.variance is not None:
         if not (math.isfinite(args.variance) and args.variance > 0):
             _err(f"power: --variance must be positive and finite, got {args.variance}")
@@ -230,8 +235,9 @@ def cmd_power(args) -> int:
 # simulate / attack
 
 def _run_scenario(args, seed_shift: int = 0):
-    seed = _default_seed(args) + seed_shift
-    scenario = cloudsim.load_scenario(args.scenario, seed=seed)
+    """The scenario at the given or its file's seed plus `seed_shift`, and its log."""
+    scenario = cloudsim.load_scenario(args.scenario, _default_seed(args, None))
+    scenario = replace(scenario, seed=scenario.seed + seed_shift)
     return scenario, cloudsim.run_simulation(scenario)
 
 
@@ -346,7 +352,8 @@ FLAGS = {
     "backend": dict(choices=("sim", "qc")),
     "alpha": dict(type=_probability, default=PowerSpec.alpha),
     "power": dict(type=_probability, default=PowerSpec.power),
-    "seed": dict(type=int, help="override QLEAK_SEED / 0"),
+    "seed": dict(type=int, help="default: QLEAK_SEED, else the scenario "
+                 "file's seed (0 without a scenario)"),
     "out-dir": dict(),
     "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
     "scenario": dict(required=True, help="scenario YAML file"),

@@ -94,27 +94,24 @@ def _prefix_moments(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def dom_curves(
-    a: Sequence[float], b: Sequence[float] | TimingDistribution
+    a: Sequence[float], b: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Difference-of-means curve over growing prefixes, with its null band.
+    """Difference-of-means curve of two ordered samples over growing
+    prefixes, with its null band.
 
-    `b` is a second ordered sample (both are truncated to the shorter) or
-    a reference model, which contributes its exact mean and variance.
-    Returns (n, dom, band) for prefix lengths n = 2..len(a), where band is
-    the half-width of the equal-population confidence band from running
-    unbiased variances and the normal quantile of (1 + DOM_CONFIDENCE) / 2.
-    A prefix is "distinguished" when |dom| exceeds the band.
+    Both samples are truncated to the shorter. Returns (n, dom, band) for
+    prefix lengths n = 2..len, where band is the half-width of the
+    equal-population confidence band from running unbiased variances and
+    the normal quantile of (1 + DOM_CONFIDENCE) / 2. A prefix is
+    "distinguished" when |dom| exceeds the band.
     """
-    a = np.asarray(a, dtype=float)
-    model = isinstance(b, TimingDistribution)
-    if not model:
-        b = np.asarray(b, dtype=float)
-        a, b = a[: b.size], b[: a.size]
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    a, b = a[: b.size], b[: a.size]
     if a.size < 2:
         raise ValueError("need at least two observations per set")
     n = np.arange(1, a.size + 1, dtype=float)
     ma, va = _prefix_moments(a, n)
-    mb, vb = (b.mean, b.variance) if model else _prefix_moments(b, n)
+    mb, vb = _prefix_moments(b, n)
     z = normal_quantile((1 + DOM_CONFIDENCE) / 2)
     dom = (ma - mb)[1:]
     band = z * np.sqrt((va + vb)[1:] / n[1:])

@@ -74,8 +74,8 @@ def extract_intervals(view: AttackerView) -> np.ndarray:
 
 def infer_execution_count(interval, avg_victim: float):
     """Number of victim executions inside each interval and their implied
-    per-execution duration: (int, float) for a scalar interval, an int
-    and a float array for an array of them.
+    per-execution duration, as numpy int and float values of the
+    interval's shape (shape () for a scalar interval).
 
     Nearest-integer count, half-way cases rounding down (a phantom extra
     execution is worse than a missed one); floored at 1 for any positive
@@ -89,10 +89,7 @@ def infer_execution_count(interval, avg_victim: float):
     counts = np.where(
         intervals == 0, 0, np.maximum(1, np.ceil(intervals / avg_victim - 0.5))
     ).astype(int)
-    per = intervals / np.maximum(counts, 1)
-    if intervals.ndim == 0:
-        return int(counts), float(per)
-    return counts, per
+    return counts, intervals / np.maximum(counts, 1)
 
 
 def estimate_victim_mean(view: AttackerView) -> float:

@@ -17,8 +17,8 @@ from scipy.stats import binomtest
 from qleak.attacks import (
     DISTINGUISHABLE,
     NULL_RULE_FP_LEVEL,
-    first_crossing,
     null_distinguishability,
+    qp_fingerprint,
     uc_classify,
 )
 from qleak.baseline import (
@@ -37,7 +37,6 @@ from qleak.cli import within_tolerance
 from qleak.stats import (
     PowerSpec,
     TimingDistribution,
-    dom_curves,
     effect_size,
     mc_power_oracle,
     normal_cdf,
@@ -46,7 +45,7 @@ from qleak.stats import (
     required_sample_size,
     welch_t,
 )
-from qleak.trace import AttackerView, Trace, assemble_trace
+from qleak.trace import AttackerView, Trace, assemble_trace, reconstruct
 from oracles import ovl_numeric
 from table1_divergences import DIVERGENT_CELLS
 
@@ -252,8 +251,9 @@ def test_criterion_3_uc_end_to_end(table):
 
 
 def test_criterion_4_qp_crossing():
-    """Two devices at table-scale separation: the wrong device's model is
-    rejected within 10 measurements in at least 95% of seeded runs."""
+    """Two devices at table-scale separation: QP names the right device,
+    fully powered, from the first 10 measurements of a reconstructed trace
+    in at least 95% of seeded runs (the plan is about 4.4)."""
     dev_a = DeviceProfile(
         "dev_a",
         {
@@ -261,20 +261,23 @@ def test_criterion_4_qp_crossing():
             "probe": TimingDistribution(0.05, 1e-4),
         },
     )
-    model_b = TimingDistribution(3.075851148, 0.3)
+    dev_b = DeviceProfile("dev_b", {"grover": TimingDistribution(3.075851148, 0.3)})
     hits = 0
     seeds = 1000
     for seed in range(seeds):
         scenario = Scenario(dev_a, "grover", 60, "probe", probe_every=1, seed=seed)
-        log = run_simulation(scenario)
-        tr = assemble_trace(AttackerView.from_log(log), avg_victim=1.85)
-        ns, dom, band = dom_curves(tr.durations, model_b)
-        cross = first_crossing(dom, band, ns)
-        hits += cross is not None and cross <= 10
+        tr = reconstruct(run_simulation(scenario))
+        v = qp_fingerprint(
+            Trace.from_durations(tr.durations[:10]), [dev_a, dev_b], "grover"
+        )
+        hits += v.label == "dev_a" and not v.underpowered
     rate = hits / seeds
     ok = rate >= 0.95
-    report(4, ok, f"crossing within 10 measurements in {rate:.1%} of {seeds} seeds")
-    assert ok, f"crossing rate {rate}"
+    report(
+        4, ok,
+        f"right and fully powered at 10 measurements in {rate:.1%} of {seeds} seeds",
+    )
+    assert ok, f"right, fully powered rate {rate}"
 
 
 #: least factor by which the key stage must out-demand the iteration stage

@@ -253,6 +253,7 @@ class TestPower:
             ("--delta-mean", "1", "--variance", "0"),
             ("--delta-mean", "1", "--variance", "-1"),
             ("--delta-mean", "nan", "--variance", "1"),
+            ("--effect-size", "-0.5"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv):
@@ -418,6 +419,29 @@ class TestSimulateAndAttack:
         code1, out1, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
         code2, out2, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
         assert out1 == out2
+
+    def test_scenario_seed_is_the_default(self, capsys, scenario_file, monkeypatch):
+        # the file says seed: 11; QLEAK_SEED and then --seed override it
+        monkeypatch.delenv("QLEAK_SEED", raising=False)
+
+        def simulate(*seed):
+            return run_cli(capsys, "simulate", "--scenario", scenario_file, *seed)[1]
+
+        assert simulate() == simulate("--seed", "11") != simulate("--seed", "0")
+        monkeypatch.setenv("QLEAK_SEED", "5")
+        assert simulate() == simulate("--seed", "5") != simulate("--seed", "11")
+
+    def test_null_attack_sessions_follow_the_scenario_seed(
+        self, capsys, scenario_file, monkeypatch, tmp_path
+    ):
+        # the second session runs at the scenario's seed + 1
+        monkeypatch.delenv("QLEAK_SEED", raising=False)
+        curves = []
+        for out, seed in (("default", ()), ("eleven", ("--seed", "11"))):
+            run_cli(capsys, "attack", "--scenario", scenario_file, "--attack", "ca",
+                    "--out-dir", str(tmp_path / out), *seed)
+            curves.append((tmp_path / out / "ca_dom.csv").read_text())
+        assert curves[0] == curves[1]
 
 
 class TestMitigate:

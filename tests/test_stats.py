@@ -260,6 +260,9 @@ class TestOracle:
     #: at n = 1,000 take three batches, the last of one trial, and no trial
     #: count is a multiple of its block rows
     SIZES = {2: 1500, 3: 1500, 7: 1500, 74: 1500, 483: 1500, 1000: 4001, 6280: 1001}
+    #: (var_b, alpha, shifted) of the one config run at n = 6,280, the
+    #: slowest size
+    LARGEST_CONFIG = (1.0, 0.05, True)
 
     @pytest.fixture(scope="class")
     def sweep(self):
@@ -295,6 +298,8 @@ class TestOracle:
                         z = normal_quantile(1 - alpha / 2) + normal_quantile(spec.power)
                         # no shift, and the shift whose normal-approximation plan is n
                         for d in (0.0, z * math.sqrt((1.0 + var_b) / n)):
+                            if n == 6280 and (var_b, alpha, d > 0) != self.LARGEST_CONFIG:
+                                continue
                             p = TimingDistribution(1.0, 1.0)
                             q = TimingDistribution(1.0 + d, var_b)
                             got = mc_power_oracle(p, q, n, spec, trials, seed=n)
@@ -545,17 +550,3 @@ class TestDom:
     def test_truncates_to_shorter(self):
         ns, _, _ = dom_curves(np.zeros(10) + 1e-3, np.ones(7))
         assert ns[0] == 2 and ns[-1] == 7
-
-    def test_model_side_is_exact(self):
-        # a model contributes its own mean and variance at every prefix
-        rng = np.random.default_rng(6)
-        xs = rng.normal(1.0, 0.5, 50)
-        model = TimingDistribution(1.2, 0.3)
-        ns, dom, band = dom_curves(xs, model)
-        assert ns[0] == 2 and ns[-1] == 50
-        z = sps.norm.ppf(0.975)
-        for i, n in enumerate(ns):
-            assert dom[i] == pytest.approx(xs[:n].mean() - 1.2)
-            assert band[i] == pytest.approx(
-                z * math.sqrt((xs[:n].var(ddof=1) + 0.3) / n)
-            )
