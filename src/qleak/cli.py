@@ -11,7 +11,9 @@ Subcommands::
 
 Results go to stdout as CSV; diagnostics go to stderr. Exit status is 0
 on success, 1 when a tolerance or distinguishability check fails, and 2
-for usage errors; a flag the subcommand does not read is one. Without
+for usage errors: a flag the subcommand does not read, or a rejected
+flag value, scenario or table file, or path, which prints one
+`<subcommand>: <reason>` line (`attack <kind>: ` for attack). Without
 --seed, QLEAK_SEED sets the seed, else the scenario file's `seed:` (0
 without a scenario).
 """
@@ -198,21 +200,16 @@ def cmd_power(args) -> int:
     if args.effect_size is not None:
         d = args.effect_size
         if d < 0:
-            _err(f"power: --effect-size must be non-negative, got {d}")
-            return EXIT_USAGE
+            raise ValueError(f"--effect-size must be non-negative, got {d}")
     elif args.delta_mean is not None and args.variance is not None:
         if not (math.isfinite(args.variance) and args.variance > 0):
-            _err(f"power: --variance must be positive and finite, got {args.variance}")
-            return EXIT_USAGE
+            raise ValueError(
+                f"--variance must be positive and finite, got {args.variance}"
+            )
         d = abs(args.delta_mean) / math.sqrt(args.variance)
     else:
-        _err("power: give --effect-size or both --delta-mean and --variance")
-        return EXIT_USAGE
-    try:
-        n = required_sample_size(d, spec)
-    except ValueError as exc:
-        _err(f"power: {exc}")
-        return EXIT_USAGE
+        raise ValueError("give --effect-size or both --delta-mean and --variance")
+    n = required_sample_size(d, spec)
     # alpha and power are echoed unrounded
     write_csv(
         sys.stdout,
@@ -234,21 +231,17 @@ def cmd_power(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate / attack
 
-def _run_scenario(args, seed_shift: int = 0):
-    """The scenario at the given or its file's seed plus `seed_shift`, and its log."""
-    scenario = cloudsim.load_scenario(args.scenario, _default_seed(args, None))
-    scenario = replace(scenario, seed=scenario.seed + seed_shift)
-    return scenario, cloudsim.run_simulation(scenario)
+def _scenario(args) -> cloudsim.Scenario:
+    """The --scenario file at the seed `_default_seed` gives, else its own."""
+    return cloudsim.load_scenario(args.scenario, _default_seed(args, None))
 
 
 def cmd_simulate(args) -> int:
-    _, log = _run_scenario(args)
+    log = cloudsim.run_simulation(_scenario(args))
+    target = _out_dir(args) / "jobs.csv" if args.out_dir else sys.stdout
+    write_csv(target, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
     if args.out_dir:
-        path = _out_dir(args) / "jobs.csv"
-        write_csv(path, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
-        _err(f"job log written to {path}")
-    else:
-        write_csv(sys.stdout, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
+        _err(f"job log written to {target}")
     _err(
         f"{len(log)} jobs ({int(log.victim.sum())} victim), "
         f"{log.truncations} truncated durations"
@@ -262,16 +255,12 @@ def cmd_attack(args) -> int:
     kind = args.attack
 
     if kind in ("ca", "qm"):
-        # null designs: two runs of the same scenario, different seeds
-        _, log_a = _run_scenario(args, seed_shift=0)
-        _, log_b = _run_scenario(args, seed_shift=1)
-        try:
-            verdict, (ns, dom, band) = attacks.null_distinguishability(
-                trace_mod.reconstruct(log_a), trace_mod.reconstruct(log_b)
-            )
-        except ValueError as exc:  # a trace too short to compare
-            _err(f"attack {kind}: {exc}")
-            return EXIT_USAGE
+        # null designs: two runs of the same scenario, at seed and seed + 1
+        first = _scenario(args)
+        second = replace(first, seed=first.seed + 1)
+        verdict, (ns, dom, band) = attacks.null_distinguishability(*(
+            trace_mod.reconstruct(cloudsim.run_simulation(s)) for s in (first, second)
+        ))
         write_csv(sys.stdout, ["attack", "verdict", "points"],
                   [[kind.upper(), verdict, len(ns)]])
         if args.out_dir:
@@ -283,10 +272,11 @@ def cmd_attack(args) -> int:
     if kind == "qp":
         devices = cloudsim.load_reference_devices(args.scenario)
         if len(devices) < 2:
-            _err("attack qp: scenario needs a reference_devices list (>= 2)")
-            return EXIT_USAGE
-    scenario, log = _run_scenario(args)
-    tr = trace_mod.reconstruct(log)
+            raise cloudsim.ScenarioError(
+                "scenario needs a reference_devices list (>= 2)"
+            )
+    scenario = _scenario(args)
+    tr = trace_mod.reconstruct(cloudsim.run_simulation(scenario))
     if kind == "uc":
         table = _load_table(args)
         verdict = attacks.uc_classify(tr, table, backend, spec)
@@ -298,13 +288,7 @@ def cmd_attack(args) -> int:
                 _out_dir(args) / "co_required.csv", _grover_labels(catalog), req_m
             )
     else:
-        try:
-            verdict = attacks.qp_fingerprint(
-                tr, devices, scenario.victim_circuit, spec=spec
-            )
-        except ValueError as exc:  # devices that share one name
-            _err(f"attack {kind}: {exc}")
-            return EXIT_USAGE
+        verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit, spec=spec)
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     if args.out_dir:
         write_records(
@@ -320,31 +304,29 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------------------
 # mitigate
 
-def _build_mitigation(args) -> mitigations.Mitigation:
+def cmd_mitigate(args) -> int:
+    table = _load_table(args)
+    backend = BACKEND_FLAG[args.backend or "qc"]
     params = {f.name: getattr(args, f.name) for f in fields(mitigations.Mitigation)}
     if args.kind == mitigations.CIRCUIT_PADDING:
         # the decoy defaults to the reference circuit
         params["pad_toward"] = args.pad_toward or args.reference
-    return mitigations.Mitigation(**params)
-
-
-def cmd_mitigate(args) -> int:
-    table = _load_table(args)
-    backend = BACKEND_FLAG[args.backend or "qc"]
-    try:
-        m = _build_mitigation(args)
-        report = mitigations.evaluate(
-            m, table, backend, args.victim, args.reference, _spec(args)
-        )
-    except (ValueError, KeyError) as exc:
-        _err(f"mitigate: {exc}")
-        return EXIT_USAGE
+    m = mitigations.Mitigation(**params)
+    report = mitigations.evaluate(
+        m, table, backend, args.victim, args.reference, _spec(args)
+    )
     write_records(sys.stdout, mitigations.MitigationReport, [report])
     _err(f"{m.kind}: requirement inflation x{report.inflation:.6g}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+#: the mitigation parameters by flag name, in `Mitigation` field order
+MITIGATION_PARAMS = {
+    f.name.replace("_", "-"): f
+    for f in fields(mitigations.Mitigation) if f.name != "kind"
+}
 
 #: every flag of the CLI; each subcommand declares the ones it reads
 FLAGS = {
@@ -364,11 +346,8 @@ FLAGS = {
     "kind": dict(choices=mitigations.KINDS, required=True),
     "victim": dict(required=True),
     "reference": dict(required=True),
-    **{
-        f.name.replace("_", "-"): dict(type=type(f.default), default=f.default)
-        for f in fields(mitigations.Mitigation)
-        if f.name != "kind"
-    },
+    **{flag: dict(type=type(f.default), default=f.default)
+       for flag, f in MITIGATION_PARAMS.items()},
 }
 
 SUBCOMMANDS = (
@@ -383,8 +362,7 @@ SUBCOMMANDS = (
     ("attack", cmd_attack, "run an attack on a scenario",
      "scenario attack table backend alpha power seed out-dir"),
     ("mitigate", cmd_mitigate, "evaluate a countermeasure",
-     "table backend alpha power kind victim reference added-variance "
-     "layout-spread layouts pad-toward pad-fraction batch-factor"),
+     "table backend alpha power kind victim reference " + " ".join(MITIGATION_PARAMS)),
 )
 
 
@@ -407,8 +385,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (cloudsim.ScenarioError, baseline.TableFormatError, FileNotFoundError) as exc:
-        _err(f"error: {exc}")
+    except (ValueError, KeyError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as exc:
+        where = " ".join(filter(None, (args.command, getattr(args, "attack", None))))
+        _err(f"{where}: {exc}")
         return EXIT_USAGE
 
 

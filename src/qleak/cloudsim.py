@@ -157,6 +157,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _integer(block: dict, key: str, where: str, default: int | None = None) -> int:
+    """`block[key]`, else `default` if one is given, once it is a YAML int:
+    int() would take a bool and truncate a float without a word."""
+    value = _require(block, key, where) if default is None else block.get(key, default)
+    if type(value) is not int:
+        raise ScenarioError(f"{key!r} in {where} must be an integer, got {value!r}")
+    return value
+
+
 def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
     _check_keys(block, ("name", "inter_job_gap", "circuits"), where)
     circuits = _require(block, "circuits", where)
@@ -185,7 +194,11 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
 def _read_scenario_file(path: str | Path) -> dict:
     """The top-level mapping of a scenario file, its keys checked."""
     with Path(path).open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            reason = " ".join(str(exc).split())  # YAML's own spans lines
+            raise ScenarioError(f"invalid YAML: {reason}") from None
     return _check_keys(
         raw, ("device", "victim", "attacker", "seed", "reference_devices"),
         f"{path}: scenario file",
@@ -196,7 +209,8 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """Load a scenario from YAML; `seed` overrides the file's value.
 
     Schema (every key shown, optional `reference_devices:` aside; any
-    other key is a ScenarioError)::
+    other key is a ScenarioError, and so is a `repetitions`, `every_k` or
+    `seed` that is not a YAML integer)::
 
         device:
           name: desk_belem
@@ -217,10 +231,10 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     return Scenario(
         device=device,
         victim_circuit=str(_require(victim, "circuit", "victim")),
-        victim_repetitions=int(_require(victim, "repetitions", "victim")),
+        victim_repetitions=_integer(victim, "repetitions", "victim"),
         attacker_probe_circuit=str(_require(attacker, "probe_circuit", "attacker")),
-        probe_every=int(attacker.get("every_k", 1)),
-        seed=int(seed if seed is not None else raw.get("seed", 0)),
+        probe_every=_integer(attacker, "every_k", "attacker", 1),
+        seed=int(seed) if seed is not None else _integer(raw, "seed", "scenario", 0),
     )
 
 

@@ -47,6 +47,10 @@ def parse_csv(out):
     return list(csv.reader(io.StringIO(out)))
 
 
+#: a simulate run on the edited scenario file the test writes
+BAD_SCENARIO = ["simulate", "--scenario", "TMP/bad.yaml"]
+
+
 class TestUsage:
     def test_no_command(self, capsys):
         code, _, _ = run_cli(capsys, )
@@ -109,6 +113,32 @@ class TestUsage:
     def test_power_needs_effect(self, capsys):
         code, _, _ = run_cli(capsys, "power")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv,edit",
+        [
+            (BAD_SCENARIO, ("repetitions: 120", "repetitions: abc")),
+            (BAD_SCENARIO, ("seed: 11", "seed: x1")),
+            (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: -1.0")),
+            (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: fast")),
+            (BAD_SCENARIO, ("name: dev\n", "name: [1\n")),
+            (["reproduce-table", "--table", "TMP"], None),
+            (["matrix", "--out-dir", "TMP/file/sub"], None),
+        ],
+        ids=["repetitions-not-a-number", "seed-not-a-number", "negative-gap",
+             "gap-not-a-number", "yaml-syntax", "table-is-a-directory",
+             "out-dir-under-a-file"],
+    )
+    def test_rejected_input_is_one_line(self, capsys, tmp_path, argv, edit):
+        # each of these once ended in a traceback and exit 1
+        (tmp_path / "file").write_text("")
+        if edit:
+            assert SCENARIO_YAML.count(edit[0]) == 1
+            (tmp_path / "bad.yaml").write_text(SCENARIO_YAML.replace(*edit))
+        code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
 
 
 #: the options each subcommand declares: exactly those some run of it reads

@@ -243,6 +243,27 @@ class TestYaml:
         with pytest.raises(ScenarioError, match="reference_devices must be a list"):
             load_reference_devices(p)
 
+    @pytest.mark.parametrize("old,new,key", [
+        ("repetitions: 12", "repetitions: 2.5", "'repetitions' in victim"),
+        ("repetitions: 12", "repetitions: true", "'repetitions' in victim"),
+        ("every_k: 3", "every_k: 1.9", "'every_k' in attacker"),
+        ("seed: 9", "seed: 2.5", "'seed' in scenario"),
+    ], ids=["repetitions-float", "repetitions-bool", "every_k-float", "seed-float"])
+    def test_counts_and_seed_must_be_integers(self, tmp_path, old, new, key):
+        # int() would run 2 repetitions, 1 repetition, k = 1 and seed 2
+        assert SCENARIO_YAML.count(old) == 1
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace(old, new))
+        with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
+            load_scenario(p)
+
+    def test_yaml_syntax_error_is_a_scenario_error(self, tmp_path):
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace("name: dev", "name: [1"))
+        with pytest.raises(ScenarioError, match="invalid YAML") as info:
+            load_scenario(p)
+        assert "\n" not in str(info.value)
+
     def test_missing_key(self, tmp_path):
         p = tmp_path / "s.yaml"
         p.write_text("device:\n  name: d\n  circuits:\n    x: {mean: 1, variance: 1}\n")

@@ -105,6 +105,27 @@ def test_verdicts_are_built_in_one_place():
     assert callers == ["_classify"]
 
 
+def test_usage_errors_have_one_boundary():
+    """`cli.main` alone turns a rejected input into EXIT_USAGE: the only
+    `except` handlers in cli.py are in `main` and in the argparse type
+    `_probability`, and no other function returns EXIT_USAGE."""
+    tree = ast.parse((ROOT / "src" / "qleak" / "cli.py").read_text(encoding="utf-8"))
+    parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+
+    def scope(node):
+        while node in parent and not isinstance(node, ast.FunctionDef):
+            node = parent[node]
+        return getattr(node, "name", "module level")
+
+    handlers = {scope(n) for n in ast.walk(tree) if isinstance(n, ast.ExceptHandler)}
+    usage_returns = {
+        scope(n) for n in ast.walk(tree)
+        if isinstance(n, ast.Return) and "EXIT_USAGE" in ast.unparse(n)
+    }
+    assert handlers == {"main", "_probability"}
+    assert usage_returns == {"main"}
+
+
 def test_reconstruction_is_written_once():
     """Only `trace.reconstruct` builds an attacker view from a job log, so
     the reconstruction chain has one copy in src/ and demos/. perfbench/
