@@ -13,15 +13,14 @@ Results go to stdout as CSV; diagnostics go to stderr. Exit status is 0
 on success, 1 when a tolerance or distinguishability check fails, and 2
 for usage errors: a flag the subcommand does not read, or a rejected
 flag value, scenario or table file, or path, which prints one
-`<subcommand>: <reason>` line (`attack <kind>: ` for attack). Without
---seed, QLEAK_SEED sets the seed, else the scenario file's `seed:` (0
-without a scenario).
+`<subcommand>: <reason>` line (`attack <kind>: ` for attack). The seed
+is --seed, else the scenario file's `seed:`, else 0. --out-dir is made
+before the subcommand runs.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -47,14 +46,6 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _default_seed(args, fallback: int | None = 0) -> int | None:
-    """--seed, else QLEAK_SEED, else `fallback`."""
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QLEAK_SEED")
-    return int(env) if env else fallback
-
-
 def _load_table(args) -> baseline.BaselineTable:
     if args.table:
         return baseline.load_table(args.table)
@@ -74,12 +65,6 @@ def _probability(text: str) -> float:
 
 def _spec(args) -> PowerSpec:
     return PowerSpec(alpha=args.alpha, power=args.power)
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_matrix(path: Path, labels: list[str], matrix: np.ndarray) -> None:
@@ -141,7 +126,7 @@ def cmd_reproduce_table(args) -> int:
     ], rows)
     failures = sum(row[-1] == "FAIL" for row in rows)
     if args.mc_check:
-        _mc_spot_check(table, rows, spec, _default_seed(args))
+        _mc_spot_check(table, rows, spec, args.seed or 0)
     _err(f"{len(rows)} cells, {failures} outside tolerance")
     return EXIT_TOLERANCE if failures else EXIT_OK
 
@@ -176,7 +161,7 @@ def cmd_matrix(args) -> int:
     labels = _grover_labels(catalog)
     header = ["i", "j", "ovl", "required_n"]
     if args.out_dir:
-        out = _out_dir(args)
+        out = args.out_dir
         _write_matrix(out / "grover_ovl.csv", labels, ovl_m)
         _write_matrix(out / "grover_required.csv", labels, req_m)
         write_csv(out / "grover_pairs.csv", header, _pair_rows(ovl_m, req_m, True))
@@ -220,7 +205,7 @@ def cmd_power(args) -> int:
         n_int = max(2, math.ceil(n))
         p = mc_power_oracle(
             TimingDistribution(1.0, 1.0), TimingDistribution(1.0 + d, 1.0),
-            n_int, spec, seed=_default_seed(args),
+            n_int, spec, seed=args.seed or 0,
         )
         _err(f"mc-check: empirical power {p:.3f} at n={n_int}")
         if abs(p - spec.power) > 0.05:
@@ -232,13 +217,13 @@ def cmd_power(args) -> int:
 # simulate / attack
 
 def _scenario(args) -> cloudsim.Scenario:
-    """The --scenario file at the seed `_default_seed` gives, else its own."""
-    return cloudsim.load_scenario(args.scenario, _default_seed(args, None))
+    """The --scenario file at --seed, else at its own seed."""
+    return cloudsim.load_scenario(args.scenario, args.seed)
 
 
 def cmd_simulate(args) -> int:
     log = cloudsim.run_simulation(_scenario(args))
-    target = _out_dir(args) / "jobs.csv" if args.out_dir else sys.stdout
+    target = args.out_dir / "jobs.csv" if args.out_dir else sys.stdout
     write_csv(target, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
     if args.out_dir:
         _err(f"job log written to {target}")
@@ -264,7 +249,7 @@ def cmd_attack(args) -> int:
         write_csv(sys.stdout, ["attack", "verdict", "points"],
                   [[kind.upper(), verdict, len(ns)]])
         if args.out_dir:
-            write_csv(_out_dir(args) / f"{kind}_dom.csv", ["n", "dom", "band"],
+            write_csv(args.out_dir / f"{kind}_dom.csv", ["n", "dom", "band"],
                       zip(ns, dom, band))
         _err(f"{kind.upper()} null comparison: {verdict}")
         return EXIT_TOLERANCE if verdict == attacks.DISTINGUISHABLE else EXIT_OK
@@ -285,14 +270,14 @@ def cmd_attack(args) -> int:
         verdict, req_m = attacks.co_identify(tr, catalog, spec)
         if args.out_dir:
             _write_matrix(
-                _out_dir(args) / "co_required.csv", _grover_labels(catalog), req_m
+                args.out_dir / "co_required.csv", _grover_labels(catalog), req_m
             )
     else:
         verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit, spec=spec)
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     if args.out_dir:
         write_records(
-            _out_dir(args) / f"{kind}_verdict.csv", attacks.AttackVerdict, [verdict]
+            args.out_dir / f"{kind}_verdict.csv", attacks.AttackVerdict, [verdict]
         )
     _err(
         f"{verdict.attack}: label={verdict.label!r} n={verdict.measurements_used}"
@@ -334,8 +319,7 @@ FLAGS = {
     "backend": dict(choices=("sim", "qc")),
     "alpha": dict(type=_probability, default=PowerSpec.alpha),
     "power": dict(type=_probability, default=PowerSpec.power),
-    "seed": dict(type=int, help="default: QLEAK_SEED, else the scenario "
-                 "file's seed (0 without a scenario)"),
+    "seed": dict(type=int, help="default: the scenario file's seed, else 0"),
     "out-dir": dict(),
     "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
     "scenario": dict(required=True, help="scenario YAML file"),
@@ -384,9 +368,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "out_dir", None):
+            args.out_dir = Path(args.out_dir)
+            args.out_dir.mkdir(parents=True, exist_ok=True)
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError, PermissionError) as exc:
+    except (ValueError, KeyError, FileNotFoundError, FileExistsError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         where = " ".join(filter(None, (args.command, getattr(args, "attack", None))))
         _err(f"{where}: {exc}")
         return EXIT_USAGE

@@ -184,11 +184,11 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
             raise ScenarioError(
                 f"bad timing for circuit {cname!r}: {exc}"
             ) from exc
-    return DeviceProfile(
-        name=str(_require(block, "name", where)),
-        circuit_timings=timings,
-        inter_job_gap=float(block.get("inter_job_gap", 0.0)),
-    )
+    name = str(_require(block, "name", where))
+    try:
+        return DeviceProfile(name, timings, float(block.get("inter_job_gap", 0.0)))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad inter_job_gap in {where}: {exc}") from exc
 
 
 def _read_scenario_file(path: str | Path) -> dict:

@@ -45,11 +45,7 @@ def write_csv(
         _write(csv.writer(target, lineterminator="\n"), header, rows, digits)
 
 
-def write_records(
-    target: str | Path | IO[str], cls: type, records: Iterable, digits: int = 9
-) -> None:
+def write_records(target: str | Path | IO[str], cls: type, records: Iterable) -> None:
     """One row per dataclass record, headed by the field names of `cls`."""
     names = [f.name for f in fields(cls)]
-    write_csv(
-        target, names, ([getattr(r, n) for n in names] for r in records), digits
-    )
+    write_csv(target, names, ([getattr(r, n) for n in names] for r in records))

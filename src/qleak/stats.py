@@ -122,13 +122,14 @@ def ovl(p: TimingDistribution, q: TimingDistribution) -> float:
     """Overlapping coefficient: integral of min(pdf_p, pdf_q) over the line."""
     if p.mean == q.mean and p.variance == q.variance:
         return 1.0
-    if p.variance == q.variance:
-        # densities cross once, midway between the means
-        return 2.0 * normal_cdf(-abs(p.mean - q.mean) / (2.0 * p.sd))
-    # unequal variances: the log-density difference is a quadratic with two
-    # real roots; the narrower density is the smaller one outside them
     lo, hi = (p, q) if p.variance < q.variance else (q, p)
     a = 1.0 / (2 * lo.variance) - 1.0 / (2 * hi.variance)
+    if a == 0.0:
+        # equal variances, or ones a rounding apart: the densities cross
+        # once, midway between the means
+        return 2.0 * normal_cdf(-abs(p.mean - q.mean) / (2.0 * lo.sd))
+    # unequal variances: the log-density difference is a quadratic with two
+    # real roots; the narrower density is the smaller one outside them
     b = hi.mean / hi.variance - lo.mean / lo.variance
     c = (
         lo.mean**2 / (2 * lo.variance)

@@ -7,7 +7,9 @@ When several victim runs fall inside one gap, the per-execution values are
 the interval split evenly, so a count-k interval contributes k correlated
 durations: the sample mean is unbiased but the sample variance shrinks by
 roughly a factor of k. Power planning on such traces must budget by
-intervals, not executions.
+intervals, not executions. No gap is subtracted and no interval is
+dropped, so `Trace.dropped_intervals` reads 0 until ROADMAP item 3
+estimates the gap.
 
 `reconstruct` is the entry point: it runs the whole chain on a job log.
 """
@@ -44,7 +46,8 @@ class AttackerView:
 
 @dataclass
 class Trace:
-    """Inferred victim durations plus per-interval bookkeeping."""
+    """Inferred victim durations plus per-interval bookkeeping;
+    `dropped_intervals` reads 0 until ROADMAP item 3 estimates the gap."""
 
     durations: np.ndarray
     inferred_counts: list[int]
@@ -98,25 +101,14 @@ def estimate_victim_mean(view: AttackerView) -> float:
     return float(np.mean(extract_intervals(view)))
 
 
-def assemble_trace(
-    view: AttackerView, avg_victim: float, gap_correction: float = 0.0
-) -> Trace:
-    """Turn probe intervals into per-execution victim durations.
-
-    Each interval's inferred count of executions is subtracted
-    `gap_correction` seconds of overhead apiece before splitting evenly.
-    Intervals the correction would exhaust are dropped and counted;
-    intervals with no execution keep their zero count.
+def assemble_trace(view: AttackerView, avg_victim: float) -> Trace:
+    """Turn probe intervals into per-execution victim durations: each
+    interval split evenly over its inferred count of executions, and an
+    interval with no execution kept at count 0. No interval is dropped, so
+    `dropped_intervals` reads 0 until ROADMAP item 3 estimates the gap.
     """
-    intervals = extract_intervals(view)
-    counts, _ = infer_execution_count(intervals, avg_victim)
-    corrected = intervals - gap_correction * counts
-    kept = (counts == 0) | (corrected > 0)
-    counts = counts[kept]
-    per_execution = corrected[kept] / np.maximum(counts, 1)
-    return Trace(
-        np.repeat(per_execution, counts), counts.tolist(), int((~kept).sum())
-    )
+    counts, per_execution = infer_execution_count(extract_intervals(view), avg_victim)
+    return Trace(np.repeat(per_execution, counts), counts.tolist())
 
 
 def reconstruct(log: JobLog) -> Trace:

@@ -117,20 +117,15 @@ def loop_simulation(scenario):
     return victim, started, ended, truncations
 
 
-def loop_assemble(intervals, avg_victim: float, gap_correction: float):
+def loop_assemble(intervals, avg_victim: float):
     """One interval at a time: the reference for
-    :func:`qleak.trace.assemble_trace`. Returns (durations, counts,
-    dropped intervals)."""
-    durations, counts, dropped = [], [], 0
+    :func:`qleak.trace.assemble_trace`. Returns (durations, counts)."""
+    durations, counts = [], []
     for interval in intervals:
         if interval == 0:
             counts.append(0)
             continue
         count = max(1, math.ceil(interval / avg_victim - 0.5))
-        corrected = interval - gap_correction * count
-        if corrected <= 0:
-            dropped += 1
-            continue
-        durations += [corrected / count] * count
+        durations += [interval / count] * count
         counts.append(count)
-    return durations, counts, dropped
+    return durations, counts

@@ -140,6 +140,21 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("out_dir", ["file", "file/sub"],
+                             ids=["a-regular-file", "under-a-regular-file"])
+    def test_out_dir_is_made_before_the_subcommand_runs(
+        self, capsys, scenario_file, tmp_path, out_dir
+    ):
+        # the directory is made first, so nothing is printed when it cannot be
+        (tmp_path / "file").write_text("")
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", scenario_file, "--attack", "uc",
+            "--out-dir", str(tmp_path / out_dir),
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("attack uc: ") and err.count("\n") == 1
+
 
 #: the options each subcommand declares: exactly those some run of it reads
 OPTIONS = {
@@ -386,6 +401,10 @@ class TestSimulateAndAttack:
         assert code == EXIT_OK
         assert parse_csv(out) == parse_csv((tmp_path / "jobs.csv").read_text())
 
+    def test_empty_out_dir_means_none(self, capsys, scenario_file):
+        argv = ["simulate", "--scenario", scenario_file]
+        assert run_cli(capsys, *argv, "--out-dir", "") == run_cli(capsys, *argv)
+
     def test_attack_uc(self, capsys, scenario_file):
         code, out, _ = run_cli(
             capsys, "attack", "--scenario", scenario_file,
@@ -445,27 +464,25 @@ class TestSimulateAndAttack:
         assert parse_csv(out)[1][1] == "indistinguishable"
 
     def test_seed_env(self, capsys, scenario_file, monkeypatch):
-        monkeypatch.setenv("QLEAK_SEED", "33")
-        code1, out1, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
-        code2, out2, _ = run_cli(capsys, "simulate", "--scenario", scenario_file)
-        assert out1 == out2
-
-    def test_scenario_seed_is_the_default(self, capsys, scenario_file, monkeypatch):
-        # the file says seed: 11; QLEAK_SEED and then --seed override it
+        # no environment variable sets the seed
+        argv = ["simulate", "--scenario", scenario_file]
         monkeypatch.delenv("QLEAK_SEED", raising=False)
+        unset = run_cli(capsys, *argv)
+        monkeypatch.setenv("QLEAK_SEED", "33")
+        assert run_cli(capsys, *argv) == unset
+
+    def test_scenario_seed_is_the_default(self, capsys, scenario_file):
+        # the file says seed: 11; --seed overrides it
 
         def simulate(*seed):
             return run_cli(capsys, "simulate", "--scenario", scenario_file, *seed)[1]
 
         assert simulate() == simulate("--seed", "11") != simulate("--seed", "0")
-        monkeypatch.setenv("QLEAK_SEED", "5")
-        assert simulate() == simulate("--seed", "5") != simulate("--seed", "11")
 
     def test_null_attack_sessions_follow_the_scenario_seed(
-        self, capsys, scenario_file, monkeypatch, tmp_path
+        self, capsys, scenario_file, tmp_path
     ):
         # the second session runs at the scenario's seed + 1
-        monkeypatch.delenv("QLEAK_SEED", raising=False)
         curves = []
         for out, seed in (("default", ()), ("eleven", ("--seed", "11"))):
             run_cli(capsys, "attack", "--scenario", scenario_file, "--attack", "ca",
@@ -493,6 +510,17 @@ class TestMitigate:
         )
         assert code == EXIT_USAGE
         assert out == "" and "timer-noise does not read layouts" in err
+
+    def test_layout_variances_a_rounding_apart(self, capsys):
+        # the two mixtures' variances differ in the last bit
+        code, out, err = run_cli(
+            capsys, "mitigate", "--kind", "compile-randomness",
+            "--layout-spread", "0.7", "--layouts", "7", "--backend", "sim",
+            "--victim", "Quantum State Tomography", "--reference", "T1/Qubit Lifetimes",
+        )
+        assert code == EXIT_OK, err
+        row = dict(zip(*parse_csv(out)))
+        assert 0 < float(row["overlap_after"]) < 1
 
     def test_unknown_victim(self, capsys):
         code, _, _ = run_cli(

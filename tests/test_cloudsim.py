@@ -257,6 +257,26 @@ class TestYaml:
         with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
             load_scenario(p)
 
+    @pytest.mark.parametrize("gap,reason", [
+        ("fast", "could not convert string to float: 'fast'"),
+        ("-1.0", "inter_job_gap must not be negative"),
+    ], ids=["not-a-number", "negative"])
+    def test_bad_gap_names_its_device_block(self, tmp_path, gap, reason):
+        assert SCENARIO_YAML.count("  - name: b\n") == 1
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace(
+            "  - name: b\n", f"  - name: b\n    inter_job_gap: {gap}\n"
+        ))
+        with pytest.raises(ScenarioError) as info:
+            load_reference_devices(p)
+        assert str(info.value) == f"bad inter_job_gap in reference_devices[1]: {reason}"
+
+    def test_gap_in_exponent_form(self, tmp_path):
+        # PyYAML reads 1e-3 (no dot) as a string
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace("inter_job_gap: 0.0", "inter_job_gap: 1e-3"))
+        assert load_scenario(p).device.inter_job_gap == 0.001
+
     def test_yaml_syntax_error_is_a_scenario_error(self, tmp_path):
         p = tmp_path / "s.yaml"
         p.write_text(SCENARIO_YAML.replace("name: dev", "name: [1"))

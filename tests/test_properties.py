@@ -116,9 +116,8 @@ class TestColumnarMatchesLoop:
         st.integers(min_value=0, max_value=1000),
         st.sampled_from([0.0, 0.2, 0.013]),
         st.sampled_from([0.3, 4.0]),
-        st.sampled_from([0.0, 0.2, 0.4, 1.5]),
     )
-    def test_bit_identical(self, reps, k, seed, gap, victim_var, correction):
+    def test_bit_identical(self, reps, k, seed, gap, victim_var):
         device = DeviceProfile(
             "d",
             {
@@ -138,11 +137,11 @@ class TestColumnarMatchesLoop:
         probes = [(s, e) for v, s, e in zip(victim, started, ended) if not v]
         intervals = [b[0] - a[1] for a, b in zip(probes, probes[1:])]
         avg = float(np.mean(intervals))
-        trace = assemble_trace(AttackerView.from_log(log), avg, correction)
-        durations, counts, dropped = loop_assemble(intervals, avg, correction)
+        trace = assemble_trace(AttackerView.from_log(log), avg)
+        durations, counts = loop_assemble(intervals, avg)
         assert trace.durations.tolist() == durations
         assert trace.inferred_counts == counts
-        assert trace.dropped_intervals == dropped
+        assert trace.dropped_intervals == 0
 
 
 class TestCatalogProperties:

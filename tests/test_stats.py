@@ -101,6 +101,15 @@ class TestOvl:
         assert ovl(p, q) == pytest.approx(ovl(q, p))
         assert 0.0 < ovl(p, q) < 1.0
 
+    def test_variances_a_rounding_apart(self):
+        # the compile-randomness mixtures of Quantum State Tomography and
+        # T1/Qubit Lifetimes on the simulator (spread 0.7, 7 layouts):
+        # unequal variances whose quadratic has a leading coefficient of 0
+        p = TimingDistribution(0.8559978010000001, 0.05744444444444447)
+        q = TimingDistribution(1.288301706, 0.057444444444444465)
+        assert p.variance != q.variance
+        assert ovl(p, q) == ovl(q, p) == pytest.approx(ovl_numeric(p, q), abs=1e-9)
+
 
 class TestEffectSize:
     def test_pooled_over_the_pair(self):

@@ -107,14 +107,6 @@ class TestAssembly:
         assert len(trace) == 30
         assert trace.durations == pytest.approx(truth)
 
-    def test_gap_correction(self):
-        log = run_simulation(make_scenario(reps=30, k=1, seed=5, gap=0.25))
-        view = AttackerView.from_log(log)
-        truth = ground_truth_durations(log)
-        # each interval spans one victim job plus two scheduling gaps
-        trace = assemble_trace(view, avg_victim=2.5, gap_correction=0.5)
-        assert trace.durations == pytest.approx(truth)
-
     def test_k_averaging(self):
         log = run_simulation(make_scenario(reps=40, k=4, seed=6, victim_var=0.01))
         view = AttackerView.from_log(log)
@@ -126,14 +118,13 @@ class TestAssembly:
         assert trace.durations.var(ddof=1) < truth.var(ddof=1)
         assert trace.durations.mean() == pytest.approx(truth.mean(), rel=0.05)
 
-    def test_zero_and_exhausted_intervals(self):
-        # intervals 0, 2 and 0.5 at about 2 s a run: counts 0, 1 and 1; the
-        # 0.6 s correction exhausts the last, which leaves the counts
-        view = AttackerView(((0, 1), (1, 2), (4, 5), (5.5, 6)))
-        trace = assemble_trace(view, avg_victim=2.0, gap_correction=0.6)
-        assert list(trace.durations) == [1.4]
+    def test_zero_interval_keeps_count_zero(self):
+        # intervals 0 and 2 at about 2 s a run: counts 0 and 1
+        view = AttackerView(((0, 1), (1, 2), (4, 5)))
+        trace = assemble_trace(view, avg_victim=2.0)
+        assert list(trace.durations) == [2.0]
         assert list(trace.inferred_counts) == [0, 1]
-        assert trace.dropped_intervals == 1
+        assert trace.dropped_intervals == 0
 
     def test_nan_mean_rejected(self):
         view = AttackerView(((0.0, 1.0), (3.0, 4.0)))
