@@ -209,5 +209,7 @@ def qp_fingerprint(
     among devices of another name. Raises `ValueError` unless the devices
     carry at least two distinct names.
     """
+    if not devices:
+        raise ValueError("no reference devices: QP needs two device names")
     models = [(dev.name, dev.timing(circuit)) for dev in devices]
     return _classify("QP", trace, models, spec)

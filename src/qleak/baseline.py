@@ -93,7 +93,7 @@ class BaselineTable:
         for e in self.entries:
             if e.name == name:
                 return e
-        raise KeyError(name)
+        raise KeyError(f"unknown circuit {name!r}")
 
     def variance(self, backend: str) -> float:
         _check_backend(backend)

@@ -10,17 +10,19 @@ Subcommands::
     qleak mitigate          cost/benefit report for a countermeasure
 
 Results go to stdout as CSV; diagnostics go to stderr. Exit status is 0
-on success, 1 when a tolerance or distinguishability check fails, and 2
-for usage errors: a flag the subcommand does not read, or a rejected
-flag value, scenario or table file, or path, which prints one
-`<subcommand>: <reason>` line (`attack <kind>: ` for attack). The seed
-is --seed, else the scenario file's `seed:`, else 0. --out-dir is made
-before the subcommand runs.
+on success, 1 when a tolerance or distinguishability check fails, 141
+when stdout closes early, and 2 for usage errors: a flag the subcommand
+or attack kind does not read (uc reads --table --backend --alpha --power,
+co and qp --alpha --power), or a rejected flag value, scenario or table
+file, or path, which prints one `<subcommand>: <reason>` line (`attack
+<kind>: ` for attack). The seed is --seed, else the scenario file's
+`seed:`, else 0. --out-dir is made before the subcommand runs.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -34,6 +36,7 @@ from .stats import PowerSpec, TimingDistribution, mc_power_oracle, required_samp
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a closed pipe
 
 BACKEND_FLAG = {"sim": baseline.SIMULATOR, "qc": baseline.HARDWARE}
 
@@ -50,21 +53,6 @@ def _load_table(args) -> baseline.BaselineTable:
     if args.table:
         return baseline.load_table(args.table)
     return baseline.bundled_table()
-
-
-def _probability(text: str) -> float:
-    """argparse type of --alpha and --power: a number strictly inside (0, 1)."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
-    return value
-
-
-def _spec(args) -> PowerSpec:
-    return PowerSpec(alpha=args.alpha, power=args.power)
 
 
 def _write_matrix(path: Path, labels: list[str], matrix: np.ndarray) -> None:
@@ -117,7 +105,7 @@ def _table_row(table, name, backend, spec):
 
 def cmd_reproduce_table(args) -> int:
     table = _load_table(args)
-    spec = _spec(args)
+    spec = args.spec
     backends = [BACKEND_FLAG[args.backend]] if args.backend else list(baseline.BACKENDS)
     rows = [_table_row(table, e.name, b, spec) for b in backends for e in table.entries]
     write_csv(sys.stdout, [
@@ -181,19 +169,19 @@ def cmd_matrix(args) -> int:
 # power
 
 def cmd_power(args) -> int:
-    spec = _spec(args)
-    if args.effect_size is not None:
+    spec = args.spec
+    if args.effect_size is not None and (args.delta_mean, args.variance) == (None, None):
         d = args.effect_size
         if d < 0:
             raise ValueError(f"--effect-size must be non-negative, got {d}")
-    elif args.delta_mean is not None and args.variance is not None:
+    elif args.effect_size is None and None not in (args.delta_mean, args.variance):
         if not (math.isfinite(args.variance) and args.variance > 0):
             raise ValueError(
                 f"--variance must be positive and finite, got {args.variance}"
             )
         d = abs(args.delta_mean) / math.sqrt(args.variance)
     else:
-        raise ValueError("give --effect-size or both --delta-mean and --variance")
+        raise ValueError("give --effect-size alone or --delta-mean with --variance")
     n = required_sample_size(d, spec)
     # alpha and power are echoed unrounded
     write_csv(
@@ -235,9 +223,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    spec = _spec(args)
-    backend = BACKEND_FLAG[args.backend or "qc"]
     kind = args.attack
+    for flag in sorted(set(ATTACK_FLAGS) - set(ATTACK_READS[kind])):
+        if getattr(args, flag) != FLAGS[flag].get("default"):
+            raise ValueError(f"{kind} does not read --{flag}")
 
     if kind in ("ca", "qm"):
         # null designs: two runs of the same scenario, at seed and seed + 1
@@ -254,26 +243,21 @@ def cmd_attack(args) -> int:
         _err(f"{kind.upper()} null comparison: {verdict}")
         return EXIT_TOLERANCE if verdict == attacks.DISTINGUISHABLE else EXIT_OK
 
-    if kind == "qp":
-        devices = cloudsim.load_reference_devices(args.scenario)
-        if len(devices) < 2:
-            raise cloudsim.ScenarioError(
-                "scenario needs a reference_devices list (>= 2)"
-            )
     scenario = _scenario(args)
     tr = trace_mod.reconstruct(cloudsim.run_simulation(scenario))
     if kind == "uc":
-        table = _load_table(args)
-        verdict = attacks.uc_classify(tr, table, backend, spec)
+        backend = BACKEND_FLAG[args.backend or "qc"]
+        verdict = attacks.uc_classify(tr, _load_table(args), backend, args.spec)
     elif kind == "co":
         catalog = baseline.grover_catalog()
-        verdict, req_m = attacks.co_identify(tr, catalog, spec)
+        verdict, req_m = attacks.co_identify(tr, catalog, args.spec)
         if args.out_dir:
             _write_matrix(
                 args.out_dir / "co_required.csv", _grover_labels(catalog), req_m
             )
     else:
-        verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit, spec=spec)
+        devices = cloudsim.load_reference_devices(args.scenario)
+        verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit, args.spec)
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     if args.out_dir:
         write_records(
@@ -298,7 +282,7 @@ def cmd_mitigate(args) -> int:
         params["pad_toward"] = args.pad_toward or args.reference
     m = mitigations.Mitigation(**params)
     report = mitigations.evaluate(
-        m, table, backend, args.victim, args.reference, _spec(args)
+        m, table, backend, args.victim, args.reference, args.spec
     )
     write_records(sys.stdout, mitigations.MitigationReport, [report])
     _err(f"{m.kind}: requirement inflation x{report.inflation:.6g}")
@@ -313,12 +297,17 @@ MITIGATION_PARAMS = {
     for f in fields(mitigations.Mitigation) if f.name != "kind"
 }
 
+#: the flags each attack kind reads besides scenario, attack, seed and out-dir
+ATTACK_READS = {"uc": ("table", "backend", "alpha", "power"),
+                "co": ("alpha", "power"), "qp": ("alpha", "power"), "ca": (), "qm": ()}
+ATTACK_FLAGS = tuple(dict.fromkeys(f for reads in ATTACK_READS.values() for f in reads))
+
 #: every flag of the CLI; each subcommand declares the ones it reads
 FLAGS = {
     "table": dict(help="baseline table CSV (default: bundled)"),
     "backend": dict(choices=("sim", "qc")),
-    "alpha": dict(type=_probability, default=PowerSpec.alpha),
-    "power": dict(type=_probability, default=PowerSpec.power),
+    "alpha": dict(type=float, default=PowerSpec.alpha),
+    "power": dict(type=float, default=PowerSpec.power),
     "seed": dict(type=int, help="default: the scenario file's seed, else 0"),
     "out-dir": dict(),
     "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
@@ -344,7 +333,7 @@ SUBCOMMANDS = (
     ("simulate", cmd_simulate, "run a scenario, dump the job log",
      "scenario seed out-dir"),
     ("attack", cmd_attack, "run an attack on a scenario",
-     "scenario attack table backend alpha power seed out-dir"),
+     "scenario attack " + " ".join(ATTACK_FLAGS) + " seed out-dir"),
     ("mitigate", cmd_mitigate, "evaluate a countermeasure",
      "table backend alpha power kind victim reference " + " ".join(MITIGATION_PARAMS)),
 )
@@ -368,14 +357,23 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if hasattr(args, "alpha"):
+            args.spec = PowerSpec(args.alpha, args.power)
         if getattr(args, "out_dir", None):
             args.out_dir = Path(args.out_dir)
             args.out_dir.mkdir(parents=True, exist_ok=True)
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout surfaces here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # what is left to write goes nowhere, as after SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (ValueError, KeyError, FileNotFoundError, FileExistsError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         where = " ".join(filter(None, (args.command, getattr(args, "attack", None))))
-        _err(f"{where}: {exc}")
+        _err(f"{where}: {exc.args[0] if isinstance(exc, KeyError) else exc}")
         return EXIT_USAGE
 
 

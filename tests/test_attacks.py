@@ -328,6 +328,10 @@ class TestQp:
         assert stricter.planned_n > default.planned_n
         assert stricter.label == default.label
 
+    def test_needs_a_device(self):
+        with pytest.raises(ValueError, match="two device names"):
+            qp_fingerprint(Trace.from_durations([1.0, 2.0]), [], "grover")
+
     def test_needs_two_devices(self):
         with pytest.raises(ValueError):
             qp_fingerprint(

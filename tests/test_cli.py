@@ -1,14 +1,19 @@
 import argparse
 import csv
 import io
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qleak.baseline import HARDWARE, SIMULATOR
-from qleak.cli import EXIT_OK, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
+from qleak.cli import EXIT_OK, EXIT_PIPE, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 from table1_divergences import divergent_names
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SCENARIO_YAML = """
 device:
@@ -49,6 +54,8 @@ def parse_csv(out):
 
 #: a simulate run on the edited scenario file the test writes
 BAD_SCENARIO = ["simulate", "--scenario", "TMP/bad.yaml"]
+#: an attack on the unedited scenario file the test writes
+ATTACK = ["attack", "--scenario", "TMP/scenario.yaml", "--attack"]
 
 
 class TestUsage:
@@ -88,6 +95,17 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         assert "reference_devices must be a list" in err
 
+    def test_no_reference_devices(self, capsys, tmp_path):
+        p = tmp_path / "none.yaml"
+        p.write_text(SCENARIO_YAML[: SCENARIO_YAML.index("reference_devices:")])
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", str(p), "--attack", "qp"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err.startswith("attack qp: ") and err.count("\n") == 1
+        assert "two device names" in err
+
     def test_repeated_device_names(self, capsys, tmp_path):
         p = tmp_path / "twins.yaml"
         p.write_text(SCENARIO_YAML.replace("name: dev_b", "name: dev_a"))
@@ -124,21 +142,42 @@ class TestUsage:
             (BAD_SCENARIO, ("name: dev\n", "name: [1\n")),
             (["reproduce-table", "--table", "TMP"], None),
             (["matrix", "--out-dir", "TMP/file/sub"], None),
+            ([*ATTACK, "co", "--backend", "sim", "--table", "/nonexistent"], None),
+            ([*ATTACK, "qm", "--alpha", "0.01"], None),
         ],
         ids=["repetitions-not-a-number", "seed-not-a-number", "negative-gap",
              "gap-not-a-number", "yaml-syntax", "table-is-a-directory",
-             "out-dir-under-a-file"],
+             "out-dir-under-a-file", "co-with-backend-and-table", "qm-with-alpha"],
     )
     def test_rejected_input_is_one_line(self, capsys, tmp_path, argv, edit):
-        # each of these once ended in a traceback and exit 1
+        # each of these once ended in a traceback and exit 1, or ignored a flag
         (tmp_path / "file").write_text("")
+        (tmp_path / "scenario.yaml").write_text(SCENARIO_YAML)
         if edit:
             assert SCENARIO_YAML.count(edit[0]) == 1
             (tmp_path / "bad.yaml").write_text(SCENARIO_YAML.replace(*edit))
         code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
         assert code == EXIT_USAGE
         assert out == "" and "Traceback" not in err
-        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+        where = f"attack {argv[4]}" if argv[:4] == ATTACK else argv[0]
+        assert err.startswith(f"{where}: ") and err.count("\n") == 1
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # 20,000 runs print far more than a pipe holds, so a write must fail
+        p = tmp_path / "long.yaml"
+        p.write_text(SCENARIO_YAML.replace("repetitions: 120", "repetitions: 20000"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                          env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qleak.cli", "simulate", "--scenario", str(p)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline().startswith(b"job_id,")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_PIPE
+        assert err == b""
 
     @pytest.mark.parametrize("out_dir", ["file", "file/sub"],
                              ids=["a-regular-file", "under-a-regular-file"])
@@ -212,11 +251,17 @@ class TestProbabilityFlags:
     def test_outside_unit_interval_is_a_usage_error(
         self, capsys, scenario_file, command, flag, value
     ):
+        # PowerSpec's check prints the subcommand's one line; a value that
+        # is not a number stays argparse's flag error
         argv = [scenario_file if a == "SCENARIO" else a for a in BASE_ARGV[command]]
         code, out, err = run_cli(capsys, command, *argv, flag, value)
         assert code == EXIT_USAGE
         assert out == "" and "Traceback" not in err
-        assert f"argument {flag}: must be a number in (0, 1)" in err
+        if value == "x":
+            assert f"argument {flag}: invalid float value: 'x'" in err
+        else:
+            where = "attack uc" if command == "attack" else command
+            assert err == f"{where}: {flag[2:]} must be in (0,1), got {float(value)}\n"
 
 
 class TestFlags:
@@ -299,6 +344,8 @@ class TestPower:
             ("--delta-mean", "1", "--variance", "-1"),
             ("--delta-mean", "nan", "--variance", "1"),
             ("--effect-size", "-0.5"),
+            ("--effect-size", "0.5", "--delta-mean", "9", "--variance", "1"),
+            ("--effect-size", "0.5", "--variance", "1"),
         ],
     )
     def test_bad_input_is_a_usage_error(self, capsys, argv):
@@ -521,6 +568,14 @@ class TestMitigate:
         assert code == EXIT_OK, err
         row = dict(zip(*parse_csv(out)))
         assert 0 < float(row["overlap_after"]) < 1
+
+    def test_unknown_circuit_is_named(self, capsys):
+        code, out, err = run_cli(
+            capsys, "mitigate", "--kind", "timer-noise",
+            "--victim", "GHZZ", "--reference", "GHZ", "--added-variance", "0.1",
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and err == "mitigate: unknown circuit 'GHZZ'\n"
 
     def test_unknown_victim(self, capsys):
         code, _, _ = run_cli(

@@ -107,8 +107,8 @@ def test_verdicts_are_built_in_one_place():
 
 def test_usage_errors_have_one_boundary():
     """`cli.main` alone turns a rejected input into EXIT_USAGE: the only
-    `except` handlers in cli.py are in `main` and in the argparse type
-    `_probability`, and no other function returns EXIT_USAGE."""
+    `except` handlers in cli.py are in `main`, and no other function
+    returns EXIT_USAGE."""
     tree = ast.parse((ROOT / "src" / "qleak" / "cli.py").read_text(encoding="utf-8"))
     parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
 
@@ -122,7 +122,7 @@ def test_usage_errors_have_one_boundary():
         scope(n) for n in ast.walk(tree)
         if isinstance(n, ast.Return) and "EXIT_USAGE" in ast.unparse(n)
     }
-    assert handlers == {"main", "_probability"}
+    assert handlers == {"main"}
     assert usage_returns == {"main"}
 
 
