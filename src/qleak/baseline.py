@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -239,11 +240,13 @@ def _rival(candidates: list[tuple[str, TimingDistribution]], label: str,
     return others[_nearest(mu, [m.mean for _, m in others])[0]]
 
 
-def _column(table: BaselineTable, backend: str) -> list:
-    """(name, timing model) of every entry on one backend, in table order."""
+@lru_cache(maxsize=8)
+def _column(table: BaselineTable, backend: str) -> tuple:
+    """(name, timing model) of every entry on one backend, in table order;
+    memoised per (table, backend), as a tuple so no caller can change it."""
     var = table.variance(backend)
-    return [(e.name, TimingDistribution(e.latency(backend), var))
-            for e in table.entries]
+    return tuple((e.name, TimingDistribution(e.latency(backend), var))
+                 for e in table.entries)
 
 
 def nearest_neighbor_requirement(

@@ -6,6 +6,7 @@ monotonic clock; durations are Gaussian draws per circuit, truncated at a
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -37,6 +38,8 @@ class DeviceProfile:
     def __post_init__(self):
         if self.inter_job_gap < 0:
             raise ValueError("inter_job_gap must not be negative")
+        if not math.isfinite(self.inter_job_gap):
+            raise ValueError(f"inter_job_gap must be finite, got {self.inter_job_gap}")
         # an int gap would make the simulator's clock an int array
         object.__setattr__(self, "inter_job_gap", float(self.inter_job_gap))
         if not self.circuit_timings:
@@ -104,23 +107,26 @@ def run_simulation(scenario: Scenario) -> JobLog:
     """Execute the scenario serially, probes bracketing every k-th victim
     batch. Identical scenarios (including seed) give bit-identical logs:
     durations are drawn in job order and the clock sums 0, d0, gap, d1, ...
+
+    Job i's duration is mean_i + sd_i * z_i over one `standard_normal(n)`
+    draw z: the same bits as `rng.normal(mean_i, sd_i)` job by job, which
+    computes loc + scale * z for each draw.
     """
     k, reps = scenario.probe_every, scenario.victim_repetitions
     n = reps + -(-reps // k) + 1
-    slot = np.arange(n)
     # a probe leads each batch of k; the last probe follows a short batch
-    victim = (slot % (k + 1) != 0) & (slot != n - 1)
+    victim = np.ones(n, dtype=bool)
+    victim[::k + 1] = False
+    victim[-1] = False
     v = scenario.device.timing(scenario.victim_circuit)
     p = scenario.device.timing(scenario.attacker_probe_circuit)
-    rng = np.random.default_rng(scenario.seed)
-    durations = rng.normal(
-        np.where(victim, v.mean, p.mean), np.where(victim, v.sd, p.sd)
-    )
-    clamped = durations < DURATION_FLOOR
+    durations = np.random.default_rng(scenario.seed).standard_normal(n)
+    durations *= np.where(victim, v.sd, p.sd)
+    durations += np.where(victim, v.mean, p.mean)
     steps = np.full(2 * n, scenario.device.inter_job_gap)
     steps[0] = 0.0
-    steps[1::2] = np.where(clamped, DURATION_FLOOR, durations)
-    clock = np.cumsum(steps)
+    np.maximum(durations, DURATION_FLOOR, out=steps[1::2])
+    clock = np.cumsum(steps, out=steps)
     ended = clock[1::2]
     return JobLog(
         victim=victim,
@@ -129,7 +135,7 @@ def run_simulation(scenario: Scenario) -> JobLog:
         ended_at=ended,
         victim_circuit=scenario.victim_circuit,
         probe_circuit=scenario.attacker_probe_circuit,
-        truncations=int(clamped.sum()),
+        truncations=int(np.count_nonzero(durations < DURATION_FLOOR)),
     )
 
 

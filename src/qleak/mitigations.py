@@ -12,7 +12,7 @@ distributions or on scheduler behavior:
   shrinking the gap the attacker must resolve;
 - scheduler batching: victims run batch_factor executions between
   probes; its reported inflation is batch_factor as given, not derived
-  from the per-interval effect size (ROADMAP.md, item 6).
+  from the per-interval effect size (ROADMAP.md, item 4).
 """
 from __future__ import annotations
 
@@ -220,7 +220,7 @@ def evaluate(
     victim's own jobs incur. scheduler-batching acts on the attacker's
     sampling, not on the timing models: its inflation is batch_factor as
     given, not derived from the per-interval effect size (ROADMAP.md,
-    item 6).
+    item 4).
     """
     a, b = table.timing(victim, backend), table.timing(reference, backend)
     before = required_sample_size(effect_size(a, b), spec)

@@ -29,10 +29,12 @@ class TimingDistribution:
     variance: float
 
     def __post_init__(self):
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
-        if not self.mean > 0:
-            raise ValueError(f"latency mean must be positive, got {self.mean}")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(
+                f"variance must be positive and finite, got {self.variance}")
+        if not 0 < self.mean < math.inf:
+            raise ValueError(
+                f"latency mean must be positive and finite, got {self.mean}")
 
     @property
     def sd(self) -> float:

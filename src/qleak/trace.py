@@ -8,7 +8,7 @@ the interval split evenly, so a count-k interval contributes k correlated
 durations: the sample mean is unbiased but the sample variance shrinks by
 roughly a factor of k. Power planning on such traces must budget by
 intervals, not executions. No gap is subtracted and no interval is
-dropped, so `Trace.dropped_intervals` reads 0 until ROADMAP item 3
+dropped, so `Trace.dropped_intervals` reads 0 until ROADMAP item 2
 estimates the gap.
 
 `reconstruct` is the entry point: it runs the whole chain on a job log.
@@ -33,6 +33,8 @@ class AttackerView:
         probes = np.asarray(self.probe_records, dtype=float)
         probes = probes.reshape(len(probes), 2)
         object.__setattr__(self, "probe_records", probes)
+        if not np.all(np.isfinite(probes)):
+            raise ValueError("probe times must be finite")
         if np.any(probes[1:, 0] < probes[:-1, 1]):
             raise ValueError("probe intervals overlap or are unordered")
         if np.any(probes[:, 1] <= probes[:, 0]):
@@ -40,14 +42,14 @@ class AttackerView:
 
     @classmethod
     def from_log(cls, log: JobLog) -> "AttackerView":
-        probe = ~log.victim
+        probe = np.flatnonzero(~log.victim)
         return cls(np.column_stack((log.started_at[probe], log.ended_at[probe])))
 
 
 @dataclass
 class Trace:
     """Inferred victim durations plus per-interval bookkeeping;
-    `dropped_intervals` reads 0 until ROADMAP item 3 estimates the gap."""
+    `dropped_intervals` reads 0 until ROADMAP item 2 estimates the gap."""
 
     durations: np.ndarray
     inferred_counts: list[int]
@@ -55,6 +57,8 @@ class Trace:
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=float)
+        if not np.all(np.isfinite(self.durations)):
+            raise ValueError("durations must be finite")
         if len(self.durations) != sum(self.inferred_counts):
             raise ValueError("durations length must equal the summed counts")
 
@@ -105,7 +109,7 @@ def assemble_trace(view: AttackerView, avg_victim: float) -> Trace:
     """Turn probe intervals into per-execution victim durations: each
     interval split evenly over its inferred count of executions, and an
     interval with no execution kept at count 0. No interval is dropped, so
-    `dropped_intervals` reads 0 until ROADMAP item 3 estimates the gap.
+    `dropped_intervals` reads 0 until ROADMAP item 2 estimates the gap.
     """
     counts, per_execution = infer_execution_count(extract_intervals(view), avg_victim)
     return Trace(np.repeat(per_execution, counts), counts.tolist())

@@ -21,6 +21,7 @@ from qleak.baseline import (
     SIMULATOR,
     BaselineEntry,
     BaselineTable,
+    _column,
     bundled_table,
     grover_catalog,
     nearest_neighbor_requirement,
@@ -154,6 +155,26 @@ class TestUc:
         v = detect_backend(Trace.from_durations([2.0] * 100), split)
         assert v.label == HARDWARE
         assert not v.ambiguous
+
+    def test_tables_sharing_names_keep_their_own_models(self):
+        # the candidate column is memoised per (table, backend)
+        first = BaselineTable((BaselineEntry("a", 1.0, 9.0),
+                               BaselineEntry("b", 2.0, 9.5),
+                               BaselineEntry("c", 4.0, 10.0)))
+        second = BaselineTable((BaselineEntry("a", 4.0, 9.0),
+                                BaselineEntry("b", 1.5, 9.5),
+                                BaselineEntry("c", 1.0, 10.0)))
+        trace = Trace.from_durations([1.0, 1.0])
+        for tbl, label, rival in ((first, "a", 2.0), (second, "c", 1.5),
+                                  (first, "a", 2.0)):
+            v = uc_classify(trace, tbl, SIMULATOR)
+            model, other = (TimingDistribution(m, tbl.sim_variance) for m in (1.0, rival))
+            assert v.label == label
+            assert v.planned_n == required_sample_size(effect_size(model, other))
+        column = _column(first, SIMULATOR)
+        assert column is _column(first, SIMULATOR)
+        assert isinstance(column, tuple)
+        assert all(isinstance(c, tuple) for c in column)
 
 
 class TestTraceReading:

@@ -139,6 +139,10 @@ class TestUsage:
             (BAD_SCENARIO, ("seed: 11", "seed: x1")),
             (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: -1.0")),
             (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: fast")),
+            (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: .nan")),
+            (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: .inf")),
+            (BAD_SCENARIO, ("mean: 2.779299043, variance: 0.3}\n    probe",
+                            "mean: .inf, variance: 0.3}\n    probe")),
             (BAD_SCENARIO, ("name: dev\n", "name: [1\n")),
             (["reproduce-table", "--table", "TMP"], None),
             (["matrix", "--out-dir", "TMP/file/sub"], None),
@@ -146,11 +150,13 @@ class TestUsage:
             ([*ATTACK, "qm", "--alpha", "0.01"], None),
         ],
         ids=["repetitions-not-a-number", "seed-not-a-number", "negative-gap",
-             "gap-not-a-number", "yaml-syntax", "table-is-a-directory",
+             "gap-not-a-number", "nan-gap", "infinite-gap", "infinite-mean",
+             "yaml-syntax", "table-is-a-directory",
              "out-dir-under-a-file", "co-with-backend-and-table", "qm-with-alpha"],
     )
     def test_rejected_input_is_one_line(self, capsys, tmp_path, argv, edit):
-        # each of these once ended in a traceback and exit 1, or ignored a flag
+        # each of these once ended in a traceback and exit 1, ignored a flag,
+        # or printed a NaN or infinite clock with exit 0
         (tmp_path / "file").write_text("")
         (tmp_path / "scenario.yaml").write_text(SCENARIO_YAML)
         if edit:

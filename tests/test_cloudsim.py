@@ -169,6 +169,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_device(gap=-1.0)
 
+    @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
+    def test_non_finite_gap(self, gap):
+        # a NaN gap printed empty clock cells, an infinite one printed inf
+        with pytest.raises(ValueError, match="inter_job_gap must be finite"):
+            make_device(gap=gap)
+
 
 SCENARIO_YAML = """
 device:
@@ -260,7 +266,9 @@ class TestYaml:
     @pytest.mark.parametrize("gap,reason", [
         ("fast", "could not convert string to float: 'fast'"),
         ("-1.0", "inter_job_gap must not be negative"),
-    ], ids=["not-a-number", "negative"])
+        (".nan", "inter_job_gap must be finite, got nan"),
+        (".inf", "inter_job_gap must be finite, got inf"),
+    ], ids=["not-a-number", "negative", "nan", "inf"])
     def test_bad_gap_names_its_device_block(self, tmp_path, gap, reason):
         assert SCENARIO_YAML.count("  - name: b\n") == 1
         p = tmp_path / "s.yaml"

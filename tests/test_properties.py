@@ -143,6 +143,33 @@ class TestColumnarMatchesLoop:
         assert trace.inferred_counts == counts
         assert trace.dropped_intervals == 0
 
+    @pytest.mark.parametrize("k,gap,victim_var", [
+        (1, 0.0, 0.3), (1, 0.2, 4.0), (3, 0.0, 4.0), (3, 0.2, 0.3),
+    ])
+    def test_spy_sized_sessions(self, k, gap, victim_var):
+        # spy-workload length: at variance 4.0 about 3,200 draws hit the floor
+        device = DeviceProfile(
+            "d",
+            {"v": TimingDistribution(2.0, victim_var),
+             "p": TimingDistribution(0.05, 1e-4)},
+            inter_job_gap=gap,
+        )
+        scenario = Scenario(device, "v", 20_000, "p", probe_every=k, seed=17)
+        log = run_simulation(scenario)
+        victim, started, ended, truncations = loop_simulation(scenario)
+        assert log.victim.tolist() == victim
+        assert log.started_at.tolist() == started
+        assert log.ended_at.tolist() == ended
+        assert log.truncations == truncations
+        assert (truncations > 1000) is (victim_var == 4.0)
+
+        probes = [(s, e) for v, s, e in zip(victim, started, ended) if not v]
+        intervals = [b[0] - a[1] for a, b in zip(probes, probes[1:])]
+        avg = float(np.mean(intervals))
+        trace = assemble_trace(AttackerView.from_log(log), avg)
+        assert (trace.durations.tolist(), trace.inferred_counts) == loop_assemble(
+            intervals, avg)
+
 
 class TestCatalogProperties:
     @settings(max_examples=20, deadline=None)

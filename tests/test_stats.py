@@ -44,6 +44,12 @@ class TestSummaries:
         with pytest.raises(ValueError):
             TimingDistribution(1.0, 0.0)
 
+    @pytest.mark.parametrize("mean,variance", [(math.inf, 0.3), (1.0, math.inf)],
+                             ids=["inf-mean", "inf-variance"])
+    def test_timing_distribution_must_be_finite(self, mean, variance):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimingDistribution(mean, variance)
+
     def test_power_spec_validation(self):
         with pytest.raises(ValueError):
             PowerSpec(alpha=0.0)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,15 @@ class TestView:
     def test_rejects_rows_that_are_not_pairs(self):
         with pytest.raises(ValueError):
             AttackerView(((0.0, 1.0, 2.0), (3.0, 4.0, 5.0)))
+
+    @pytest.mark.parametrize("probes", [
+        ((0.0, 1.0), (math.nan, 3.0), (5.0, 6.0)),
+        ((0.0, 1.0), (2.0, 3.0), (5.0, math.inf)),
+    ], ids=["nan-start", "infinite-end"])
+    def test_rejects_non_finite_times(self, probes):
+        # a NaN start once surfaced as "avg_victim must be positive"
+        with pytest.raises(ValueError, match="probe times must be finite"):
+            AttackerView(probes)
 
 
 class TestIntervals:
@@ -139,6 +150,13 @@ class TestAssembly:
     def test_trace_bookkeeping(self):
         with pytest.raises(ValueError):
             Trace(np.ones(3), [1, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_trace_rejects_non_finite_durations(self, bad):
+        # a NaN duration once gave UC a label with statistic NaN and the
+        # null rule an "indistinguishable"
+        with pytest.raises(ValueError, match="durations must be finite"):
+            Trace.from_durations([1.0, bad, 2.0])
 
     def test_csv(self, tmp_path):
         t = Trace.from_durations([1.0, 2.0 / 3.0])
