@@ -24,7 +24,6 @@ from .baseline import (
     BACKENDS,
     BaselineTable,
     GroverVariant,
-    _column,
     _nearest,
     _requirements,
     _rival,
@@ -131,7 +130,7 @@ def uc_classify(
     the table; shorter traces still get the nearest-mean label, flagged
     under-powered.
     """
-    return _classify("UC", trace, _column(table, backend), spec)
+    return _classify("UC", trace, table.column(backend), spec)
 
 
 def detect_backend(
@@ -142,7 +141,7 @@ def detect_backend(
     The label is the backend of the nearest table model; the plan is
     against the model in the other column nearest that one.
     """
-    candidates = [(b, m) for b in BACKENDS for _, m in _column(table, b)]
+    candidates = [(b, m) for b in BACKENDS for _, m in table.column(b)]
     return _classify("UC", trace, candidates, spec)
 
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -37,6 +37,13 @@ class TableFormatError(ValueError):
     """Malformed baseline CSV: bad header, row shape, or field values."""
 
 
+def _backend_index(backend: str) -> int:
+    """Position of `backend` in BACKENDS, which orders each (sim, qc) pair."""
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    return BACKENDS.index(backend)
+
+
 @dataclass(frozen=True)
 class BaselineEntry:
     name: str
@@ -48,24 +55,19 @@ class BaselineEntry:
     def __post_init__(self):
         if not self.name:
             raise TableFormatError("empty circuit name")
-        if self.sim_latency <= 0 or self.qc_latency <= 0:
-            raise TableFormatError(
-                f"{self.name}: latencies must be positive "
-                f"({self.sim_latency}, {self.qc_latency})"
-            )
+        if not all(0 < x < math.inf for x in (self.sim_latency, self.qc_latency)):
+            raise TableFormatError(f"{self.name}: latencies must be positive and finite "
+                                   f"({self.sim_latency}, {self.qc_latency})")
         for req in (self.sim_required, self.qc_required):
-            if req is not None and req < 1:
-                raise TableFormatError(
-                    f"{self.name}: required measurements below 1 ({req})"
-                )
+            if req is not None and not 1 <= req < math.inf:
+                raise TableFormatError(f"{self.name}: required measurements must be "
+                                       f"finite and at least 1 ({req})")
 
     def latency(self, backend: str) -> float:
-        _check_backend(backend)
-        return self.sim_latency if backend == SIMULATOR else self.qc_latency
+        return (self.sim_latency, self.qc_latency)[_backend_index(backend)]
 
     def required(self, backend: str) -> Optional[float]:
-        _check_backend(backend)
-        return self.sim_required if backend == SIMULATOR else self.qc_required
+        return (self.sim_required, self.qc_required)[_backend_index(backend)]
 
 
 @dataclass(frozen=True)
@@ -75,13 +77,20 @@ class BaselineTable:
     qc_variance: float = DEFAULT_QC_VARIANCE
 
     def __post_init__(self):
-        if self.sim_variance <= 0 or self.qc_variance <= 0:
-            raise TableFormatError("backend variances must be positive")
-        names = [e.name for e in self.entries]
+        if not all(0 < v < math.inf for v in (self.sim_variance, self.qc_variance)):
+            raise TableFormatError("backend variances must be positive and finite")
+        object.__setattr__(self, "entries", tuple(self.entries))
+        names = self.names
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise TableFormatError(f"duplicate circuit names: {dupes}")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        # derived state, outside the fields: equality and repr ignore it
+        object.__setattr__(self, "_position", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_columns", tuple(
+            tuple((e.name, TimingDistribution(e.latency(b), self.variance(b)))
+                  for e in self.entries)
+            for b in BACKENDS
+        ))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,76 +99,58 @@ class BaselineTable:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
+    def _index(self, name: str) -> int:
+        try:
+            return self._position[name]
+        except KeyError:
+            raise KeyError(f"unknown circuit {name!r}") from None
+
     def entry(self, name: str) -> BaselineEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(f"unknown circuit {name!r}")
+        return self.entries[self._index(name)]
 
     def variance(self, backend: str) -> float:
-        _check_backend(backend)
-        return self.sim_variance if backend == SIMULATOR else self.qc_variance
+        return (self.sim_variance, self.qc_variance)[_backend_index(backend)]
+
+    def column(self, backend: str) -> tuple[tuple[str, TimingDistribution], ...]:
+        """`(name, TimingDistribution(latency, variance))` of every entry on
+        `backend`, in table order: built once with the table, and a tuple so
+        no caller can change it. `timing` returns these same models."""
+        return self._columns[_backend_index(backend)]
 
     def timing(self, name: str, backend: str) -> TimingDistribution:
-        return TimingDistribution(
-            self.entry(name).latency(backend), self.variance(backend)
-        )
-
-
-def _check_backend(backend: str) -> None:
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-
-
-def _parse_optional(raw: str, name: str, col: str) -> Optional[float]:
-    raw = raw.strip()
-    if not raw:
-        return None
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise TableFormatError(f"{name}: bad {col} value {raw!r}") from exc
+        return self.column(backend)[self._index(name)][1]
 
 
 def load_table(path: str | Path) -> BaselineTable:
-    """Read a baseline table from CSV (header required, UTF-8)."""
+    """Read a baseline table from CSV (header required, UTF-8). A rejected
+    row raises TableFormatError as `<path>:<line>: <reason>`."""
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TableFormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise TableFormatError(f"{path}: empty file")
         if [h.strip() for h in header] != _CSV_HEADER:
-            raise TableFormatError(
-                f"{path}: expected header {','.join(_CSV_HEADER)}"
-            )
+            raise TableFormatError(f"{path}: expected header {','.join(_CSV_HEADER)}")
         entries = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+            cells = [c.strip() for c in row]
+            if not any(cells):
                 continue
-            if len(row) != len(_CSV_HEADER):
-                raise TableFormatError(
-                    f"{path}:{lineno}: expected {len(_CSV_HEADER)} fields, "
-                    f"got {len(row)}"
-                )
-            name = row[0].strip()
             try:
-                sim_lat = float(row[1])
-                qc_lat = float(row[2])
-            except ValueError as exc:
-                raise TableFormatError(
-                    f"{path}:{lineno}: bad latency in row {name!r}"
-                ) from exc
-            entries.append(
-                BaselineEntry(
-                    name=name,
-                    sim_latency=sim_lat,
-                    qc_latency=qc_lat,
-                    sim_required=_parse_optional(row[3], name, "sim_required"),
-                    qc_required=_parse_optional(row[4], name, "qc_required"),
-                )
-            )
+                if len(cells) != len(_CSV_HEADER):
+                    raise TableFormatError(
+                        f"expected {len(_CSV_HEADER)} fields, got {len(cells)}")
+                values = []
+                for col, cell in zip(_CSV_HEADER[1:], cells[1:]):
+                    try:  # an empty requirement cell is an absent requirement
+                        values.append(None if not cell and col.endswith("_required")
+                                      else float(cell))
+                    except ValueError:
+                        raise TableFormatError(f"bad {col} value {cell!r}") from None
+                entries.append(BaselineEntry(cells[0], *values))
+            except TableFormatError as exc:
+                raise TableFormatError(f"{path}:{lineno}: {exc}") from None
     if not entries:
         raise TableFormatError(f"{path}: no data rows")
     return BaselineTable(tuple(entries))
@@ -214,7 +205,7 @@ def pairwise_matrix(
     """
     if len(table) < 2:
         raise ValueError("need at least two entries")
-    return _requirements([table.timing(name, backend) for name in table.names], spec)
+    return _requirements([m for _, m in table.column(backend)], spec)
 
 
 #: distance below which two candidate means are treated as tied
@@ -240,15 +231,6 @@ def _rival(candidates: list[tuple[str, TimingDistribution]], label: str,
     return others[_nearest(mu, [m.mean for _, m in others])[0]]
 
 
-@lru_cache(maxsize=8)
-def _column(table: BaselineTable, backend: str) -> tuple:
-    """(name, timing model) of every entry on one backend, in table order;
-    memoised per (table, backend), as a tuple so no caller can change it."""
-    var = table.variance(backend)
-    return tuple((e.name, TimingDistribution(e.latency(backend), var))
-                 for e in table.entries)
-
-
 def nearest_neighbor_requirement(
     table: BaselineTable,
     name: str,
@@ -261,7 +243,7 @@ def nearest_neighbor_requirement(
     is the budget that distinguishes the entry from every other circuit.
     """
     model = table.timing(name, backend)
-    neighbor, rival = _rival(_column(table, backend), name, model.mean)
+    neighbor, rival = _rival(table.column(backend), name, model.mean)
     return neighbor, required_sample_size(effect_size(model, rival), spec)
 
 

@@ -7,6 +7,7 @@ monotonic clock; durations are Gaussian draws per circuit, truncated at a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -24,6 +25,15 @@ DURATION_FLOOR = 1e-6
 
 class ScenarioError(ValueError):
     """Invalid scenario: unknown circuit, bad counts, malformed config."""
+
+
+def _check_ints(obj, names: tuple[str, ...], error: type[Exception]) -> None:
+    """Raise `error` unless each named attribute of obj is an integer (a
+    numpy one too), not a float or a bool."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +74,7 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        _check_ints(self, ("victim_repetitions", "probe_every", "seed"), ScenarioError)
         if self.victim_repetitions < 1:
             raise ScenarioError("victim_repetitions must be at least 1")
         if self.probe_every < 1:
@@ -172,6 +183,15 @@ def _integer(block: dict, key: str, where: str, default: int | None = None) -> i
     return value
 
 
+def _number(block: dict, key: str, where: str, default: float | None = None) -> float:
+    """float() of `block[key]`, else of `default` if one is given, unless it
+    is a YAML bool; float() reads the strings PyYAML leaves `1e-4` as."""
+    value = _require(block, key, where) if default is None else block.get(key, default)
+    if isinstance(value, bool):
+        raise ScenarioError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
     _check_keys(block, ("name", "inter_job_gap", "circuits"), where)
     circuits = _require(block, "circuits", where)
@@ -183,16 +203,12 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
         _check_keys(spec, ("mean", "variance"), at)
         try:
             timings[cname] = TimingDistribution(
-                float(_require(spec, "mean", at)),
-                float(_require(spec, "variance", at)),
-            )
+                _number(spec, "mean", at), _number(spec, "variance", at))
         except (TypeError, ValueError) as exc:
-            raise ScenarioError(
-                f"bad timing for circuit {cname!r}: {exc}"
-            ) from exc
+            raise ScenarioError(f"bad timing for circuit {cname!r}: {exc}") from exc
     name = str(_require(block, "name", where))
     try:
-        return DeviceProfile(name, timings, float(block.get("inter_job_gap", 0.0)))
+        return DeviceProfile(name, timings, _number(block, "inter_job_gap", where, 0.0))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad inter_job_gap in {where}: {exc}") from exc
 
@@ -216,7 +232,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
 
     Schema (every key shown, optional `reference_devices:` aside; any
     other key is a ScenarioError, and so is a `repetitions`, `every_k` or
-    `seed` that is not a YAML integer)::
+    `seed` that is not a YAML integer, or a timing number that is a bool)::
 
         device:
           name: desk_belem

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .baseline import BaselineTable
-from .cloudsim import Scenario
+from .cloudsim import Scenario, _check_ints
 from .stats import (
     PowerSpec,
     TimingDistribution,
@@ -109,6 +109,7 @@ class Mitigation:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown mitigation kind {self.kind!r}")
+        _check_ints(self, ("layouts", "batch_factor"), ValueError)
         own = ("kind", *KIND_PARAMS[self.kind])
         for f in fields(self):
             if f.name not in own and getattr(self, f.name) != f.default:

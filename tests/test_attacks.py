@@ -21,7 +21,6 @@ from qleak.baseline import (
     SIMULATOR,
     BaselineEntry,
     BaselineTable,
-    _column,
     bundled_table,
     grover_catalog,
     nearest_neighbor_requirement,
@@ -157,7 +156,7 @@ class TestUc:
         assert not v.ambiguous
 
     def test_tables_sharing_names_keep_their_own_models(self):
-        # the candidate column is memoised per (table, backend)
+        # each table builds its own candidate column per backend, once
         first = BaselineTable((BaselineEntry("a", 1.0, 9.0),
                                BaselineEntry("b", 2.0, 9.5),
                                BaselineEntry("c", 4.0, 10.0)))
@@ -171,8 +170,8 @@ class TestUc:
             model, other = (TimingDistribution(m, tbl.sim_variance) for m in (1.0, rival))
             assert v.label == label
             assert v.planned_n == required_sample_size(effect_size(model, other))
-        column = _column(first, SIMULATOR)
-        assert column is _column(first, SIMULATOR)
+        column = first.column(SIMULATOR)
+        assert column is first.column(SIMULATOR)
         assert isinstance(column, tuple)
         assert all(isinstance(c, tuple) for c in column)
 

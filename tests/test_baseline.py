@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from qleak.baseline import (
+    _CSV_HEADER,
     BACKENDS,
     DEFAULT_QC_VARIANCE,
     DEFAULT_SIM_VARIANCE,
@@ -67,6 +70,70 @@ class TestTable:
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
             BaselineEntry("x", -1.0, 2.0, None, None)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        # a NaN requirement once printed a NaN rel_err in reproduce-table
+        for args in ((bad, 2.0), (1.0, bad), (1.0, 2.0, bad), (1.0, 2.0, None, bad)):
+            with pytest.raises(TableFormatError):
+                BaselineEntry("x", *args)
+        e = BaselineEntry("x", 1.0, 2.0)
+        for variances in ((bad, 0.3), (0.003, bad)):
+            with pytest.raises(TableFormatError):
+                BaselineTable((e,), *variances)
+
+
+class TestColumns:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_column_holds_each_entrys_model(self, table, backend):
+        column = table.column(backend)
+        assert column == tuple(
+            (e.name, TimingDistribution(e.latency(backend), table.variance(backend)))
+            for e in table.entries
+        )
+        for i, name in enumerate(table.names):
+            assert table.timing(name, backend) is column[i][1]
+
+    def test_unknown_backend(self, table):
+        with pytest.raises(ValueError, match="simulator.*hardware.*'gpu'"):
+            table.column("gpu")
+
+    def test_unknown_circuit(self, table):
+        with pytest.raises(KeyError) as info:
+            table.entry("nope")
+        assert info.value.args == ("unknown circuit 'nope'",)
+
+    def test_fields_alone_decide_equality_and_repr(self, table):
+        again = BaselineTable(table.entries, table.sim_variance, table.qc_variance)
+        assert again == table and hash(again) == hash(table)
+        assert repr(again) == repr(table)
+        assert "_columns" not in repr(table)
+
+
+class TestLoadErrors:
+    """A rejected row is reported as `<path>:<line>: <reason>`."""
+
+    @pytest.mark.parametrize("row,reason", [
+        ("GHZ,0.1,2.7", "expected 5 fields, got 3"),
+        ("GHZ,fast,2.7,,", "bad sim_latency_s value 'fast'"),
+        ("GHZ,0.1,2.7,x,", "bad sim_required value 'x'"),
+        (",0.1,2.7,,", "empty circuit name"),
+        ("GHZ,-0.1,2.7,,", "GHZ: latencies must be positive and finite (-0.1, 2.7)"),
+    ], ids=["short-row", "bad-latency", "bad-required", "empty-name",
+            "negative-latency"])
+    def test_row_error_names_file_and_line(self, tmp_path, row, reason):
+        p = tmp_path / "t.csv"
+        # the blank line counts: the bad row is on line 4
+        p.write_text(f"{','.join(_CSV_HEADER)}\nQFT,1.0,2.0,,\n\n{row}\n")
+        with pytest.raises(TableFormatError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}:4: {reason}"
+
+    def test_empty_requirement_cells_are_absent(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f"{','.join(_CSV_HEADER)}\nGHZ,0.1,2.7,2495.7,198.5\nQFT, 1.0 ,2.0,, \n")
+        e = load_table(p).entry("QFT")
+        assert (e.sim_latency, e.sim_required, e.qc_required) == (1.0, None, None)
 
 
 class TestRequirements:

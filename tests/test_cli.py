@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qleak.baseline import HARDWARE, SIMULATOR
+from qleak.baseline import HARDWARE, SIMULATOR, bundled_table_path
 from qleak.cli import EXIT_OK, EXIT_PIPE, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
 from table1_divergences import divergent_names
 
@@ -144,6 +144,10 @@ class TestUsage:
             (BAD_SCENARIO, ("mean: 2.779299043, variance: 0.3}\n    probe",
                             "mean: .inf, variance: 0.3}\n    probe")),
             (BAD_SCENARIO, ("name: dev\n", "name: [1\n")),
+            (BAD_SCENARIO, ("inter_job_gap: 0.0", "inter_job_gap: true")),
+            (BAD_SCENARIO, ("mean: 2.779299043, variance: 0.3}\n    probe",
+                            "mean: yes, variance: 0.3}\n    probe")),
+            (BAD_SCENARIO, ("variance: 0.3}\n    probe", "variance: true}\n    probe")),
             (["reproduce-table", "--table", "TMP"], None),
             (["matrix", "--out-dir", "TMP/file/sub"], None),
             ([*ATTACK, "co", "--backend", "sim", "--table", "/nonexistent"], None),
@@ -151,7 +155,8 @@ class TestUsage:
         ],
         ids=["repetitions-not-a-number", "seed-not-a-number", "negative-gap",
              "gap-not-a-number", "nan-gap", "infinite-gap", "infinite-mean",
-             "yaml-syntax", "table-is-a-directory",
+             "yaml-syntax", "bool-gap", "bool-mean", "bool-variance",
+             "table-is-a-directory",
              "out-dir-under-a-file", "co-with-backend-and-table", "qm-with-alpha"],
     )
     def test_rejected_input_is_one_line(self, capsys, tmp_path, argv, edit):
@@ -167,6 +172,21 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         where = f"attack {argv[4]}" if argv[:4] == ATTACK else argv[0]
         assert err.startswith(f"{where}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("column", [1, 3], ids=["latency", "required"])
+    def test_non_finite_table_cell_names_its_line(self, capsys, tmp_path, column, value):
+        # a NaN requirement once printed a NaN rel_err and exit 1, and a
+        # non-finite latency a message naming neither file nor row
+        lines = bundled_table_path().read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        cells[column] = value
+        p = tmp_path / "table.csv"
+        p.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+        code, out, err = run_cli(capsys, "reproduce-table", "--table", str(p))
+        assert code == EXIT_USAGE
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"reproduce-table: {p}:2: ")
 
     def test_closed_stdout_ends_quietly(self, tmp_path):
         # 20,000 runs print far more than a pipe holds, so a write must fail

@@ -169,6 +169,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_device(gap=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("victim_repetitions", 10.0),
+        ("probe_every", 2.5),
+        ("probe_every", True),
+        ("seed", 1.5),
+    ], ids=["repetitions-float", "probe-every-float", "probe-every-bool", "seed-float"])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        # a float once failed inside numpy's indexing, and True ran as 1
+        kwargs = {"victim_repetitions": 5, field: value}
+        with pytest.raises(ScenarioError, match=f"{field} must be an integer"):
+            Scenario(make_device(), "victim", attacker_probe_circuit="probe", **kwargs)
+
+    def test_numpy_integers_are_counts(self):
+        s = make_scenario(reps=np.int64(5), k=np.int32(2), seed=np.uint16(3))
+        assert len(run_simulation(s)) == 9
+
     @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
     def test_non_finite_gap(self, gap):
         # a NaN gap printed empty clock cells, an infinite one printed inf

@@ -17,7 +17,7 @@ from qleak.mitigations import (
 )
 from qleak.stats import TimingDistribution
 from oracles import timer_noise_inflation
-from tests.test_cloudsim import make_scenario
+from test_cloudsim import make_scenario
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,17 @@ class TestValidation:
             Mitigation(kind=CIRCUIT_PADDING, pad_toward="")
         with pytest.raises(ValueError):
             Mitigation(kind=SCHEDULER_BATCHING, batch_factor=0)
+
+    @pytest.mark.parametrize("kind,own,name,value", [
+        (SCHEDULER_BATCHING, {}, "batch_factor", 2.5),
+        (SCHEDULER_BATCHING, {}, "batch_factor", True),
+        (COMPILE_RANDOMNESS, {"layout_spread": 0.5}, "layouts", 2.5),
+    ], ids=["batch-factor-float", "batch-factor-bool", "layouts-float"])
+    def test_counts_must_be_integers(self, kind, own, name, value):
+        # a float once failed inside the simulator or np.linspace
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            Mitigation(kind=kind, **own, **{name: value})
+        Mitigation(kind=kind, **own, **{name: np.int64(3)})
 
     @pytest.mark.parametrize("kind,own", [
         (TIMER_NOISE, {"added_variance": 0.3}),

@@ -14,7 +14,7 @@ from qleak.trace import (
     reconstruct,
 )
 from qleak.csvout import write_csv
-from tests.test_cloudsim import make_scenario
+from test_cloudsim import make_scenario
 
 
 class TestView:
