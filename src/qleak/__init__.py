@@ -7,6 +7,7 @@ inference attack needs, together with the countermeasures that raise
 that cost.
 """
 from .stats import (
+    MixtureTiming,
     PowerSpec,
     TimingDistribution,
     dom_curves,
@@ -65,7 +66,6 @@ from .mitigations import (
     KINDS,
     Mitigation,
     MitigationReport,
-    MixtureTiming,
     evaluate,
 )
 

@@ -6,7 +6,7 @@ CA  - ansatz-parameter recovery, a null test expected to fail.
 QM  - qubit-mapping recovery, likewise a null test.
 QP  - fingerprint which processor ran a known circuit.
 
-UC, backend detection, CO's key stage and QP are one nearest-model
+UC, backend detection, both CO stages and QP are one nearest-model
 classifier over (label, model) candidates: the label is that of the model
 nearest the trace mean, and the plan is against its rival, the model with
 another label nearest the winner. Attacks are fixed-sample designs: they
@@ -30,6 +30,7 @@ from .baseline import (
 )
 from .cloudsim import DeviceProfile
 from .stats import (
+    MixtureTiming,
     PowerSpec,
     TimingDistribution,
     dom_curves,
@@ -42,6 +43,9 @@ from .trace import Trace
 #: measured false-positive rate of the "final tenth beyond the band" rule
 #: on identical distributions at DOM_CONFIDENCE (frozen by the null suite)
 NULL_RULE_FP_LEVEL = 0.03
+
+#: distance below which two candidate means are treated as tied
+AMBIGUITY_EPS = 1e-12
 
 DISTINGUISHABLE = "distinguishable"
 INDISTINGUISHABLE = "indistinguishable"
@@ -98,7 +102,7 @@ def _in_se(gap: float, n: int, var: float) -> float:
 def _classify(
     attack: str,
     trace: Trace,
-    candidates: list[tuple[str, TimingDistribution]],
+    candidates: list[tuple[str, TimingDistribution | MixtureTiming]],
     spec: PowerSpec,
 ) -> AttackVerdict:
     """Label the trace with the (label, model) candidate whose mean lies
@@ -106,10 +110,10 @@ def _classify(
     candidate with another label nearest it in mean. A tie counts only
     against the candidate with another label nearest the trace mean."""
     n, mean, var = _moments(trace)
-    label, model = candidates[_nearest(mean, [m.mean for _, m in candidates])[0]]
+    label, model = candidates[_nearest(mean, [m.mean for _, m in candidates])]
     _, rival = _rival(candidates, label, model.mean)
     _, runner_up = _rival(candidates, label, mean)
-    tie = _nearest(mean, [model.mean, runner_up.mean])[1]
+    tie = abs(runner_up.mean - mean) - abs(model.mean - mean) < AMBIGUITY_EPS
     d = effect_size(model, rival)
     return AttackVerdict(
         attack, label, n, _in_se(mean - model.mean, n, var),
@@ -152,29 +156,29 @@ def co_identify(
 ) -> tuple[AttackVerdict, np.ndarray]:
     """Two-stage Grover variant recovery plus the requirement matrix.
 
-    The iteration count is the nearest of the three iteration centres
-    (cross-iteration gaps are large); the key is then classified among
-    that iteration's eight variants, planned against the nearest other
-    key, which may demand orders of magnitude more data: short traces
-    report the iteration with the key flagged under-powered. Returns
-    (verdict, requirement matrix), the matrix in catalog index order for
-    export.
+    Both stages are the one nearest-model rule: the iteration count over
+    three candidates, each iteration's eight variants as one uniform
+    `MixtureTiming` (this stage's plan is not reported yet), then the key
+    among that iteration's eight variants, planned against the nearest
+    other key, which may demand orders of magnitude more data: short
+    traces report the iteration with the key flagged under-powered.
+    `ambiguous` marks a tie at either stage. Returns (verdict,
+    requirement matrix), the matrix in catalog index order for export.
     """
     cat = sorted(catalog, key=lambda v: v.index)
     if [v.index for v in cat] != list(range(1, 25)):
         raise ValueError("catalog must hold each variant index 1-24 exactly once")
-    mean = _moments(trace)[1]
     req_m = _requirements([v.timing for v in cat], spec)
-
-    by_iteration = [cat[i : i + 8] for i in (0, 8, 16)]
-    centers = [sum(v.timing.mean for v in group) / 8 for group in by_iteration]
-    it, iter_tie = _nearest(mean, centers)
-    keys = [(v.key, v.timing) for v in by_iteration[it]]
+    iteration = _classify("CO", trace, [
+        (str(it), MixtureTiming(tuple(v.timing for v in cat if v.iterations == it)))
+        for it in (1, 2, 3)
+    ], spec)
+    keys = [(v.key, v.timing) for v in cat if str(v.iterations) == iteration.label]
     verdict = _classify("CO", trace, keys, spec)
     key = "under-powered" if verdict.underpowered else verdict.label
     return replace(
-        verdict, label=f"iterations={it + 1} key={key}",
-        ambiguous=verdict.ambiguous or iter_tie,
+        verdict, label=f"iterations={iteration.label} key={key}",
+        ambiguous=verdict.ambiguous or iteration.ambiguous,
     ), req_m
 
 

@@ -132,7 +132,7 @@ def load_table(path: str | Path) -> BaselineTable:
             raise TableFormatError(f"{path}: empty file")
         if [h.strip() for h in header] != _CSV_HEADER:
             raise TableFormatError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-        entries = []
+        entries, first_line = [], {}
         for lineno, row in enumerate(reader, start=2):
             cells = [c.strip() for c in row]
             if not any(cells):
@@ -149,6 +149,10 @@ def load_table(path: str | Path) -> BaselineTable:
                     except ValueError:
                         raise TableFormatError(f"bad {col} value {cell!r}") from None
                 entries.append(BaselineEntry(cells[0], *values))
+                first = first_line.setdefault(cells[0], lineno)
+                if first != lineno:
+                    raise TableFormatError(
+                        f"duplicate circuit name {cells[0]!r} (first on line {first})")
             except TableFormatError as exc:
                 raise TableFormatError(f"{path}:{lineno}: {exc}") from None
     if not entries:
@@ -208,17 +212,10 @@ def pairwise_matrix(
     return _requirements([m for _, m in table.column(backend)], spec)
 
 
-#: distance below which two candidate means are treated as tied
-AMBIGUITY_EPS = 1e-12
-
-
-def _nearest(mu: float, means: list[float]) -> tuple[int, bool]:
-    """Index of the first mean closest to mu, and whether another mean
-    lies within AMBIGUITY_EPS of that distance."""
+def _nearest(mu: float, means: list[float]) -> int:
+    """Index of the first mean closest to mu."""
     dist = [abs(m - mu) for m in means]
-    ranked = sorted(dist)
-    tie = len(ranked) > 1 and ranked[1] - ranked[0] < AMBIGUITY_EPS
-    return dist.index(ranked[0]), tie
+    return dist.index(min(dist))
 
 
 def _rival(candidates: list[tuple[str, TimingDistribution]], label: str,
@@ -228,7 +225,7 @@ def _rival(candidates: list[tuple[str, TimingDistribution]], label: str,
     others = [c for c in candidates if c[0] != label]
     if not others:
         raise ValueError(f"every candidate is {label!r}: no rival to plan against")
-    return others[_nearest(mu, [m.mean for _, m in others])[0]]
+    return others[_nearest(mu, [m.mean for _, m in others])]
 
 
 def nearest_neighbor_requirement(

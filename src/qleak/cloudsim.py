@@ -6,6 +6,7 @@ monotonic clock; durations are Gaussian draws per circuit, truncated at a
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -174,22 +175,17 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _integer(block: dict, key: str, where: str, default: int | None = None) -> int:
-    """`block[key]`, else `default` if one is given, once it is a YAML int:
-    int() would take a bool and truncate a float without a word."""
+def _number(block: dict, key: str, where: str, default=None, kind=float):
+    """`kind` (float or int) of `block[key]`, else of `default` if one is
+    given. A bool is neither, and an int must be a YAML int, since int()
+    would truncate a float without a word; float() reads the strings
+    PyYAML leaves `1e-4` as."""
     value = _require(block, key, where) if default is None else block.get(key, default)
-    if type(value) is not int:
-        raise ScenarioError(f"{key!r} in {where} must be an integer, got {value!r}")
-    return value
-
-
-def _number(block: dict, key: str, where: str, default: float | None = None) -> float:
-    """float() of `block[key]`, else of `default` if one is given, unless it
-    is a YAML bool; float() reads the strings PyYAML leaves `1e-4` as."""
-    value = _require(block, key, where) if default is None else block.get(key, default)
-    if isinstance(value, bool):
-        raise ScenarioError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    if not isinstance(value, bool) and (kind is float or type(value) is int):
+        with contextlib.suppress(TypeError, ValueError):
+            return kind(value)
+    noun = "an integer" if kind is int else "a number"
+    raise ScenarioError(f"{key!r} in {where} must be {noun}, got {value!r}")
 
 
 def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
@@ -201,15 +197,16 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
     for cname, spec in circuits.items():
         at = f"{where}.circuits.{cname}"
         _check_keys(spec, ("mean", "variance"), at)
+        mean, variance = _number(spec, "mean", at), _number(spec, "variance", at)
         try:
-            timings[cname] = TimingDistribution(
-                _number(spec, "mean", at), _number(spec, "variance", at))
-        except (TypeError, ValueError) as exc:
+            timings[cname] = TimingDistribution(mean, variance)
+        except ValueError as exc:
             raise ScenarioError(f"bad timing for circuit {cname!r}: {exc}") from exc
     name = str(_require(block, "name", where))
+    gap = _number(block, "inter_job_gap", where, 0.0)
     try:
-        return DeviceProfile(name, timings, _number(block, "inter_job_gap", where, 0.0))
-    except (TypeError, ValueError) as exc:
+        return DeviceProfile(name, timings, gap)
+    except ValueError as exc:
         raise ScenarioError(f"bad inter_job_gap in {where}: {exc}") from exc
 
 
@@ -232,7 +229,8 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
 
     Schema (every key shown, optional `reference_devices:` aside; any
     other key is a ScenarioError, and so is a `repetitions`, `every_k` or
-    `seed` that is not a YAML integer, or a timing number that is a bool)::
+    `seed` that is not a YAML integer, or a timing number that is a bool
+    or that float() cannot read)::
 
         device:
           name: desk_belem
@@ -253,10 +251,10 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     return Scenario(
         device=device,
         victim_circuit=str(_require(victim, "circuit", "victim")),
-        victim_repetitions=_integer(victim, "repetitions", "victim"),
+        victim_repetitions=_number(victim, "repetitions", "victim", kind=int),
         attacker_probe_circuit=str(_require(attacker, "probe_circuit", "attacker")),
-        probe_every=_integer(attacker, "every_k", "attacker", 1),
-        seed=int(seed) if seed is not None else _integer(raw, "seed", "scenario", 0),
+        probe_every=_number(attacker, "every_k", "attacker", 1, int),
+        seed=int(seed) if seed is not None else _number(raw, "seed", "scenario", 0, int),
     )
 
 

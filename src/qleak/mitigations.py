@@ -25,6 +25,7 @@ import numpy as np
 from .baseline import BaselineTable
 from .cloudsim import Scenario, _check_ints
 from .stats import (
+    MixtureTiming,
     PowerSpec,
     TimingDistribution,
     effect_size,
@@ -48,50 +49,12 @@ KINDS = tuple(KIND_PARAMS)
 
 
 @dataclass(frozen=True)
-class MixtureTiming:
-    """Uniform mixture over component timing distributions; quacks like
-    TimingDistribution for mean/variance/sampling."""
-
-    components: tuple[TimingDistribution, ...]
-
-    def __post_init__(self):
-        if len(self.components) < 1:
-            raise ValueError("mixture needs at least one component")
-
-    @property
-    def mean(self) -> float:
-        return sum(c.mean for c in self.components) / len(self.components)
-
-    @property
-    def variance(self) -> float:
-        # law of total variance over the uniform component choice
-        mu = self.mean
-        k = len(self.components)
-        within = sum(c.variance for c in self.components) / k
-        between = sum((c.mean - mu) ** 2 for c in self.components) / k
-        return within + between
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(self.variance)
-
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        picks = rng.integers(0, len(self.components), size=size)
-        out = np.empty(size, dtype=float)
-        for i, comp in enumerate(self.components):
-            mask = picks == i
-            if mask.any():
-                out[mask] = comp.sample(rng, int(mask.sum()))
-        return out
-
-
-@dataclass(frozen=True)
 class Mitigation:
     """One configured countermeasure.
 
     kind-specific parameters (those of the other kinds keep their defaults):
-      timer-noise: added_variance > 0
-      compile-randomness: layout_spread > 0, layouts >= 2 (evenly spaced
+      timer-noise: 0 < added_variance < inf
+      compile-randomness: 0 < layout_spread < inf, layouts >= 2 (evenly spaced
         mean offsets spanning +/- layout_spread / 2)
       circuit-padding: pad_toward (decoy circuit name), pad_fraction in
         [0, 1] (how much of the mean gap the padding closes)
@@ -114,11 +77,13 @@ class Mitigation:
         for f in fields(self):
             if f.name not in own and getattr(self, f.name) != f.default:
                 raise ValueError(f"{self.kind} does not read {f.name}")
-        if self.kind == TIMER_NOISE and not self.added_variance > 0:
-            raise ValueError("timer-noise needs added_variance > 0")
+        if self.kind == TIMER_NOISE and not 0 < self.added_variance < math.inf:
+            raise ValueError("timer-noise needs a positive, finite added_variance, "
+                             f"got {self.added_variance}")
         if self.kind == COMPILE_RANDOMNESS:
-            if not self.layout_spread > 0:
-                raise ValueError("compile-randomness needs layout_spread > 0")
+            if not 0 < self.layout_spread < math.inf:
+                raise ValueError("compile-randomness needs a positive, finite "
+                                 f"layout_spread, got {self.layout_spread}")
             if self.layouts < 2:
                 raise ValueError("compile-randomness needs layouts >= 2")
         if self.kind == CIRCUIT_PADDING:

@@ -45,6 +45,44 @@ class TimingDistribution:
 
 
 @dataclass(frozen=True)
+class MixtureTiming:
+    """Uniform mixture over component timing distributions; quacks like
+    TimingDistribution for mean/variance/sampling."""
+
+    components: tuple[TimingDistribution, ...]
+
+    def __post_init__(self):
+        if len(self.components) < 1:
+            raise ValueError("mixture needs at least one component")
+
+    @property
+    def mean(self) -> float:
+        return sum(c.mean for c in self.components) / len(self.components)
+
+    @property
+    def variance(self) -> float:
+        # law of total variance over the uniform component choice
+        mu = self.mean
+        k = len(self.components)
+        within = sum(c.variance for c in self.components) / k
+        between = sum((c.mean - mu) ** 2 for c in self.components) / k
+        return within + between
+
+    @property
+    def sd(self) -> float:
+        return math.sqrt(self.variance)
+
+    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
+        picks = rng.integers(0, len(self.components), size=size)
+        out = np.empty(size, dtype=float)
+        for i, comp in enumerate(self.components):
+            mask = picks == i
+            if mask.any():
+                out[mask] = comp.sample(rng, int(mask.sum()))
+        return out
+
+
+@dataclass(frozen=True)
 class PowerSpec:
     """Two-sided significance level and target power for planning."""
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qleak.attacks import (
+    AMBIGUITY_EPS,
     DISTINGUISHABLE,
     INDISTINGUISHABLE,
     AttackVerdict,
@@ -295,6 +296,35 @@ class TestCo:
         cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
         verdict, _ = co_identify(Trace.from_durations([x, x]), cat)
         assert verdict.ambiguous is ambiguous
+
+    def test_iteration_stage_is_the_centre_rule(self):
+        # the rule the iteration stage replaced, written out by hand: the
+        # first nearest of the three centres (each the mean of its eight
+        # variant means), tied when the two nearest distances differ by
+        # less than AMBIGUITY_EPS; a key tie also makes a verdict ambiguous
+        cat = grover_catalog()
+        groups = [[v.timing.mean for v in cat if v.iterations == it] for it in (1, 2, 3)]
+        centres = [sum(g) / 8 for g in groups]
+
+        def first_nearest(mu, means):
+            dist = [abs(m - mu) for m in means]
+            ranked = sorted(dist)
+            return dist.index(ranked[0]), ranked[1] - ranked[0] < AMBIGUITY_EPS
+
+        bounds = [(a + b) / 2 for a, b in zip(centres, centres[1:])]
+        grid = [*np.linspace(centres[0] - 0.05, centres[2] + 0.05, 41)]
+        grid += [b + e for b in bounds for e in (-1e-11, -1e-13, 0.0, 1e-13, 1e-11)]
+        ties = []
+        for x in grid:
+            tr = Trace.from_durations([x] * 3)
+            mu = float(tr.durations.mean())
+            it, iter_tie = first_nearest(mu, centres)
+            key_tie = first_nearest(mu, groups[it])[1]
+            verdict, _ = co_identify(tr, cat)
+            assert verdict.label.startswith(f"iterations={it + 1} key=")
+            assert verdict.ambiguous is (iter_tie or key_tie)
+            ties.append(iter_tie)
+        assert sum(ties) == 6  # the three middle offsets at each boundary
 
 
 class TestNullRule:

@@ -16,6 +16,7 @@ from qleak.baseline import (
     BaselineTable,
     TableFormatError,
     bundled_table,
+    bundled_table_path,
     catalog_matrices,
     grover_catalog,
     grover_key_offset,
@@ -128,6 +129,18 @@ class TestLoadErrors:
         with pytest.raises(TableFormatError) as info:
             load_table(p)
         assert str(info.value) == f"{p}:4: {reason}"
+
+    def test_repeated_name_names_both_lines(self, tmp_path):
+        text = bundled_table_path().read_text(encoding="utf-8")
+        bv = text.splitlines()[2]
+        assert bv.startswith("Bernstein-Vazirani Algorithm,")
+        p = tmp_path / "t.csv"
+        p.write_text(text + bv + "\n", encoding="utf-8")
+        with pytest.raises(TableFormatError) as info:
+            load_table(p)
+        assert str(info.value) == (
+            f"{p}:28: duplicate circuit name 'Bernstein-Vazirani Algorithm' "
+            "(first on line 3)")
 
     def test_empty_requirement_cells_are_absent(self, tmp_path):
         p = tmp_path / "t.csv"

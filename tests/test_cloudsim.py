@@ -279,13 +279,16 @@ class TestYaml:
         with pytest.raises(ScenarioError, match=f"{key} must be an integer"):
             load_scenario(p)
 
-    @pytest.mark.parametrize("gap,reason", [
-        ("fast", "could not convert string to float: 'fast'"),
-        ("-1.0", "inter_job_gap must not be negative"),
-        (".nan", "inter_job_gap must be finite, got nan"),
-        (".inf", "inter_job_gap must be finite, got inf"),
+    @pytest.mark.parametrize("gap,message", [
+        ("fast", "'inter_job_gap' in reference_devices[1] must be a number, got 'fast'"),
+        ("-1.0", "bad inter_job_gap in reference_devices[1]: "
+                 "inter_job_gap must not be negative"),
+        (".nan", "bad inter_job_gap in reference_devices[1]: "
+                 "inter_job_gap must be finite, got nan"),
+        (".inf", "bad inter_job_gap in reference_devices[1]: "
+                 "inter_job_gap must be finite, got inf"),
     ], ids=["not-a-number", "negative", "nan", "inf"])
-    def test_bad_gap_names_its_device_block(self, tmp_path, gap, reason):
+    def test_bad_gap_names_its_device_block(self, tmp_path, gap, message):
         assert SCENARIO_YAML.count("  - name: b\n") == 1
         p = tmp_path / "s.yaml"
         p.write_text(SCENARIO_YAML.replace(
@@ -293,7 +296,25 @@ class TestYaml:
         ))
         with pytest.raises(ScenarioError) as info:
             load_reference_devices(p)
-        assert str(info.value) == f"bad inter_job_gap in reference_devices[1]: {reason}"
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("mean: 2.0, variance: 0.3}\n    probe", "mean: abc, variance: 0.3}\n    probe",
+         "'mean' in device.circuits.victim must be a number, got 'abc'"),
+        ("mean: 2.0, variance: 0.3}\n    probe", "mean: true, variance: 0.3}\n    probe",
+         "'mean' in device.circuits.victim must be a number, got True"),
+        ("mean: 2.0, variance: 0.3}\n    probe", "mean: 2.0, variance: [1]}\n    probe",
+         "'variance' in device.circuits.victim must be a number, got [1]"),
+        ("inter_job_gap: 0.0", "inter_job_gap:",
+         "'inter_job_gap' in device must be a number, got None"),
+    ], ids=["string", "bool", "list", "null"])
+    def test_unreadable_number_names_its_key(self, tmp_path, old, new, message):
+        assert SCENARIO_YAML.count(old) == 1
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace(old, new))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        assert str(info.value) == message
 
     def test_gap_in_exponent_form(self, tmp_path):
         # PyYAML reads 1e-3 (no dot) as a string

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,17 @@ class TestValidation:
             Mitigation(kind=CIRCUIT_PADDING, pad_toward="")
         with pytest.raises(ValueError):
             Mitigation(kind=SCHEDULER_BATCHING, batch_factor=0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    @pytest.mark.parametrize("kind,name", [
+        (TIMER_NOISE, "added_variance"), (COMPILE_RANDOMNESS, "layout_spread"),
+    ])
+    def test_scale_must_be_positive_and_finite(self, kind, name, value):
+        # an infinite one once constructed and failed later with a message
+        # that named neither the parameter nor the kind
+        message = f"{kind} needs a positive, finite {name}, got {value}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Mitigation(kind=kind, **{name: value})
 
     @pytest.mark.parametrize("kind,own,name,value", [
         (SCHEDULER_BATCHING, {}, "batch_factor", 2.5),

@@ -88,21 +88,49 @@ def test_verdict_csv_columns():
     )
 
 
-def test_verdicts_are_built_in_one_place():
-    """Only the nearest-model classifier constructs an AttackVerdict."""
-    callers = []
+def _src_nodes():
+    """(path, node, name of the enclosing function) for every AST node in
+    src/; module-level nodes are in `<file> module level`."""
     for path in sorted((ROOT / "src").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
         for node in ast.walk(tree):
-            func = getattr(node, "func", None)
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if isinstance(node, ast.Call) and name == "AttackVerdict":
-                scope = node
-                while scope in parent and not isinstance(scope, ast.FunctionDef):
-                    scope = parent[scope]
-                callers.append(getattr(scope, "name", f"{path.name} module level"))
+            scope = node
+            while scope in parent and not isinstance(scope, ast.FunctionDef):
+                scope = parent[scope]
+            yield path, node, getattr(scope, "name", f"{path.name} module level")
+
+
+def _calls(node: ast.AST, name: str) -> bool:
+    func = getattr(node, "func", None)
+    called = getattr(func, "id", None) or getattr(func, "attr", None)
+    return isinstance(node, ast.Call) and called == name
+
+
+def test_verdicts_are_built_in_one_place():
+    """Only the nearest-model classifier constructs an AttackVerdict."""
+    callers = [scope for _, node, scope in _src_nodes() if _calls(node, "AttackVerdict")]
     assert callers == ["_classify"]
+
+
+def test_one_nearest_model_rule():
+    """Only `_classify` and `_rival` pick a nearest mean, and only
+    `_classify` judges a tie; the mixture model lives in `stats`, so the
+    attacks need nothing from the countermeasure module."""
+    nearest, ties, mixtures, attack_imports = set(), set(), [], []
+    for path, node, scope in _src_nodes():
+        if _calls(node, "_nearest"):
+            nearest.add(scope)
+        elif isinstance(node, ast.Compare) and "AMBIGUITY_EPS" in ast.unparse(node):
+            ties.add(scope)
+        elif isinstance(node, ast.ClassDef) and node.name == "MixtureTiming":
+            mixtures.append(path.name)
+        elif isinstance(node, ast.ImportFrom) and path.name == "attacks.py":
+            attack_imports.append(node.module)
+    assert nearest == {"_classify", "_rival"}
+    assert ties == {"_classify"}
+    assert mixtures == ["stats.py"]
+    assert "mitigations" not in attack_imports
 
 
 def test_usage_errors_have_one_boundary():
