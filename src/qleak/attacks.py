@@ -25,7 +25,6 @@ from .baseline import (
     BaselineTable,
     GroverVariant,
     _nearest,
-    _requirements,
     _rival,
 )
 from .cloudsim import DeviceProfile
@@ -153,22 +152,22 @@ def co_identify(
     trace: Trace,
     catalog: list[GroverVariant],
     spec: PowerSpec = PowerSpec(),
-) -> tuple[AttackVerdict, np.ndarray]:
-    """Two-stage Grover variant recovery plus the requirement matrix.
+) -> tuple[AttackVerdict, AttackVerdict]:
+    """Two-stage Grover variant recovery.
 
     Both stages are the one nearest-model rule: the iteration count over
     three candidates, each iteration's eight variants as one uniform
-    `MixtureTiming` (this stage's plan is not reported yet), then the key
-    among that iteration's eight variants, planned against the nearest
-    other key, which may demand orders of magnitude more data: short
-    traces report the iteration with the key flagged under-powered.
-    `ambiguous` marks a tie at either stage. Returns (verdict,
-    requirement matrix), the matrix in catalog index order for export.
+    `MixtureTiming`, then the key among that iteration's eight variants,
+    planned against the nearest other key, which may demand orders of
+    magnitude more data: short traces report the iteration with the key
+    flagged under-powered. `ambiguous` marks a tie at either stage.
+    Returns (verdict, iteration): the final verdict, then the iteration
+    stage's own, labelled `1`-`3` and planned against the nearest other
+    iteration's mixture.
     """
     cat = sorted(catalog, key=lambda v: v.index)
     if [v.index for v in cat] != list(range(1, 25)):
         raise ValueError("catalog must hold each variant index 1-24 exactly once")
-    req_m = _requirements([v.timing for v in cat], spec)
     iteration = _classify("CO", trace, [
         (str(it), MixtureTiming(tuple(v.timing for v in cat if v.iterations == it)))
         for it in (1, 2, 3)
@@ -179,7 +178,7 @@ def co_identify(
     return replace(
         verdict, label=f"iterations={iteration.label} key={key}",
         ambiguous=verdict.ambiguous or iteration.ambiguous,
-    ), req_m
+    ), iteration
 
 
 def null_distinguishability(

@@ -16,7 +16,8 @@ or attack kind does not read (uc reads --table --backend --alpha --power,
 co and qp --alpha --power), or a rejected flag value, scenario or table
 file, or path, which prints one `<subcommand>: <reason>` line (`attack
 <kind>: ` for attack). The seed is --seed, else the scenario file's
-`seed:`, else 0. --out-dir is made before the subcommand runs.
+`seed:`, else 0; a negative seed is a usage error. --out-dir is made
+before the subcommand runs.
 """
 from __future__ import annotations
 
@@ -250,11 +251,10 @@ def cmd_attack(args) -> int:
         verdict = attacks.uc_classify(tr, _load_table(args), backend, args.spec)
     elif kind == "co":
         catalog = baseline.grover_catalog()
-        verdict, req_m = attacks.co_identify(tr, catalog, args.spec)
+        verdict, _ = attacks.co_identify(tr, catalog, args.spec)
         if args.out_dir:
-            _write_matrix(
-                args.out_dir / "co_required.csv", _grover_labels(catalog), req_m
-            )
+            _write_matrix(args.out_dir / "co_required.csv", _grover_labels(catalog),
+                          baseline.catalog_matrices(catalog, args.spec)[1])
     else:
         devices = cloudsim.load_reference_devices(args.scenario)
         verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit, args.spec)
@@ -359,6 +359,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "alpha"):
             args.spec = PowerSpec(args.alpha, args.power)
+        if (getattr(args, "seed", None) or 0) < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if getattr(args, "out_dir", None):
             args.out_dir = Path(args.out_dir)
             args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -47,6 +47,8 @@ class DeviceProfile:
     inter_job_gap: float = 0.0
 
     def __post_init__(self):
+        if not self.name:
+            raise ValueError("device name must be non-empty")
         if self.inter_job_gap < 0:
             raise ValueError("inter_job_gap must not be negative")
         if not math.isfinite(self.inter_job_gap):
@@ -80,6 +82,8 @@ class Scenario:
             raise ScenarioError("victim_repetitions must be at least 1")
         if self.probe_every < 1:
             raise ScenarioError("probe_every must be at least 1")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         self.device.timing(self.victim_circuit)
         self.device.timing(self.attacker_probe_circuit)
 
@@ -175,16 +179,20 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _number(block: dict, key: str, where: str, default=None, kind=float):
-    """`kind` (float or int) of `block[key]`, else of `default` if one is
-    given. A bool is neither, and an int must be a YAML int, since int()
-    would truncate a float without a word; float() reads the strings
-    PyYAML leaves `1e-4` as."""
+def _value(block: dict, key: str, where: str, default=None, kind=float):
+    """`kind` (float, int or str) of `block[key]`, else of `default` if
+    one is given. A bool is no number, an int must be a YAML int, since
+    int() would truncate a float without a word, and a str must be a
+    non-empty YAML string; float() reads the strings PyYAML leaves `1e-4`
+    as."""
     value = _require(block, key, where) if default is None else block.get(key, default)
-    if not isinstance(value, bool) and (kind is float or type(value) is int):
+    if kind is str:
+        if isinstance(value, str) and value:
+            return value
+    elif not isinstance(value, bool) and (kind is float or type(value) is int):
         with contextlib.suppress(TypeError, ValueError):
             return kind(value)
-    noun = "an integer" if kind is int else "a number"
+    noun = {float: "a number", int: "an integer", str: "a non-empty string"}[kind]
     raise ScenarioError(f"{key!r} in {where} must be {noun}, got {value!r}")
 
 
@@ -197,13 +205,13 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
     for cname, spec in circuits.items():
         at = f"{where}.circuits.{cname}"
         _check_keys(spec, ("mean", "variance"), at)
-        mean, variance = _number(spec, "mean", at), _number(spec, "variance", at)
+        mean, variance = _value(spec, "mean", at), _value(spec, "variance", at)
         try:
             timings[cname] = TimingDistribution(mean, variance)
         except ValueError as exc:
             raise ScenarioError(f"bad timing for circuit {cname!r}: {exc}") from exc
-    name = str(_require(block, "name", where))
-    gap = _number(block, "inter_job_gap", where, 0.0)
+    name = _value(block, "name", where, kind=str)
+    gap = _value(block, "inter_job_gap", where, 0.0)
     try:
         return DeviceProfile(name, timings, gap)
     except ValueError as exc:
@@ -229,8 +237,9 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
 
     Schema (every key shown, optional `reference_devices:` aside; any
     other key is a ScenarioError, and so is a `repetitions`, `every_k` or
-    `seed` that is not a YAML integer, or a timing number that is a bool
-    or that float() cannot read)::
+    `seed` that is not a YAML integer, a negative `seed`, a `name`,
+    `circuit` or `probe_circuit` that is not a non-empty string, or a
+    timing number that is a bool or that float() cannot read)::
 
         device:
           name: desk_belem
@@ -250,11 +259,11 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
                            ("probe_circuit", "every_k"), "attacker")
     return Scenario(
         device=device,
-        victim_circuit=str(_require(victim, "circuit", "victim")),
-        victim_repetitions=_number(victim, "repetitions", "victim", kind=int),
-        attacker_probe_circuit=str(_require(attacker, "probe_circuit", "attacker")),
-        probe_every=_number(attacker, "every_k", "attacker", 1, int),
-        seed=int(seed) if seed is not None else _number(raw, "seed", "scenario", 0, int),
+        victim_circuit=_value(victim, "circuit", "victim", kind=str),
+        victim_repetitions=_value(victim, "repetitions", "victim", kind=int),
+        attacker_probe_circuit=_value(attacker, "probe_circuit", "attacker", kind=str),
+        probe_every=_value(attacker, "every_k", "attacker", 1, int),
+        seed=int(seed) if seed is not None else _value(raw, "seed", "scenario", 0, int),
     )
 
 

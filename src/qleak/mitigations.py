@@ -186,9 +186,12 @@ def evaluate(
     victim's own jobs incur. scheduler-batching acts on the attacker's
     sampling, not on the timing models: its inflation is batch_factor as
     given, not derived from the per-interval effect size (ROADMAP.md,
-    item 4).
+    item 4). Raises ValueError when victim and reference are one circuit;
+    two circuits of equal latency plan inf before and after.
     """
     a, b = table.timing(victim, backend), table.timing(reference, backend)
+    if victim == reference:
+        raise ValueError(f"victim and reference are the same circuit {victim!r}")
     before = required_sample_size(effect_size(a, b), spec)
     am = mitigation.apply(a, table, backend)
     bm = mitigation.apply(b, table, backend)

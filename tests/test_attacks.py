@@ -23,6 +23,7 @@ from qleak.baseline import (
     BaselineEntry,
     BaselineTable,
     bundled_table,
+    catalog_matrices,
     grover_catalog,
     nearest_neighbor_requirement,
 )
@@ -34,6 +35,7 @@ from qleak.cloudsim import (
 )
 from qleak.csvout import write_records
 from qleak.stats import (
+    MixtureTiming,
     PowerSpec,
     TimingDistribution,
     effect_size,
@@ -241,13 +243,23 @@ class TestCo:
         cat = grover_catalog()
         target = next(v for v in cat if v.iterations == 2 and v.key == "011")
         rng = np.random.default_rng(5)
-        tr = Trace.from_durations(
-            rng.normal(target.timing.mean, target.timing.sd, 4000)
-        )
-        verdict, req_m = co_identify(tr, cat)
-        assert "iterations=2" in verdict.label
-        assert verdict.underpowered  # the key needs far more data
-        assert req_m.shape == (24, 24)
+        xs = rng.normal(target.timing.mean, target.timing.sd, 4000)
+        # iteration 2's mixture sits midway between 1's and 3's, so its
+        # rival is the first of them, iteration 1
+        mixtures = [
+            MixtureTiming(tuple(v.timing for v in cat if v.iterations == it))
+            for it in (1, 2)
+        ]
+        planned = required_sample_size(effect_size(mixtures[1], mixtures[0]), PowerSpec())
+        assert planned == pytest.approx(2226.545, abs=1e-3)
+        for n, underpowered in ((700, True), (4000, False)):
+            verdict, iteration = co_identify(Trace.from_durations(xs[:n]), cat)
+            assert verdict.label == "iterations=2 key=under-powered"
+            assert verdict.underpowered  # the key needs far more data
+            assert iteration.attack == "CO" and iteration.label == "2"
+            assert iteration.measurements_used == n
+            assert float.hex(iteration.planned_n) == float.hex(planned)
+            assert iteration.underpowered is underpowered
 
     def test_key_stage_with_enough_data(self):
         # widen the per-key spread so the key stage is affordable to test
@@ -275,10 +287,10 @@ class TestCo:
         cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
         shuffled = [cat[i] for i in np.random.default_rng(9).permutation(24)]
         tr = synthetic_trace(cat[13].timing.mean, cat[13].timing.variance, 900, seed=9)
-        verdict, req_m = co_identify(tr, cat)
-        s_verdict, s_req = co_identify(tr, shuffled)
-        assert s_verdict == verdict
-        assert np.array_equal(s_req, req_m, equal_nan=True)
+        assert co_identify(tr, shuffled) == co_identify(tr, cat)
+        assert np.array_equal(
+            catalog_matrices(shuffled)[1], catalog_matrices(cat)[1], equal_nan=True
+        )
 
     def test_zero_key_spread_plans_infinity(self):
         # all eight keys of an iteration share one mean
@@ -491,9 +503,10 @@ class TestOneVerdictRule:
         # reference: the same-iteration variant whose requirement row
         # entry is largest (the NaN diagonal drops the variant itself)
         cat = grover_catalog()
+        req_m = catalog_matrices(cat)[1]
         for v in cat:
             mu = v.timing.mean
-            verdict, req_m = co_identify(Trace.from_durations([mu, mu]), cat)
+            verdict, _ = co_identify(Trace.from_durations([mu, mu]), cat)
             assert verdict.label.startswith(f"iterations={v.iterations} ")
             start = 8 * (v.iterations - 1)
             row = req_m[v.index - 1, start : start + 8]

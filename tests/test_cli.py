@@ -7,10 +7,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qleak.baseline import HARDWARE, SIMULATOR, bundled_table_path
+from qleak.baseline import (
+    HARDWARE,
+    SIMULATOR,
+    bundled_table_path,
+    catalog_matrices,
+    grover_catalog,
+)
 from qleak.cli import EXIT_OK, EXIT_PIPE, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
+from qleak.stats import PowerSpec
 from table1_divergences import divergent_names
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -152,16 +160,20 @@ class TestUsage:
             (["matrix", "--out-dir", "TMP/file/sub"], None),
             ([*ATTACK, "co", "--backend", "sim", "--table", "/nonexistent"], None),
             ([*ATTACK, "qm", "--alpha", "0.01"], None),
+            (["power", "--effect-size", "1", "--mc-check", "--seed", "-1"], None),
+            (BAD_SCENARIO, ("name: dev\n", 'name: ""\n')),
         ],
         ids=["repetitions-not-a-number", "seed-not-a-number", "negative-gap",
              "gap-not-a-number", "nan-gap", "infinite-gap", "infinite-mean",
              "yaml-syntax", "bool-gap", "bool-mean", "bool-variance",
              "table-is-a-directory",
-             "out-dir-under-a-file", "co-with-backend-and-table", "qm-with-alpha"],
+             "out-dir-under-a-file", "co-with-backend-and-table", "qm-with-alpha",
+             "power-negative-seed", "empty-device-name"],
     )
     def test_rejected_input_is_one_line(self, capsys, tmp_path, argv, edit):
         # each of these once ended in a traceback and exit 1, ignored a flag,
-        # or printed a NaN or infinite clock with exit 0
+        # printed a NaN or infinite clock with exit 0, printed a result
+        # before rejecting a negative seed, or ran a device named ''
         (tmp_path / "file").write_text("")
         (tmp_path / "scenario.yaml").write_text(SCENARIO_YAML)
         if edit:
@@ -172,6 +184,40 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         where = f"attack {argv[4]}" if argv[:4] == ATTACK else argv[0]
         assert err.startswith(f"{where}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,edit,message",
+        [
+            (["simulate", "--scenario", "TMP", "--seed", "-1"], None,
+             "simulate: --seed must be non-negative, got -1"),
+            (["attack", "--scenario", "TMP", "--attack", "qm", "--seed", "-1"], None,
+             "attack qm: --seed must be non-negative, got -1"),
+            (["power", "--effect-size", "1", "--mc-check", "--seed", "-1"], None,
+             "power: --seed must be non-negative, got -1"),
+            (["simulate", "--scenario", "TMP"], ("seed: 11", "seed: -3"),
+             "simulate: seed must be non-negative, got -3"),
+            (["attack", "--scenario", "TMP", "--attack", "qp"], ("name: dev_a", "name:"),
+             "attack qp: 'name' in reference_devices[0] must be a non-empty string, "
+             "got None"),
+            (["attack", "--scenario", "TMP", "--attack", "qp"],
+             ("name: dev_a", 'name: ""'),
+             "attack qp: 'name' in reference_devices[0] must be a non-empty string, "
+             "got ''"),
+            (["simulate", "--scenario", "TMP"], ("circuit: GHZ", "circuit: null"),
+             "simulate: 'circuit' in victim must be a non-empty string, got None"),
+        ],
+        ids=["simulate-seed", "attack-seed", "power-seed", "scenario-seed",
+             "null-reference-name", "empty-reference-name", "null-victim-circuit"],
+    )
+    def test_rejection_names_its_flag_or_key(self, capsys, tmp_path, argv, edit, message):
+        # numpy's "expected non-negative integer" named neither; a null
+        # name made a processor called None and an empty one failed only
+        # at verdict time, naming no key
+        assert edit is None or SCENARIO_YAML.count(edit[0]) == 1
+        path = tmp_path / "s.yaml"
+        path.write_text(SCENARIO_YAML.replace(*edit) if edit else SCENARIO_YAML)
+        code, out, err = run_cli(capsys, *(str(path) if a == "TMP" else a for a in argv))
+        assert (code, out, err) == (EXIT_USAGE, "", message + "\n")
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("column", [1, 3], ids=["latency", "required"])
@@ -448,15 +494,25 @@ class TestMatrix:
         assert (tmp_path / "grover_pairs.csv").exists()
 
     def test_co_matrix_has_the_same_labels(self, capsys, scenario_file, tmp_path):
+        # `matrix` writes the catalog at the default spec, the CO attack at
+        # its own --alpha and --power
         run_cli(capsys, "matrix", "--out-dir", str(tmp_path))
-        code, _, _ = run_cli(
-            capsys, "attack", "--scenario", scenario_file, "--attack", "co",
-            "--out-dir", str(tmp_path),
-        )
-        assert code == EXIT_OK
-        co = (tmp_path / "co_required.csv").read_bytes()
-        assert co == (tmp_path / "grover_required.csv").read_bytes()
-        assert co.startswith(b",i1k000,i1k001,")
+        grover = (tmp_path / "grover_required.csv").read_bytes()
+        cat = grover_catalog()
+        for flags, spec in (((), PowerSpec()),
+                            (("--alpha", "0.01", "--power", "0.9"), PowerSpec(0.01, 0.9))):
+            out = tmp_path / f"alpha{spec.alpha}"
+            code, _, _ = run_cli(
+                capsys, "attack", "--scenario", scenario_file, "--attack", "co",
+                "--out-dir", str(out), *flags,
+            )
+            assert code == EXIT_OK
+            co = (out / "co_required.csv").read_bytes()
+            assert co.startswith(b",i1k000,i1k001,")
+            assert (co == grover) is (spec == PowerSpec())
+            cells = [[float(c or "nan") for c in row[1:]]
+                     for row in parse_csv(co.decode())[1:]]
+            np.testing.assert_allclose(cells, catalog_matrices(cat, spec)[1], rtol=1e-8)
 
 
 class TestSimulateAndAttack:
@@ -602,6 +658,17 @@ class TestMitigate:
         )
         assert code == EXIT_USAGE
         assert out == "" and err == "mitigate: unknown circuit 'GHZZ'\n"
+
+    def test_same_victim_and_reference_is_a_usage_error(self, capsys):
+        # once reported inflation xinf against an attack with nothing to
+        # tell apart
+        code, out, err = run_cli(
+            capsys, "mitigate", "--kind", "timer-noise", "--added-variance", "1",
+            "--victim", "GHZ", "--reference", "GHZ",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "mitigate: victim and reference are the same circuit 'GHZ'\n"
 
     def test_unknown_victim(self, capsys):
         code, _, _ = run_cli(

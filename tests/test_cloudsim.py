@@ -185,6 +185,15 @@ class TestValidation:
         s = make_scenario(reps=np.int64(5), k=np.int32(2), seed=np.uint16(3))
         assert len(run_simulation(s)) == 9
 
+    def test_negative_seed(self):
+        # numpy rejected it at simulation time, naming no key
+        with pytest.raises(ScenarioError, match=r"^seed must be non-negative, got -3$"):
+            make_scenario(seed=-3)
+
+    def test_device_name_must_be_non_empty(self):
+        with pytest.raises(ValueError, match="device name must be non-empty"):
+            DeviceProfile("", {"probe": TimingDistribution(0.05, 1e-4)})
+
     @pytest.mark.parametrize("gap", [float("nan"), float("inf")])
     def test_non_finite_gap(self, gap):
         # a NaN gap printed empty clock cells, an infinite one printed inf
@@ -314,6 +323,28 @@ class TestYaml:
         p.write_text(SCENARIO_YAML.replace(old, new))
         with pytest.raises(ScenarioError) as info:
             load_scenario(p)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("old,new,loader,message", [
+        ("  - name: a", "  - name:", load_reference_devices,
+         "'name' in reference_devices[0] must be a non-empty string, got None"),
+        ("  - name: a", '  - name: ""', load_reference_devices,
+         "'name' in reference_devices[0] must be a non-empty string, got ''"),
+        ("  name: dev", "  name: 7", load_scenario,
+         "'name' in device must be a non-empty string, got 7"),
+        ("circuit: victim", "circuit: null", load_scenario,
+         "'circuit' in victim must be a non-empty string, got None"),
+        ("probe_circuit: probe", "probe_circuit: ''", load_scenario,
+         "'probe_circuit' in attacker must be a non-empty string, got ''"),
+    ], ids=["null-reference-name", "empty-reference-name", "int-device-name",
+            "null-victim-circuit", "empty-probe-circuit"])
+    def test_names_must_be_non_empty_strings(self, tmp_path, old, new, loader, message):
+        # str() once made a device called 'None' and a circuit called '7'
+        assert SCENARIO_YAML.count(old) == 1
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace(old, new))
+        with pytest.raises(ScenarioError) as info:
+            loader(p)
         assert str(info.value) == message
 
     def test_gap_in_exponent_form(self, tmp_path):

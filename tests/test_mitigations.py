@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qleak.baseline import HARDWARE, SIMULATOR, bundled_table
+from qleak.baseline import HARDWARE, SIMULATOR, BaselineEntry, BaselineTable, bundled_table
 from qleak.cloudsim import run_simulation
 from qleak.mitigations import (
     CIRCUIT_PADDING,
@@ -183,6 +183,18 @@ class TestEvaluate:
         r = evaluate(m, table, HARDWARE, "GHZ", "Quantum Phase Estimation")
         assert r.inflation == pytest.approx(8.0)
         assert r.mean_overhead == 0.0
+
+    def test_victim_must_differ_from_reference(self, table):
+        m = Mitigation(kind=TIMER_NOISE, added_variance=1.0)
+        with pytest.raises(ValueError, match="same circuit 'GHZ'"):
+            evaluate(m, table, HARDWARE, "GHZ", "GHZ")
+
+    def test_equal_latencies_plan_infinity(self):
+        # two circuits that share a latency keep the inf convention
+        table = BaselineTable([BaselineEntry(name, 1.0, 2.0) for name in "xy"])
+        m = Mitigation(kind=TIMER_NOISE, added_variance=1.0)
+        r = evaluate(m, table, HARDWARE, "x", "y")
+        assert math.isinf(r.baseline_required_n) and math.isinf(r.inflation)
 
     def test_compile_randomness_helps(self, table):
         m = Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=2.0, layouts=8)

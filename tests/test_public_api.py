@@ -133,6 +133,23 @@ def test_one_nearest_model_rule():
     assert "mitigations" not in attack_imports
 
 
+def test_one_requirement_matrix_builder():
+    """`baseline` alone builds a requirement matrix: only `pairwise_matrix`
+    and `catalog_matrices` call `_requirements`, and `co_identify` calls
+    neither it nor `catalog_matrices`, nor does `attacks` import it."""
+    requirements, catalog, attack_imports = set(), set(), set()
+    for path, node, scope in _src_nodes():
+        if _calls(node, "_requirements"):
+            requirements.add(f"{path.name}:{scope}")
+        elif _calls(node, "catalog_matrices"):
+            catalog.add(scope)
+        elif isinstance(node, ast.ImportFrom) and path.name == "attacks.py":
+            attack_imports.update(alias.name for alias in node.names)
+    assert requirements == {"baseline.py:pairwise_matrix", "baseline.py:catalog_matrices"}
+    assert "co_identify" not in catalog
+    assert "_requirements" not in attack_imports
+
+
 def test_usage_errors_have_one_boundary():
     """`cli.main` alone turns a rejected input into EXIT_USAGE: the only
     `except` handlers in cli.py are in `main`, and no other function
