@@ -35,7 +35,6 @@ from .baseline import (
 )
 from .cloudsim import (
     DeviceProfile,
-    JobLog,
     Scenario,
     ScenarioError,
     ground_truth_durations,
@@ -65,7 +64,6 @@ from .csvout import write_csv, write_records
 from .mitigations import (
     KINDS,
     Mitigation,
-    MitigationReport,
     evaluate,
 )
 

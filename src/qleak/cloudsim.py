@@ -1,7 +1,8 @@
 """Seeded simulation of a serial cloud quantum job queue.
 
 One device executes victim and attacker jobs back to back on an abstract
-monotonic clock; durations are Gaussian draws per circuit, truncated at a
+monotonic clock; durations are drawn from each circuit's timing model
+(Gaussian, or a uniform mixture of Gaussians), truncated at a
 1 microsecond floor (truncations are counted, never silent).
 """
 from __future__ import annotations
@@ -16,12 +17,15 @@ from typing import Mapping
 import numpy as np
 import yaml
 
-from .stats import TimingDistribution
+from .stats import MixtureTiming, TimingDistribution
 
 VICTIM = "victim"
 ATTACKER = "attacker"
 
 DURATION_FLOOR = 1e-6
+
+#: a session peaks at about 100 bytes per job: 1.1 GB at this bound
+MAX_REPETITIONS = 10**7
 
 
 class ScenarioError(ValueError):
@@ -43,7 +47,7 @@ class DeviceProfile:
     consecutive jobs."""
 
     name: str
-    circuit_timings: Mapping[str, TimingDistribution]
+    circuit_timings: Mapping[str, TimingDistribution | MixtureTiming]
     inter_job_gap: float = 0.0
 
     def __post_init__(self):
@@ -58,7 +62,7 @@ class DeviceProfile:
         if not self.circuit_timings:
             raise ValueError("device needs at least one circuit timing")
 
-    def timing(self, circuit: str) -> TimingDistribution:
+    def timing(self, circuit: str) -> TimingDistribution | MixtureTiming:
         try:
             return self.circuit_timings[circuit]
         except KeyError:
@@ -78,8 +82,10 @@ class Scenario:
 
     def __post_init__(self):
         _check_ints(self, ("victim_repetitions", "probe_every", "seed"), ScenarioError)
-        if self.victim_repetitions < 1:
-            raise ScenarioError("victim_repetitions must be at least 1")
+        if not 1 <= self.victim_repetitions <= MAX_REPETITIONS:
+            raise ScenarioError(
+                "victim_repetitions ('repetitions' in a scenario file) must be "
+                f"between 1 and {MAX_REPETITIONS}, got {self.victim_repetitions}")
         if self.probe_every < 1:
             raise ScenarioError("probe_every must be at least 1")
         if self.seed < 0:
@@ -126,7 +132,9 @@ def run_simulation(scenario: Scenario) -> JobLog:
 
     Job i's duration is mean_i + sd_i * z_i over one `standard_normal(n)`
     draw z: the same bits as `rng.normal(mean_i, sd_i)` job by job, which
-    computes loc + scale * z for each draw.
+    computes loc + scale * z for each draw. The victim's model, then the
+    probe's, gives (mean_i, sd_i) for all n jobs (`job_moments`), a
+    mixture from picks on a stream spawned from the seed.
     """
     k, reps = scenario.probe_every, scenario.victim_repetitions
     n = reps + -(-reps // k) + 1
@@ -134,11 +142,14 @@ def run_simulation(scenario: Scenario) -> JobLog:
     victim = np.ones(n, dtype=bool)
     victim[::k + 1] = False
     victim[-1] = False
-    v = scenario.device.timing(scenario.victim_circuit)
-    p = scenario.device.timing(scenario.attacker_probe_circuit)
-    durations = np.random.default_rng(scenario.seed).standard_normal(n)
-    durations *= np.where(victim, v.sd, p.sd)
-    durations += np.where(victim, v.mean, p.mean)
+    seeds = np.random.SeedSequence(scenario.seed)
+    rng, picks = np.random.default_rng(seeds), np.random.default_rng(seeds.spawn(1)[0])
+    (v_mean, v_sd), (p_mean, p_sd) = (
+        scenario.device.timing(c).job_moments(picks, n)
+        for c in (scenario.victim_circuit, scenario.attacker_probe_circuit))
+    durations = rng.standard_normal(n)
+    durations *= np.where(victim, v_sd, p_sd)
+    durations += np.where(victim, v_mean, p_mean)
     steps = np.full(2 * n, scenario.device.inter_job_gap)
     steps[0] = 0.0
     np.maximum(durations, DURATION_FLOOR, out=steps[1::2])
@@ -237,9 +248,10 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
 
     Schema (every key shown, optional `reference_devices:` aside; any
     other key is a ScenarioError, and so is a `repetitions`, `every_k` or
-    `seed` that is not a YAML integer, a negative `seed`, a `name`,
-    `circuit` or `probe_circuit` that is not a non-empty string, or a
-    timing number that is a bool or that float() cannot read)::
+    `seed` that is not a YAML integer, a `repetitions` past
+    MAX_REPETITIONS, a negative `seed`, a `name`, `circuit` or
+    `probe_circuit` that is not a non-empty string, or a timing number
+    that is a bool or that float() cannot read)::
 
         device:
           name: desk_belem

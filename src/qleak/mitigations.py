@@ -1,7 +1,7 @@
 """Timing-channel countermeasures and their cost/benefit evaluation.
 
 Four knobs, all modelled as transforms on per-circuit timing
-distributions or on scheduler behavior:
+distributions or on scheduler behavior; each rewrites a scenario too:
 
 - timer noise: the service adds zero-mean jitter of a fixed variance to
   every reported duration, inflating every pairwise requirement by the
@@ -9,7 +9,8 @@ distributions or on scheduler behavior:
 - compile randomness: each submission is compiled to one of several
   layouts drawn uniformly, turning a point latency into a mixture;
 - circuit padding: idle gates shift a circuit's mean toward a decoy's,
-  shrinking the gap the attacker must resolve;
+  shrinking the gap the attacker must resolve (the decoy is looked up
+  where the circuits run: a table column, or a scenario's device);
 - scheduler batching: victims run batch_factor executions between
   probes; its reported inflation is batch_factor as given, not derived
   from the per-interval effect size (ROADMAP.md, item 4).
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Optional
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -99,32 +101,23 @@ class Mitigation:
     def apply(
         self,
         timing: TimingDistribution,
-        table: Optional[BaselineTable] = None,
-        backend: Optional[str] = None,
+        timing_of: Callable[[str], TimingDistribution | MixtureTiming],
     ) -> TimingDistribution | MixtureTiming:
         """Transform one circuit's timing distribution.
 
-        circuit-padding needs the baseline table and backend to locate
-        the decoy's mean; the other kinds ignore them. scheduler-batching
-        leaves distributions untouched (it acts on the scheduler).
+        circuit-padding reads its decoy's mean from `timing_of` (a table
+        column in `evaluate`, the device in `apply_to_scenario`); the other
+        kinds ignore it. scheduler-batching leaves distributions untouched.
         """
         if self.kind == TIMER_NOISE:
-            return TimingDistribution(
-                timing.mean, timing.variance + self.added_variance
-            )
+            return TimingDistribution(timing.mean, timing.variance + self.added_variance)
         if self.kind == COMPILE_RANDOMNESS:
-            offsets = np.linspace(
-                -self.layout_spread / 2, self.layout_spread / 2, self.layouts
-            )
-            comps = tuple(
+            half = self.layout_spread / 2
+            return MixtureTiming(tuple(
                 TimingDistribution(timing.mean + float(o), timing.variance)
-                for o in offsets
-            )
-            return MixtureTiming(comps)
+                for o in np.linspace(-half, half, self.layouts)))
         if self.kind == CIRCUIT_PADDING:
-            if table is None or backend is None:
-                raise ValueError("circuit-padding needs table and backend")
-            decoy = table.entry(self.pad_toward).latency(backend)
+            decoy = timing_of(self.pad_toward).mean
             # padding only lengthens circuits: shift the shorter of the
             # pair toward the longer one
             if timing.mean >= decoy:
@@ -134,26 +127,22 @@ class Mitigation:
         return timing
 
     def apply_to_scenario(self, scenario: Scenario) -> Scenario:
-        """Scheduler-level rewrite: batching multiplies probe_every and
-        timer noise adds its variance to every circuit model on the device.
-
-        Raises ValueError for compile-randomness and circuit-padding,
-        which are not modelled at scenario level (padding also needs a
-        baseline table to find its decoy).
+        """Batching multiplies probe_every; the other kinds `apply` to every
+        circuit model on the device, the probe's too. Padding resolves its
+        decoy on the device and also lengthens a probe shorter than it,
+        which moves log timestamps but not the probe intervals the attacker
+        reads. Every circuit mean must exceed a compile spread's half.
         """
         if self.kind == SCHEDULER_BATCHING:
             return replace(
                 scenario, probe_every=scenario.probe_every * self.batch_factor
             )
-        if self.kind == TIMER_NOISE:
-            timings = {
-                name: self.apply(t)
-                for name, t in scenario.device.circuit_timings.items()
-            }
-            return replace(
-                scenario, device=replace(scenario.device, circuit_timings=timings)
-            )
-        raise ValueError(f"{self.kind} cannot be applied to a scenario")
+        device = scenario.device
+        timings = {
+            name: self.apply(t, device.timing)
+            for name, t in device.circuit_timings.items()
+        }
+        return replace(scenario, device=replace(device, circuit_timings=timings))
 
 
 @dataclass(frozen=True)
@@ -193,8 +182,8 @@ def evaluate(
     if victim == reference:
         raise ValueError(f"victim and reference are the same circuit {victim!r}")
     before = required_sample_size(effect_size(a, b), spec)
-    am = mitigation.apply(a, table, backend)
-    bm = mitigation.apply(b, table, backend)
+    timing_of = partial(table.timing, backend=backend)
+    am, bm = mitigation.apply(a, timing_of), mitigation.apply(b, timing_of)
     after = required_sample_size(effect_size(am, bm), spec)
     if mitigation.kind == SCHEDULER_BATCHING:
         inflation = float(mitigation.batch_factor)

@@ -40,14 +40,15 @@ class TimingDistribution:
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
-    def sample(self, rng: np.random.Generator, size=None):
-        return rng.normal(self.mean, self.sd, size)
+    def job_moments(self, picks: np.random.Generator, size: int) -> tuple[float, float]:
+        """(mean, sd) of every job: this model's own two; draws nothing."""
+        return self.mean, self.sd
 
 
 @dataclass(frozen=True)
 class MixtureTiming:
-    """Uniform mixture over component timing distributions; quacks like
-    TimingDistribution for mean/variance/sampling."""
+    """Uniform mixture over component timing distributions, with the
+    mean, variance, sd and job_moments of a TimingDistribution."""
 
     components: tuple[TimingDistribution, ...]
 
@@ -72,14 +73,12 @@ class MixtureTiming:
     def sd(self) -> float:
         return math.sqrt(self.variance)
 
-    def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
-        picks = rng.integers(0, len(self.components), size=size)
-        out = np.empty(size, dtype=float)
-        for i, comp in enumerate(self.components):
-            mask = picks == i
-            if mask.any():
-                out[mask] = comp.sample(rng, int(mask.sum()))
-        return out
+    def job_moments(self, picks: np.random.Generator, size: int):
+        """(mean, sd) arrays of `size` jobs: job i takes the moments of a
+        component drawn uniformly from `picks`."""
+        i = picks.integers(0, len(self.components), size)
+        return (np.array([c.mean for c in self.components])[i],
+                np.array([c.sd for c in self.components])[i])
 
 
 @dataclass(frozen=True)

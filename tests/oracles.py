@@ -96,19 +96,32 @@ def timer_noise_inflation(base_variance: float, added_variance: float) -> float:
 def loop_simulation(scenario):
     """One job at a time: the reference the columnar
     :func:`qleak.cloudsim.run_simulation` must match bit for bit. Returns
-    (victim flags, started_at, ended_at, truncations) as lists."""
+    (victim flags, started_at, ended_at, truncations) as lists.
+
+    Job i draws `rng.normal` on its owner's model, or on the component of
+    a mixture that the owner's pick for job i names; each mixture owner
+    draws a pick for every job of the session as one block, the victim's
+    before the probe's, from the seed's first spawned child stream."""
     k, reps = scenario.probe_every, scenario.victim_repetitions
     victim = [False]
     for done in range(0, reps, k):
         victim += [True] * min(k, reps - done) + [False]
     device = scenario.device
+    models = (device.timing(scenario.attacker_probe_circuit),
+              device.timing(scenario.victim_circuit))
     rng = np.random.default_rng(scenario.seed)
+    pick_rng = np.random.default_rng(np.random.SeedSequence(scenario.seed).spawn(1)[0])
+    picks = {
+        owner: pick_rng.integers(0, len(models[owner].components), len(victim)).tolist()
+        for owner in (True, False) if hasattr(models[owner], "components")
+    }
     started, ended, truncations, clock = [], [], 0, 0.0
-    circuits = (scenario.attacker_probe_circuit, scenario.victim_circuit)
     for i, is_victim in enumerate(victim):
-        circuit = circuits[is_victim]
+        model = models[is_victim]
+        if is_victim in picks:
+            model = model.components[picks[is_victim][i]]
         start = clock if i == 0 else clock + device.inter_job_gap
-        duration = float(device.timing(circuit).sample(rng))
+        duration = float(rng.normal(model.mean, model.sd))
         if duration < DURATION_FLOOR:
             duration, truncations = DURATION_FLOOR, truncations + 1
         clock = start + duration

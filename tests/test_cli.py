@@ -136,6 +136,18 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         assert err.startswith(f"attack {attack}: ") and err.count("\n") == 1
 
+    def test_repetitions_past_the_bound(self, capsys, tmp_path):
+        # a billion runs once asked numpy for about 15 GiB and ended in a
+        # memory-error traceback with exit 1
+        p = tmp_path / "huge.yaml"
+        p.write_text(SCENARIO_YAML.replace("repetitions: 120", f"repetitions: {10**9}"))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(p))
+        assert code == EXIT_USAGE
+        assert out == "" and "Traceback" not in err
+        assert err == (
+            "simulate: victim_repetitions ('repetitions' in a scenario file) "
+            "must be between 1 and 10000000, got 1000000000\n")
+
     def test_power_needs_effect(self, capsys):
         code, _, _ = run_cli(capsys, "power")
         assert code == EXIT_USAGE

@@ -4,6 +4,7 @@ import pytest
 from qleak.cloudsim import (
     DURATION_FLOOR,
     JOB_COLUMNS,
+    MAX_REPETITIONS,
     DeviceProfile,
     Scenario,
     ScenarioError,
@@ -164,6 +165,15 @@ class TestValidation:
     def test_bad_repetitions(self):
         with pytest.raises(ScenarioError):
             make_scenario(reps=0)
+
+    def test_repetitions_are_bounded(self):
+        # checked when the scenario is built, so nothing here allocates
+        make_scenario(reps=MAX_REPETITIONS)
+        for reps in (MAX_REPETITIONS + 1, 10**9):
+            message = (r"^victim_repetitions \('repetitions' in a scenario file\) "
+                       rf"must be between 1 and 10000000, got {reps}$")
+            with pytest.raises(ScenarioError, match=message):
+                make_scenario(reps=reps)
 
     def test_bad_gap(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,19 @@
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from qleak.attacks import uc_classify
 from qleak.baseline import HARDWARE, SIMULATOR, BaselineEntry, BaselineTable, bundled_table
-from qleak.cloudsim import run_simulation
+from qleak.cloudsim import (
+    DeviceProfile,
+    Scenario,
+    ScenarioError,
+    ground_truth_durations,
+    run_simulation,
+)
 from qleak.mitigations import (
     CIRCUIT_PADDING,
     COMPILE_RANDOMNESS,
@@ -16,14 +24,37 @@ from qleak.mitigations import (
     MixtureTiming,
     evaluate,
 )
-from qleak.stats import TimingDistribution
+from qleak.stats import TimingDistribution, normal_quantile
+from qleak.trace import reconstruct
 from oracles import timer_noise_inflation
 from test_cloudsim import make_scenario
+
+#: two-sided 99.9% normal quantile for the Monte-Carlo intervals
+Z999 = normal_quantile(0.9995)
 
 
 @pytest.fixture(scope="module")
 def table():
     return bundled_table()
+
+
+def no_lookup(name):
+    raise AssertionError(f"only circuit-padding looks up a decoy, got {name!r}")
+
+
+def within_mc(sample, mean=None, variance=None):
+    """Whether a sample's mean and unbiased variance lie within 99.9%
+    Monte-Carlo intervals of the given values: se sqrt(var / n) for the
+    mean and sqrt((m4 - var^2) / n) for the variance, m4 the sample's
+    fourth central moment."""
+    n, var = sample.size, sample.var(ddof=1)
+    m4 = np.mean((sample - sample.mean()) ** 4)
+    ok = True
+    if mean is not None:
+        ok &= abs(sample.mean() - mean) <= Z999 * math.sqrt(var / n)
+    if variance is not None:
+        ok &= abs(var - variance) <= Z999 * math.sqrt((m4 - var * var) / n)
+    return ok
 
 
 class TestMixture:
@@ -38,13 +69,15 @@ class TestMixture:
         assert m.variance == pytest.approx(1.2)
         assert m.sd == pytest.approx(math.sqrt(1.2))
 
-    def test_sampling_matches_moments(self):
+    def test_session_matches_moments(self):
+        # the simulator draws a mixture victim's durations with the
+        # mixture's own mean and variance
         m = MixtureTiming(
             (TimingDistribution(1.0, 0.1), TimingDistribution(2.0, 0.4))
         )
-        xs = m.sample(np.random.default_rng(0), 200_000)
-        assert xs.mean() == pytest.approx(m.mean, abs=0.01)
-        assert xs.var(ddof=1) == pytest.approx(m.variance, rel=0.02)
+        device = DeviceProfile("d", {"v": m, "p": TimingDistribution(0.05, 1e-4)})
+        log = run_simulation(Scenario(device, "v", 20_000, "p", seed=4))
+        assert within_mc(ground_truth_durations(log), m.mean, m.variance)
 
     def test_needs_component(self):
         with pytest.raises(ValueError):
@@ -108,13 +141,13 @@ class TestValidation:
 class TestTransforms:
     def test_timer_noise_adds_variance(self):
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.6)
-        t = m.apply(TimingDistribution(2.0, 0.3))
+        t = m.apply(TimingDistribution(2.0, 0.3), no_lookup)
         assert t.mean == 2.0
         assert t.variance == pytest.approx(0.9)
 
     def test_compile_randomness_builds_mixture(self):
         m = Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=5)
-        t = m.apply(TimingDistribution(2.0, 0.3))
+        t = m.apply(TimingDistribution(2.0, 0.3), no_lookup)
         assert isinstance(t, MixtureTiming)
         assert t.mean == pytest.approx(2.0)
         assert t.variance > 0.3
@@ -124,9 +157,10 @@ class TestTransforms:
         m = Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ", pad_fraction=1.0)
         ghz = table.timing("GHZ", SIMULATOR)
         hs = table.timing("Hidden Shift Application Benchmark", SIMULATOR)
-        assert m.apply(hs, table, SIMULATOR).mean == pytest.approx(ghz.mean)
+        column = partial(table.timing, backend=SIMULATOR)
+        assert m.apply(hs, column).mean == pytest.approx(ghz.mean)
         # padding never shortens
-        assert m.apply(ghz, table, SIMULATOR).mean == ghz.mean
+        assert m.apply(ghz, column).mean == ghz.mean
 
     def test_batching_rewrites_scenario(self):
         m = Mitigation(kind=SCHEDULER_BATCHING, batch_factor=5)
@@ -134,22 +168,64 @@ class TestTransforms:
         assert s.probe_every == 10
         run_simulation(s)  # still a valid scenario
 
-    @pytest.mark.parametrize(
-        "m",
-        [
-            Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=4),
-            Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ"),
-        ],
-        ids=[COMPILE_RANDOMNESS, CIRCUIT_PADDING],
-    )
-    def test_distribution_kinds_refuse_scenarios(self, m):
-        with pytest.raises(ValueError, match="cannot be applied to a scenario"):
-            m.apply_to_scenario(make_scenario())
-
     def test_timer_noise_rewrites_scenario(self):
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.5)
         s = m.apply_to_scenario(make_scenario())
         assert s.device.timing("victim").variance == pytest.approx(0.8)
+
+    def test_padding_decoy_must_be_on_the_device(self):
+        m = Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ")
+        with pytest.raises(ScenarioError, match="circuit 'GHZ' unknown on device 'dev'"):
+            m.apply_to_scenario(make_scenario())
+
+
+#: one countermeasure of each kind, as run on a hardened session below
+SESSION_KINDS = [
+    Mitigation(kind=TIMER_NOISE, added_variance=0.1),
+    Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.8, layouts=4),
+    Mitigation(kind=CIRCUIT_PADDING, pad_toward="Quantum Phase Estimation"),
+    Mitigation(kind=SCHEDULER_BATCHING, batch_factor=3),
+]
+# The reconstruction splits every interval longer than 1.5 estimated means
+# in two, which biases the trace mean down as the variance grows: at 0.3
+# added variance the trace mean is 2.695, nearer Bernstein-Vazirani (2.625)
+# than GHZ (2.779). Interval-level inference (ROADMAP item 2) removes it.
+RECONSTRUCTION_BIAS = pytest.param(
+    Mitigation(kind=TIMER_NOISE, added_variance=0.3), id="timer-noise-0.3",
+    marks=pytest.mark.xfail(strict=True, reason="count-rounding bias, ROADMAP item 2"),
+)
+
+
+class TestHardenedSession:
+    """Every kind rewrites a GHZ session on a device that also runs its
+    nearest hardware neighbour, Quantum Phase Estimation, and the attack
+    runs on the rewritten session."""
+
+    @pytest.mark.parametrize("m", [
+        *(pytest.param(m, id=m.kind) for m in SESSION_KINDS), RECONSTRUCTION_BIAS,
+    ])
+    def test_attack_on_a_hardened_session(self, table, m):
+        ghz, qpe = "GHZ", "Quantum Phase Estimation"
+        timings = {name: table.timing(name, HARDWARE) for name in (ghz, qpe)}
+        # a probe longer than the compile spread's half, so that every
+        # layout of it keeps a positive mean
+        timings["probe"] = TimingDistribution(0.5, 1e-4)
+        scenario = Scenario(DeviceProfile("qpu", timings), ghz, 20_000, "probe", seed=8)
+        log = run_simulation(m.apply_to_scenario(scenario))
+        verdict = uc_classify(reconstruct(log), table, HARDWARE)
+        report = evaluate(m, table, HARDWARE, ghz, qpe)
+        if m.kind == CIRCUIT_PADDING:
+            # padded all the way to the decoy, GHZ runs as long as it
+            assert verdict.label == qpe
+        elif m.kind == SCHEDULER_BATCHING:
+            # the label under batching waits on interval-level inference
+            assert math.isfinite(verdict.statistic)
+        else:
+            assert verdict.label == ghz
+            durations = ground_truth_durations(log)
+            expected = timings[ghz].variance + report.variance_overhead
+            assert report.variance_overhead > 0.05
+            assert within_mc(durations, variance=expected)
 
 
 class TestEvaluate:

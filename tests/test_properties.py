@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from qleak.baseline import grover_catalog
 from qleak.cloudsim import DeviceProfile, Scenario, run_simulation
 from qleak.stats import (
+    MixtureTiming,
     PowerSpec,
     TimingDistribution,
     ovl,
@@ -169,6 +170,53 @@ class TestColumnarMatchesLoop:
         trace = assemble_trace(AttackerView.from_log(log), avg)
         assert (trace.durations.tolist(), trace.inferred_counts) == loop_assemble(
             intervals, avg)
+
+
+#: a victim mixture whose first component draws below the duration floor
+#: about a third of the time, and a two-component probe
+MIXED_VICTIM = MixtureTiming((
+    TimingDistribution(0.2, 0.25), TimingDistribution(2.0, 0.3),
+    TimingDistribution(3.5, 4.0),
+))
+MIXED_PROBE = MixtureTiming(
+    (TimingDistribution(0.05, 1e-4), TimingDistribution(0.08, 1e-4)))
+
+
+def mixture_scenario(reps, k, seed, gap, mixed_probe):
+    probe = MIXED_PROBE if mixed_probe else TimingDistribution(0.05, 1e-4)
+    device = DeviceProfile("d", {"v": MIXED_VICTIM, "p": probe}, inter_job_gap=gap)
+    return Scenario(device, "v", reps, "p", probe_every=k, seed=seed)
+
+
+class TestMixtureColumnarMatchesLoop:
+    """Mixture sessions: the loop oracle picks each job's component from
+    its own block of picks and draws `rng.normal` on it job by job."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=1000),
+        st.sampled_from([0.0, 0.2]),
+        st.booleans(),
+    )
+    def test_bit_identical(self, reps, k, seed, gap, mixed_probe):
+        scenario = mixture_scenario(reps, k, seed, gap, mixed_probe)
+        log = run_simulation(scenario)
+        victim, started, ended, truncations = loop_simulation(scenario)
+        assert log.victim.tolist() == victim
+        assert log.started_at.tolist() == started
+        assert log.ended_at.tolist() == ended
+        assert log.truncations == truncations
+
+    @pytest.mark.parametrize("k,mixed_probe", [(1, False), (3, True)])
+    def test_spy_sized_sessions(self, k, mixed_probe):
+        scenario = mixture_scenario(20_000, k, 17, 0.2, mixed_probe)
+        log = run_simulation(scenario)
+        victim, started, ended, truncations = loop_simulation(scenario)
+        assert log.started_at.tolist() == started
+        assert log.ended_at.tolist() == ended
+        assert log.truncations == truncations > 1000
 
 
 class TestCatalogProperties:

@@ -133,6 +133,21 @@ def test_one_nearest_model_rule():
     assert "mitigations" not in attack_imports
 
 
+def test_one_duration_draw():
+    """Job durations are drawn in one place: no class in src/ has a
+    `sample` method, and only `run_simulation` draws standard normals; a
+    timing model gives it per-job moments (`job_moments`) instead."""
+    samplers, drawers = [], set()
+    for path, node, scope in _src_nodes():
+        if isinstance(node, ast.ClassDef):
+            samplers += [f"{node.name}.sample" for item in node.body
+                         if isinstance(item, ast.FunctionDef) and item.name == "sample"]
+        elif _calls(node, "standard_normal"):
+            drawers.add(scope)
+    assert samplers == []
+    assert drawers == {"run_simulation"}
+
+
 def test_one_requirement_matrix_builder():
     """`baseline` alone builds a requirement matrix: only `pairwise_matrix`
     and `catalog_matrices` call `_requirements`, and `co_identify` calls
