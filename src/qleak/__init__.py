@@ -23,7 +23,6 @@ from .baseline import (
     SIMULATOR,
     BaselineEntry,
     BaselineTable,
-    GroverVariant,
     TableFormatError,
     bundled_table,
     catalog_matrices,
@@ -60,7 +59,7 @@ from .attacks import (
     qp_fingerprint,
     uc_classify,
 )
-from .csvout import write_csv, write_records
+from .csvout import write_csv
 from .mitigations import (
     KINDS,
     Mitigation,

@@ -80,15 +80,6 @@ class AttackVerdict:
             self, "underpowered", self.measurements_used < self.planned_n)
 
 
-def _moments(trace: Trace) -> tuple[int, float, float]:
-    """(n, mean, unbiased variance) of the trace's durations; one duration
-    has variance 0."""
-    xs = trace.durations
-    if xs.size < 1:
-        raise ValueError("empty trace")
-    return xs.size, float(xs.mean()), float(xs.var(ddof=1)) if xs.size > 1 else 0.0
-
-
 def _in_se(gap: float, n: int, var: float) -> float:
     """`gap` in standard errors of a mean of n draws with variance var;
     with no spread, inf for a nonzero gap and 0 for none."""
@@ -108,7 +99,7 @@ def _classify(
     nearest the trace mean, planned against that candidate's rival: the
     candidate with another label nearest it in mean. A tie counts only
     against the candidate with another label nearest the trace mean."""
-    n, mean, var = _moments(trace)
+    n, mean, var = trace.moments
     label, model = candidates[_nearest(mean, [m.mean for _, m in candidates])]
     _, rival = _rival(candidates, label, model.mean)
     _, runner_up = _rival(candidates, label, mean)

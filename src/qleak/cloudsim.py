@@ -99,20 +99,37 @@ JOB_COLUMNS = ("job_id", "owner", "circuit", "queued_at", "started_at", "ended_a
 
 @dataclass
 class JobLog:
-    """Every job in execution order, one array per column: `victim` masks
-    the victim's jobs (the rest are probes), and `queued_at`, `started_at`
-    and `ended_at` are clock readings. Each owner runs its one circuit."""
+    """Every job in execution order: `victim` masks the victim's jobs (the
+    rest are probes), and `clock` holds the 2n + 1 clock readings 0, then
+    each job's start and end. `queued_at`, `started_at` and `ended_at` are
+    strided views of that one clock, and `spans` its (n, 2) view of
+    (started_at, ended_at) rows. Each owner runs its one circuit."""
 
     victim: np.ndarray
-    queued_at: np.ndarray
-    started_at: np.ndarray
-    ended_at: np.ndarray
+    clock: np.ndarray
     victim_circuit: str
     probe_circuit: str
     truncations: int = 0
 
     def __len__(self):
         return len(self.victim)
+
+    @property
+    def queued_at(self) -> np.ndarray:
+        """0 for the first job, then the previous job's end."""
+        return self.clock[0:-1:2]
+
+    @property
+    def started_at(self) -> np.ndarray:
+        return self.clock[1::2]
+
+    @property
+    def ended_at(self) -> np.ndarray:
+        return self.clock[2::2]
+
+    @property
+    def spans(self) -> np.ndarray:
+        return self.clock[1:].reshape(-1, 2)
 
     def rows(self):
         """The jobs.csv rows, in `JOB_COLUMNS` order."""
@@ -128,7 +145,7 @@ class JobLog:
 def run_simulation(scenario: Scenario) -> JobLog:
     """Execute the scenario serially, probes bracketing every k-th victim
     batch. Identical scenarios (including seed) give bit-identical logs:
-    durations are drawn in job order and the clock sums 0, d0, gap, d1, ...
+    durations are drawn in job order and the clock sums 0, 0, d0, gap, d1, ...
 
     Job i's duration is mean_i + sd_i * z_i over one `standard_normal(n)`
     draw z: the same bits as `rng.normal(mean_i, sd_i)` job by job, which
@@ -150,16 +167,15 @@ def run_simulation(scenario: Scenario) -> JobLog:
     durations = rng.standard_normal(n)
     durations *= np.where(victim, v_sd, p_sd)
     durations += np.where(victim, v_mean, p_mean)
-    steps = np.full(2 * n, scenario.device.inter_job_gap)
-    steps[0] = 0.0
-    np.maximum(durations, DURATION_FLOOR, out=steps[1::2])
-    clock = np.cumsum(steps, out=steps)
-    ended = clock[1::2]
+    # 0, then 0 (the first start), d0, gap, d1, ..., gap, d(n-1): summed in
+    # place, the leading 0.0 + 0.0 leaves every reading's bits as they were
+    clock = np.full(2 * n + 1, scenario.device.inter_job_gap)
+    clock[:2] = 0.0
+    np.maximum(durations, DURATION_FLOOR, out=clock[2::2])
+    np.cumsum(clock, out=clock)
     return JobLog(
         victim=victim,
-        queued_at=np.concatenate(([0.0], ended[:-1])),
-        started_at=clock[0::2],
-        ended_at=ended,
+        clock=clock,
         victim_circuit=scenario.victim_circuit,
         probe_circuit=scenario.attacker_probe_circuit,
         truncations=int(np.count_nonzero(durations < DURATION_FLOOR)),

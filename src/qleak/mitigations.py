@@ -100,19 +100,27 @@ class Mitigation:
 
     def apply(
         self,
+        circuit: str,
         timing: TimingDistribution,
         timing_of: Callable[[str], TimingDistribution | MixtureTiming],
     ) -> TimingDistribution | MixtureTiming:
-        """Transform one circuit's timing distribution.
+        """Transform the timing distribution of the named circuit.
 
         circuit-padding reads its decoy's mean from `timing_of` (a table
         column in `evaluate`, the device in `apply_to_scenario`); the other
         kinds ignore it. scheduler-batching leaves distributions untouched.
+        compile-randomness raises `ValueError`, naming the circuit, unless
+        its mean exceeds layout_spread / 2, where its shortest layout ends.
         """
         if self.kind == TIMER_NOISE:
             return TimingDistribution(timing.mean, timing.variance + self.added_variance)
         if self.kind == COMPILE_RANDOMNESS:
             half = self.layout_spread / 2
+            if not timing.mean > half:
+                raise ValueError(
+                    f"compile-randomness layout_spread {self.layout_spread} "
+                    f"needs every circuit mean above layout_spread / 2 = {half}, "
+                    f"but {circuit!r} has mean {timing.mean}")
             return MixtureTiming(tuple(
                 TimingDistribution(timing.mean + float(o), timing.variance)
                 for o in np.linspace(-half, half, self.layouts)))
@@ -139,7 +147,7 @@ class Mitigation:
             )
         device = scenario.device
         timings = {
-            name: self.apply(t, device.timing)
+            name: self.apply(name, t, device.timing)
             for name, t in device.circuit_timings.items()
         }
         return replace(scenario, device=replace(device, circuit_timings=timings))
@@ -183,7 +191,8 @@ def evaluate(
         raise ValueError(f"victim and reference are the same circuit {victim!r}")
     before = required_sample_size(effect_size(a, b), spec)
     timing_of = partial(table.timing, backend=backend)
-    am, bm = mitigation.apply(a, timing_of), mitigation.apply(b, timing_of)
+    am = mitigation.apply(victim, a, timing_of)
+    bm = mitigation.apply(reference, b, timing_of)
     after = required_sample_size(effect_size(am, bm), spec)
     if mitigation.kind == SCHEDULER_BATCHING:
         inflation = float(mitigation.batch_factor)

@@ -2,7 +2,11 @@
 
 The attacker sees only its own jobs' start/end times, an (n, 2) array;
 victim execution time is the gap between the end of one probe and the
-start of the next, and all gaps are reconstructed at once as arrays.
+start of the next, and all gaps are reconstructed at once as arrays: a
+view computes its intervals once, and a `Trace` holds the durations with
+an int column of per-interval counts (`Trace.inferred_counts` is that
+column as a Python list, derived for perfbench) and computes its moments
+once.
 When several victim runs fall inside one gap, the per-execution values are
 the interval split evenly, so a count-k interval contributes k correlated
 durations: the sample mean is unbiased but the sample variance shrinks by
@@ -16,6 +20,7 @@ estimates the gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,41 +47,71 @@ class AttackerView:
 
     @classmethod
     def from_log(cls, log: JobLog) -> "AttackerView":
-        probe = np.flatnonzero(~log.victim)
-        return cls(np.column_stack((log.started_at[probe], log.ended_at[probe])))
+        return cls(log.spans.compress(~log.victim, axis=0))
+
+    @cached_property
+    def intervals(self) -> np.ndarray:
+        """Gap between consecutive probes: next start minus previous end,
+        computed once per view and read-only."""
+        probes = self.probe_records
+        if len(probes) < 2:
+            raise ValueError("need at least two probes to measure an interval")
+        gaps = probes[1:, 0] - probes[:-1, 1]
+        gaps.flags.writeable = False
+        return gaps
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """Inferred victim durations plus per-interval bookkeeping;
-    `dropped_intervals` reads 0 until ROADMAP item 2 estimates the gap."""
+    """Inferred victim durations plus per-interval bookkeeping: `counts`
+    is an int array of the executions inferred in each interval, summing
+    to the number of durations. `inferred_counts` is the same column as a
+    list of Python ints, derived for perfbench's tracer, which writes
+    their sums to JSON. `dropped_intervals` reads 0 until ROADMAP item 2
+    estimates the gap."""
 
     durations: np.ndarray
-    inferred_counts: list[int]
+    counts: np.ndarray
     dropped_intervals: int = 0
 
     def __post_init__(self):
-        self.durations = np.asarray(self.durations, dtype=float)
-        if not np.all(np.isfinite(self.durations)):
+        durations = np.asarray(self.durations, dtype=float)
+        counts = np.asarray(self.counts, dtype=int)
+        object.__setattr__(self, "durations", durations)
+        object.__setattr__(self, "counts", counts)
+        if not np.all(np.isfinite(durations)):
             raise ValueError("durations must be finite")
-        if len(self.durations) != sum(self.inferred_counts):
+        if len(durations) != counts.sum():
             raise ValueError("durations length must equal the summed counts")
 
     def __len__(self):
         return len(self.durations)
 
+    @property
+    def inferred_counts(self) -> list[int]:
+        return self.counts.tolist()
+
+    @cached_property
+    def moments(self) -> tuple[int, float, float]:
+        """(n, mean, unbiased variance) of the durations, computed once;
+        one duration has variance 0. The variance takes numpy's own `var`
+        steps from the mean already in hand, so both keep `mean()`'s and
+        `var(ddof=1)`'s bits."""
+        xs = self.durations
+        n = xs.size
+        if n < 1:
+            raise ValueError("empty trace")
+        mean = xs.sum() / n
+        if n == 1:
+            return n, float(mean), 0.0
+        deviations = xs - mean
+        np.square(deviations, out=deviations)
+        return n, float(mean), float(deviations.sum() / (n - 1))
+
     @classmethod
     def from_durations(cls, durations) -> "Trace":
         durations = np.asarray(durations, dtype=float)
-        return cls(durations, [1] * len(durations))
-
-
-def extract_intervals(view: AttackerView) -> np.ndarray:
-    """Gap between consecutive probes: next start minus previous end."""
-    probes = view.probe_records
-    if len(probes) < 2:
-        raise ValueError("need at least two probes to measure an interval")
-    return probes[1:, 0] - probes[:-1, 1]
+        return cls(durations, np.ones(len(durations), dtype=int))
 
 
 def infer_execution_count(interval, avg_victim: float):
@@ -93,16 +128,22 @@ def infer_execution_count(interval, avg_victim: float):
     intervals = np.asarray(interval, dtype=float)
     if not np.all(np.isfinite(intervals) & (intervals >= 0)):
         raise ValueError("interval must be finite and non-negative")
-    counts = np.where(
-        intervals == 0, 0, np.maximum(1, np.ceil(intervals / avg_victim - 0.5))
-    ).astype(int)
-    return counts, intervals / np.maximum(counts, 1)
+    # one scratch array (`out` keeps it an array for a 0-d interval): the
+    # count floored at 1 divides the interval, then a zero interval's
+    # count becomes 0
+    scratch = np.divide(intervals, avg_victim, out=np.empty(intervals.shape))
+    scratch -= 0.5
+    np.ceil(scratch, out=scratch)
+    np.maximum(scratch, 1, out=scratch)
+    per_execution = intervals / scratch
+    np.copyto(scratch, 0.0, where=intervals == 0)
+    return scratch.astype(int), per_execution
 
 
 def estimate_victim_mean(view: AttackerView) -> float:
     """Bootstrap estimate of the victim's average duration from intervals
     assumed to hold one execution each (k=1 warmup)."""
-    return float(np.mean(extract_intervals(view)))
+    return float(np.mean(view.intervals))
 
 
 def assemble_trace(view: AttackerView, avg_victim: float) -> Trace:
@@ -111,8 +152,8 @@ def assemble_trace(view: AttackerView, avg_victim: float) -> Trace:
     interval with no execution kept at count 0. No interval is dropped, so
     `dropped_intervals` reads 0 until ROADMAP item 2 estimates the gap.
     """
-    counts, per_execution = infer_execution_count(extract_intervals(view), avg_victim)
-    return Trace(np.repeat(per_execution, counts), counts.tolist())
+    counts, per_execution = infer_execution_count(view.intervals, avg_victim)
+    return Trace(np.repeat(per_execution, counts), counts)
 
 
 def reconstruct(log: JobLog) -> Trace:

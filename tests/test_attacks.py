@@ -10,7 +10,6 @@ from qleak.attacks import (
     INDISTINGUISHABLE,
     AttackVerdict,
     _in_se,
-    _moments,
     co_identify,
     detect_backend,
     null_distinguishability,
@@ -182,11 +181,11 @@ class TestUc:
 class TestTraceReading:
     def test_moments(self):
         xs = [1.0, 2.0, 4.0]
-        n, mean, var = _moments(Trace.from_durations(xs))
+        n, mean, var = Trace.from_durations(xs).moments
         assert n == 3
         assert mean == pytest.approx(np.mean(xs))
         assert var == pytest.approx(np.var(xs, ddof=1))
-        assert _moments(Trace.from_durations([2.5])) == (1, 2.5, 0.0)
+        assert Trace.from_durations([2.5]).moments == (1, 2.5, 0.0)
 
     def test_empty_trace_rejected(self, table):
         empty = Trace.from_durations([])

@@ -663,6 +663,20 @@ class TestMitigate:
         row = dict(zip(*parse_csv(out)))
         assert 0 < float(row["overlap_after"]) < 1
 
+    def test_compile_spread_names_the_short_circuit(self, capsys):
+        # GHZ's simulator latency is 0.168 s, below the spread's half; this
+        # once exited with "latency mean must be positive and finite"
+        code, out, err = run_cli(
+            capsys, "mitigate", "--kind", "compile-randomness",
+            "--layout-spread", "0.5", "--backend", "sim",
+            "--victim", "GHZ", "--reference", "Quantum Phase Estimation",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == (
+            "mitigate: compile-randomness layout_spread 0.5 needs every circuit "
+            "mean above layout_spread / 2 = 0.25, but 'GHZ' has mean 0.168084145\n")
+
     def test_unknown_circuit_is_named(self, capsys):
         code, out, err = run_cli(
             capsys, "mitigate", "--kind", "timer-noise",

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qleak.attacks import uc_classify
+from qleak.baseline import HARDWARE, bundled_table
 from qleak.cloudsim import (
     DURATION_FLOOR,
     JOB_COLUMNS,
@@ -15,6 +17,7 @@ from qleak.cloudsim import (
 )
 from qleak.csvout import write_csv
 from qleak.stats import TimingDistribution
+from qleak.trace import reconstruct
 
 
 def make_device(gap=0.0, victim_var=0.3):
@@ -72,6 +75,25 @@ TRUNCATING_ENDED = (
     "0x1.73da8f4edf57dp+5", "0x1.74469f147d71ap+5",
 )
 
+# float.hex of what `reconstruct` and `uc_classify` (hardware column) make
+# of a batched and a gapped seeded session, frozen from the reconstruction
+# that listed its counts in Python and took the trace's moments per verdict:
+# (durations, inferred counts, UC statistic, UC confidence)
+BATCHED_TRACE = (
+    ("0x1.cb4d4b40af196p+2", "0x1.6f2c375407b35p+2", "0x1.c7f5676a07632p+2",
+     "0x1.23cb2ceb95aa8p+1"),
+    [1, 1, 1, 1], "0x1.6d06041c9623ep-1", "0x1.267f1302c597ap-1",
+)
+GAPPED_TRACE = (
+    ("0x1.000d68d5cf041p+0", "0x1.0b6500084e0fep+1", "0x1.2415b60b30637p+1",
+     "0x1.22f087c798b6ep+1", "0x1.0e15d1f2c0a3cp+1", "0x1.0e15d1f2c0a3cp+1",
+     "0x1.1a7a433bf2278p+1", "0x1.045d41882acb8p+1", "0x1.17cd315f919e8p+1",
+     "0x1.2279b1af09980p+1", "0x1.25313260cf080p+1", "0x1.9f933dca8cff8p+1",
+     "0x1.0fc7782e7a3c8p+1"),
+    [1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1], "-0x1.4e56dc286bb10p-3",
+    "0x1.cb2b77e50e4b3p-5",
+)
+
 
 class TestSimulation:
     def test_deterministic(self):
@@ -123,6 +145,19 @@ class TestSimulation:
         started = [x.hex() for x in truncating.started_at.tolist()]
         assert started == ["0x0.0p+0", *TRUNCATING_ENDED[:-1]]
         assert truncating.truncations == 2
+
+    @pytest.mark.parametrize("scenario,frozen", [
+        (make_scenario(reps=10, k=3, seed=4), BATCHED_TRACE),
+        (make_scenario(reps=12, k=1, gap=0.2, seed=3), GAPPED_TRACE),
+    ], ids=["batched", "gapped"])
+    def test_seeded_reconstructions_are_frozen(self, scenario, frozen):
+        durations, counts, statistic, confidence = frozen
+        trace = reconstruct(run_simulation(scenario))
+        assert tuple(x.hex() for x in trace.durations.tolist()) == durations
+        assert trace.inferred_counts == counts
+        verdict = uc_classify(trace, bundled_table(), HARDWARE)
+        assert verdict.statistic.hex() == statistic
+        assert verdict.confidence.hex() == confidence
 
     @pytest.mark.parametrize("gap", [0, 1])
     def test_integer_gap_keeps_the_clock_float(self, gap):

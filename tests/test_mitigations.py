@@ -141,13 +141,13 @@ class TestValidation:
 class TestTransforms:
     def test_timer_noise_adds_variance(self):
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.6)
-        t = m.apply(TimingDistribution(2.0, 0.3), no_lookup)
+        t = m.apply("v", TimingDistribution(2.0, 0.3), no_lookup)
         assert t.mean == 2.0
         assert t.variance == pytest.approx(0.9)
 
     def test_compile_randomness_builds_mixture(self):
         m = Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=5)
-        t = m.apply(TimingDistribution(2.0, 0.3), no_lookup)
+        t = m.apply("v", TimingDistribution(2.0, 0.3), no_lookup)
         assert isinstance(t, MixtureTiming)
         assert t.mean == pytest.approx(2.0)
         assert t.variance > 0.3
@@ -155,12 +155,12 @@ class TestTransforms:
     def test_padding_closes_gap(self, table):
         # on the simulator GHZ runs longer than Hidden Shift
         m = Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ", pad_fraction=1.0)
-        ghz = table.timing("GHZ", SIMULATOR)
-        hs = table.timing("Hidden Shift Application Benchmark", SIMULATOR)
+        shift = "Hidden Shift Application Benchmark"
+        ghz, hs = table.timing("GHZ", SIMULATOR), table.timing(shift, SIMULATOR)
         column = partial(table.timing, backend=SIMULATOR)
-        assert m.apply(hs, column).mean == pytest.approx(ghz.mean)
+        assert m.apply(shift, hs, column).mean == pytest.approx(ghz.mean)
         # padding never shortens
-        assert m.apply(ghz, column).mean == ghz.mean
+        assert m.apply("GHZ", ghz, column).mean == ghz.mean
 
     def test_batching_rewrites_scenario(self):
         m = Mitigation(kind=SCHEDULER_BATCHING, batch_factor=5)
@@ -172,6 +172,15 @@ class TestTransforms:
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.5)
         s = m.apply_to_scenario(make_scenario())
         assert s.device.timing("victim").variance == pytest.approx(0.8)
+
+    def test_compile_spread_names_the_short_circuit(self):
+        # the probe (mean 0.05) is the one circuit below the spread's half;
+        # it once failed as "latency mean must be positive and finite"
+        m = Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5)
+        with pytest.raises(ValueError, match=(
+                r"^compile-randomness layout_spread 0\.5 needs every circuit mean "
+                r"above layout_spread / 2 = 0\.25, but 'probe' has mean 0\.05$")):
+            m.apply_to_scenario(make_scenario())
 
     def test_padding_decoy_must_be_on_the_device(self):
         m = Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ")

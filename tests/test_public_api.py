@@ -81,7 +81,7 @@ def test_attack_results_lead_with_the_verdict():
 def test_verdict_csv_columns():
     # the benchmark reads the verdict row by these column names
     out = io.StringIO()
-    qleak.write_records(out, qleak.AttackVerdict, [])
+    qleak.csvout.write_records(out, qleak.AttackVerdict, [])
     assert out.getvalue() == (
         "attack,label,measurements_used,statistic,planned_n,confidence,"
         "ambiguous,underpowered\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from qleak.trace import (
     Trace,
     assemble_trace,
     estimate_victim_mean,
-    extract_intervals,
     infer_execution_count,
     reconstruct,
 )
@@ -48,11 +48,11 @@ class TestView:
 class TestIntervals:
     def test_extraction(self):
         view = AttackerView(((0.0, 1.0), (3.0, 4.0), (9.0, 10.0)))
-        assert extract_intervals(view) == pytest.approx([2.0, 5.0])
+        assert view.intervals == pytest.approx([2.0, 5.0])
 
     def test_needs_two_probes(self):
         with pytest.raises(ValueError):
-            extract_intervals(AttackerView(((0.0, 1.0),)))
+            AttackerView(((0.0, 1.0),)).intervals
 
 
 class TestCountInference:
@@ -150,6 +150,20 @@ class TestAssembly:
     def test_trace_bookkeeping(self):
         with pytest.raises(ValueError):
             Trace(np.ones(3), [1, 1])
+
+    def test_inferred_counts_are_python_ints(self):
+        # perfbench's tracer writes sums of these to JSON, which takes no
+        # numpy integer
+        log = run_simulation(make_scenario(reps=40, k=4, seed=6))
+        for trace in (reconstruct(log), Trace.from_durations([1.0, 2.0])):
+            assert trace.inferred_counts
+            assert all(type(c) is int for c in trace.inferred_counts)
+
+    @pytest.mark.parametrize("field", ["durations", "counts", "dropped_intervals"])
+    def test_trace_is_frozen(self, field):
+        trace = Trace.from_durations([1.0, 2.0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trace, field, getattr(trace, field))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_trace_rejects_non_finite_durations(self, bad):
