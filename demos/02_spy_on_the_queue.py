@@ -15,7 +15,6 @@ from qleak import (
     bundled_table,
     detect_backend,
     ground_truth_durations,
-    load_reference_devices,
     load_scenario,
     qp_fingerprint,
     reconstruct,
@@ -51,8 +50,7 @@ print(
 backend = detect_backend(trace, table)
 print(f"[UC] backend: {backend.label}")
 
-devices = load_reference_devices(scenario_path)
-qp = qp_fingerprint(trace, devices, scenario.victim_circuit)
+qp = qp_fingerprint(trace, scenario.reference_devices, scenario.victim_circuit)
 print(
     f"[QP] processor: {qp.label!r} "
     f"({qp.measurements_used} measurements, plan was {qp.planned_n:.0f}"

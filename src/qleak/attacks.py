@@ -16,6 +16,7 @@ sequentially.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -191,7 +192,7 @@ def null_distinguishability(
 
 def qp_fingerprint(
     trace: Trace,
-    devices: list[DeviceProfile],
+    devices: Sequence[DeviceProfile],
     circuit: str,
     spec: PowerSpec = PowerSpec(),
 ) -> AttackVerdict:

@@ -30,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import attacks, baseline, cloudsim, mitigations, trace as trace_mod
+from . import attacks, baseline, cloudsim, mitigations, stats, trace as trace_mod
 from .csvout import write_csv, write_records
-from .stats import PowerSpec, TimingDistribution, mc_power_oracle, required_sample_size
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -114,30 +113,33 @@ def cmd_reproduce_table(args) -> int:
         "computed_n", "rel_err", "status",
     ], rows)
     failures = sum(row[-1] == "FAIL" for row in rows)
-    if args.mc_check:
-        _mc_spot_check(table, rows, spec, args.seed or 0)
+    # the two smallest plans of each backend, the finite ones first
+    for backend in backends if args.mc_check else ():
+        cells = sorted((r for r in rows if r[1] == backend), key=lambda r: r[4])
+        for name, _, nb, _, n, *_ in cells[:2]:
+            models = table.timing(name, backend), table.timing(nb, backend)
+            _mc_check(f"{backend} {name!r} vs {nb!r}", n, stats.effect_size(*models),
+                      spec, args.seed or 0, models)
     _err(f"{len(rows)} cells, {failures} outside tolerance")
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
-def _mc_spot_check(table, rows, spec, seed) -> None:
-    """Monte-Carlo power at the planned n of the two smallest-n printed
-    rows of each backend."""
-    for backend in baseline.BACKENDS:
-        cells = sorted((r for r in rows if r[1] == backend), key=lambda r: r[4])
-        for name, _, nb, _, n, *_ in cells[:2]:
-            n_int = max(2, math.ceil(n))
-            p = mc_power_oracle(
-                table.timing(name, backend),
-                table.timing(nb, backend),
-                n_int,
-                spec,
-                seed=seed,
-            )
-            _err(
-                f"mc-check {backend} {name!r} vs {nb!r}: "
-                f"n={n_int} empirical power {p:.3f} (target {spec.power})"
-            )
+def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
+              models=None) -> float:
+    """Monte-Carlo power at the planned n, rounded up to at least 2, of
+    `models`, two timing models effect size d apart (by default of unit
+    variance), reported on stderr. NaN, reported as skipped, unless n and
+    d are finite."""
+    if not (math.isfinite(n) and math.isfinite(d)):
+        reason = f"effect size is {d}" if not math.isfinite(d) else f"planned n is {n}"
+        _err(f"mc-check {what}: skipped ({reason})")
+        return math.nan
+    unit = stats.TimingDistribution
+    models = models or (unit(1.0, 1.0), unit(1.0 + d, 1.0))
+    n_int = max(2, math.ceil(n))
+    p = stats.mc_power_oracle(*models, n_int, spec, seed=seed)
+    _err(f"mc-check {what}: n={n_int} empirical power {p:.3f} (target {spec.power})")
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -183,20 +185,16 @@ def cmd_power(args) -> int:
         d = abs(args.delta_mean) / math.sqrt(args.variance)
     else:
         raise ValueError("give --effect-size alone or --delta-mean with --variance")
-    n = required_sample_size(d, spec)
+    n = stats.required_sample_size(d, spec)
     # alpha and power are echoed unrounded
     write_csv(
         sys.stdout,
         ["effect_size", "alpha", "power", "required_n"],
         [[d, str(spec.alpha), str(spec.power), n]],
     )
-    if args.mc_check and math.isfinite(n):
-        n_int = max(2, math.ceil(n))
-        p = mc_power_oracle(
-            TimingDistribution(1.0, 1.0), TimingDistribution(1.0 + d, 1.0),
-            n_int, spec, seed=args.seed or 0,
-        )
-        _err(f"mc-check: empirical power {p:.3f} at n={n_int}")
+    if args.mc_check:
+        p = _mc_check(f"d={d:g}", n, d, spec, args.seed or 0)
+        # a skipped check, NaN, fails no comparison
         if abs(p - spec.power) > 0.05:
             return EXIT_TOLERANCE
     return EXIT_OK
@@ -205,13 +203,8 @@ def cmd_power(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate / attack
 
-def _scenario(args) -> cloudsim.Scenario:
-    """The --scenario file at --seed, else at its own seed."""
-    return cloudsim.load_scenario(args.scenario, args.seed)
-
-
 def cmd_simulate(args) -> int:
-    log = cloudsim.run_simulation(_scenario(args))
+    log = cloudsim.run_simulation(cloudsim.load_scenario(args.scenario, args.seed))
     target = args.out_dir / "jobs.csv" if args.out_dir else sys.stdout
     write_csv(target, cloudsim.JOB_COLUMNS, log.rows(), digits=12)
     if args.out_dir:
@@ -228,13 +221,13 @@ def cmd_attack(args) -> int:
     for flag in sorted(set(ATTACK_FLAGS) - set(ATTACK_READS[kind])):
         if getattr(args, flag) != FLAGS[flag].get("default"):
             raise ValueError(f"{kind} does not read --{flag}")
+    scenario = cloudsim.load_scenario(args.scenario, args.seed)
 
     if kind in ("ca", "qm"):
         # null designs: two runs of the same scenario, at seed and seed + 1
-        first = _scenario(args)
-        second = replace(first, seed=first.seed + 1)
+        second = replace(scenario, seed=scenario.seed + 1)
         verdict, (ns, dom, band) = attacks.null_distinguishability(*(
-            trace_mod.reconstruct(cloudsim.run_simulation(s)) for s in (first, second)
+            trace_mod.reconstruct(cloudsim.run_simulation(s)) for s in (scenario, second)
         ))
         write_csv(sys.stdout, ["attack", "verdict", "points"],
                   [[kind.upper(), verdict, len(ns)]])
@@ -244,7 +237,6 @@ def cmd_attack(args) -> int:
         _err(f"{kind.upper()} null comparison: {verdict}")
         return EXIT_TOLERANCE if verdict == attacks.DISTINGUISHABLE else EXIT_OK
 
-    scenario = _scenario(args)
     tr = trace_mod.reconstruct(cloudsim.run_simulation(scenario))
     if kind == "uc":
         backend = BACKEND_FLAG[args.backend or "qc"]
@@ -256,8 +248,8 @@ def cmd_attack(args) -> int:
             _write_matrix(args.out_dir / "co_required.csv", _grover_labels(catalog),
                           baseline.catalog_matrices(catalog, args.spec)[1])
     else:
-        devices = cloudsim.load_reference_devices(args.scenario)
-        verdict = attacks.qp_fingerprint(tr, devices, scenario.victim_circuit, args.spec)
+        verdict = attacks.qp_fingerprint(tr, scenario.reference_devices,
+                                         scenario.victim_circuit, args.spec)
     write_records(sys.stdout, attacks.AttackVerdict, [verdict])
     if args.out_dir:
         write_records(
@@ -306,8 +298,8 @@ ATTACK_FLAGS = tuple(dict.fromkeys(f for reads in ATTACK_READS.values() for f in
 FLAGS = {
     "table": dict(help="baseline table CSV (default: bundled)"),
     "backend": dict(choices=("sim", "qc")),
-    "alpha": dict(type=float, default=PowerSpec.alpha),
-    "power": dict(type=float, default=PowerSpec.power),
+    "alpha": dict(type=float, default=stats.PowerSpec.alpha),
+    "power": dict(type=float, default=stats.PowerSpec.power),
     "seed": dict(type=int, help="default: the scenario file's seed, else 0"),
     "out-dir": dict(),
     "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
@@ -358,7 +350,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         if hasattr(args, "alpha"):
-            args.spec = PowerSpec(args.alpha, args.power)
+            args.spec = stats.PowerSpec(args.alpha, args.power)
         if (getattr(args, "seed", None) or 0) < 0:
             raise ValueError(f"--seed must be non-negative, got {args.seed}")
         if getattr(args, "out_dir", None):

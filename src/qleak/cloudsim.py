@@ -26,6 +26,8 @@ DURATION_FLOOR = 1e-6
 
 #: a session peaks at about 100 bytes per job: 1.1 GB at this bound
 MAX_REPETITIONS = 10**7
+#: one timing model per layout: `evaluate` takes about 0.1 s at this bound (2 vCPUs)
+MAX_LAYOUTS = 10**4
 
 
 class ScenarioError(ValueError):
@@ -79,8 +81,11 @@ class Scenario:
     attacker_probe_circuit: str
     probe_every: int = 1
     seed: int = 0
+    #: the processors QP tells apart: the attacker's, not the service's
+    reference_devices: tuple[DeviceProfile, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "reference_devices", tuple(self.reference_devices))
         _check_ints(self, ("victim_repetitions", "probe_every", "seed"), ScenarioError)
         if not 1 <= self.victim_repetitions <= MAX_REPETITIONS:
             raise ScenarioError(
@@ -245,29 +250,16 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
         raise ScenarioError(f"bad inter_job_gap in {where}: {exc}") from exc
 
 
-def _read_scenario_file(path: str | Path) -> dict:
-    """The top-level mapping of a scenario file, its keys checked."""
-    with Path(path).open(encoding="utf-8") as fh:
-        try:
-            raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            reason = " ".join(str(exc).split())  # YAML's own spans lines
-            raise ScenarioError(f"invalid YAML: {reason}") from None
-    return _check_keys(
-        raw, ("device", "victim", "attacker", "seed", "reference_devices"),
-        f"{path}: scenario file",
-    )
-
-
 def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
-    """Load a scenario from YAML; `seed` overrides the file's value.
+    """Load a scenario from YAML, read and checked whole; `seed` overrides
+    the file's value.
 
-    Schema (every key shown, optional `reference_devices:` aside; any
-    other key is a ScenarioError, and so is a `repetitions`, `every_k` or
-    `seed` that is not a YAML integer, a `repetitions` past
-    MAX_REPETITIONS, a negative `seed`, a `name`, `circuit` or
-    `probe_circuit` that is not a non-empty string, or a timing number
-    that is a bool or that float() cannot read)::
+    Schema (every key shown; `reference_devices:`, a list of device blocks
+    for QP, may be left out; any other key is a ScenarioError, and so is a
+    `repetitions`, `every_k` or `seed` that is not a YAML integer, a
+    `repetitions` past MAX_REPETITIONS, a negative `seed`, a `name`,
+    `circuit` or `probe_circuit` that is not a non-empty string, or a
+    timing number that is a bool or that float() cannot read)::
 
         device:
           name: desk_belem
@@ -278,13 +270,27 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         victim: {circuit: GHZ, repetitions: 200}
         attacker: {probe_circuit: probe, every_k: 1}
         seed: 1234
+        reference_devices:
+          - name: qpu_east
+            circuits:
+              GHZ: {mean: 2.779299043, variance: 0.3}
     """
-    raw = _read_scenario_file(path)
+    with Path(path).open(encoding="utf-8") as fh:
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            reason = " ".join(str(exc).split())  # YAML's own spans lines
+            raise ScenarioError(f"invalid YAML: {reason}") from None
+    _check_keys(raw, ("device", "victim", "attacker", "seed", "reference_devices"),
+                f"{path}: scenario file")
     device = _parse_device(_require(raw, "device", "scenario"))
     victim = _check_keys(_require(raw, "victim", "scenario"),
                          ("circuit", "repetitions"), "victim")
     attacker = _check_keys(_require(raw, "attacker", "scenario"),
                            ("probe_circuit", "every_k"), "attacker")
+    references = raw.get("reference_devices", [])
+    if not isinstance(references, list):
+        raise ScenarioError("reference_devices must be a list of devices")
     return Scenario(
         device=device,
         victim_circuit=_value(victim, "circuit", "victim", kind=str),
@@ -292,13 +298,11 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         attacker_probe_circuit=_value(attacker, "probe_circuit", "attacker", kind=str),
         probe_every=_value(attacker, "every_k", "attacker", 1, int),
         seed=int(seed) if seed is not None else _value(raw, "seed", "scenario", 0, int),
+        reference_devices=[_parse_device(b, f"reference_devices[{i}]")
+                           for i, b in enumerate(references)],
     )
 
 
 def load_reference_devices(path: str | Path) -> list[DeviceProfile]:
-    """Optional `reference_devices:` list from a scenario file (used by the
-    processor-fingerprint attack)."""
-    blocks = _read_scenario_file(path).get("reference_devices", [])
-    if not isinstance(blocks, list):
-        raise ScenarioError("reference_devices must be a list of devices")
-    return [_parse_device(b, f"reference_devices[{i}]") for i, b in enumerate(blocks)]
+    """`load_scenario(path).reference_devices`, as a list."""
+    return list(load_scenario(path).reference_devices)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .baseline import BaselineTable
-from .cloudsim import Scenario, _check_ints
+from .cloudsim import MAX_LAYOUTS, Scenario, _check_ints
 from .stats import (
     MixtureTiming,
     PowerSpec,
@@ -56,8 +56,8 @@ class Mitigation:
 
     kind-specific parameters (those of the other kinds keep their defaults):
       timer-noise: 0 < added_variance < inf
-      compile-randomness: 0 < layout_spread < inf, layouts >= 2 (evenly spaced
-        mean offsets spanning +/- layout_spread / 2)
+      compile-randomness: 0 < layout_spread < inf, 2 <= layouts <= MAX_LAYOUTS
+        (evenly spaced mean offsets spanning +/- layout_spread / 2)
       circuit-padding: pad_toward (decoy circuit name), pad_fraction in
         [0, 1] (how much of the mean gap the padding closes)
       scheduler-batching: batch_factor >= 1 (multiplies probe_every)
@@ -86,8 +86,9 @@ class Mitigation:
             if not 0 < self.layout_spread < math.inf:
                 raise ValueError("compile-randomness needs a positive, finite "
                                  f"layout_spread, got {self.layout_spread}")
-            if self.layouts < 2:
-                raise ValueError("compile-randomness needs layouts >= 2")
+            if not 2 <= self.layouts <= MAX_LAYOUTS:
+                raise ValueError(f"compile-randomness needs layouts from 2 to "
+                                 f"{MAX_LAYOUTS}, got {self.layouts}")
         if self.kind == CIRCUIT_PADDING:
             if not self.pad_toward:
                 raise ValueError("circuit-padding needs pad_toward")
@@ -139,7 +140,8 @@ class Mitigation:
         circuit model on the device, the probe's too. Padding resolves its
         decoy on the device and also lengthens a probe shorter than it,
         which moves log timestamps but not the probe intervals the attacker
-        reads. Every circuit mean must exceed a compile spread's half.
+        reads. Every circuit mean must exceed a compile spread's half. The
+        reference devices, the attacker's calibration, stay as they are.
         """
         if self.kind == SCHEDULER_BATCHING:
             return replace(

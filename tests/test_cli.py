@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from qleak.baseline import (
     HARDWARE,
@@ -102,6 +103,21 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == "" and "Traceback" not in err
         assert "reference_devices must be a list" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], *(["attack", "--attack", a] for a in ("uc", "co", "ca", "qm")),
+    ], ids=["simulate", "uc", "co", "ca", "qm"])
+    def test_every_scenario_reader_checks_reference_devices(self, capsys, tmp_path, argv):
+        # only qp once read the block, so the others ran on a malformed file
+        p = tmp_path / "scalar.yaml"
+        head = SCENARIO_YAML[: SCENARIO_YAML.index("reference_devices:")]
+        p.write_text(f"{head}reference_devices: 3\n")
+        _, _, qp_err = run_cli(capsys, "attack", "--scenario", str(p), "--attack", "qp")
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(p))
+        where = " ".join(a for a in argv if not a.startswith("--"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == qp_err.replace("attack qp: ", f"{where}: ")
+        assert err == f"{where}: reference_devices must be a list of devices\n"
 
     def test_no_reference_devices(self, capsys, tmp_path):
         p = tmp_path / "none.yaml"
@@ -438,6 +454,16 @@ class TestPower:
         assert out == "" and "Traceback" not in err
         assert err.startswith("power: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("d,reason", [
+        ("inf", "effect size is inf"), ("0", "planned n is inf"),
+    ])
+    def test_mc_check_skips_an_undrawable_pair(self, capsys, d, reason):
+        # an infinite effect size printed its CSV, then exited 2 over a
+        # latency mean the user never gave
+        code, out, err = run_cli(capsys, "power", "--effect-size", d, "--mc-check")
+        assert code == EXIT_OK and len(parse_csv(out)) == 2
+        assert err == f"mc-check d={float(d):g}: skipped ({reason})\n"
+
 
 class TestReproduceTable:
     def test_qc_column_clean(self, capsys):
@@ -465,6 +491,20 @@ class TestReproduceTable:
         checks = [line for line in err.splitlines() if line.startswith("mc-check")]
         assert len(checks) == 2
         assert all(line.startswith("mc-check simulator ") for line in checks)
+
+    def test_mc_check_skips_an_infinite_plan(self, capsys, tmp_path):
+        # equal simulator latencies plan inf: math.ceil(inf) once ended the
+        # run in an OverflowError traceback after the CSV
+        p = tmp_path / "t.csv"
+        p.write_text("name,sim_latency_s,qc_latency_s,sim_required,qc_required\n"
+                     "A,1.0,2.0,,\nB,1.0,3.0,,\n")
+        code, out, err = run_cli(capsys, "reproduce-table", "--table", str(p), "--mc-check")
+        assert code == EXIT_OK and len(parse_csv(out)) == 5
+        checks = [line for line in err.splitlines() if line.startswith("mc-check")]
+        assert checks[:2] == [f"mc-check simulator {pair}: skipped (planned n is inf)"
+                              for pair in ("'A' vs 'B'", "'B' vs 'A'")]
+        assert [line.startswith("mc-check hardware ") and "empirical power" in line
+                for line in checks[2:]] == [True, True]
 
     def test_rel_err_column(self, capsys):
         # one formula on every row, the cells printed as 1 included; those
@@ -554,6 +594,19 @@ class TestSimulateAndAttack:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert rows[1][1] == "GHZ"
+
+    def test_attack_qp_reads_its_scenario_once(self, capsys, monkeypatch):
+        # the reference devices once came from a second parse of the file
+        reads = []
+
+        def counting_load(stream, load=yaml.safe_load):
+            reads.append(stream.name)
+            return load(stream)
+
+        monkeypatch.setattr(yaml, "safe_load", counting_load)
+        path = str(ROOT / "demos" / "scenarios" / "ghz_hardware.yaml")
+        code, _, _ = run_cli(capsys, "attack", "--scenario", path, "--attack", "qp")
+        assert code == EXIT_OK and reads == [path]
 
     def test_attack_qp(self, capsys, scenario_file):
         code, out, _ = run_cli(

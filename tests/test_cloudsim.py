@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -277,6 +279,17 @@ class TestYaml:
         p = tmp_path / "s.yaml"
         p.write_text(SCENARIO_YAML)
         assert load_scenario(p, seed=77).seed == 77
+
+    def test_reference_devices_ride_on_the_scenario(self, tmp_path):
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML)
+        s = load_scenario(p)
+        assert [d.name for d in s.reference_devices] == ["a", "b"]
+        assert replace(s, seed=3).reference_devices == s.reference_devices
+        p.write_text(SCENARIO_YAML[: SCENARIO_YAML.index("reference_devices:")])
+        assert load_scenario(p).reference_devices == ()
+        assert replace(s, reference_devices=[make_device()]).reference_devices == (
+            make_device(),)
 
     def test_reference_devices(self, tmp_path):
         p = tmp_path / "s.yaml"

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from qleak.attacks import uc_classify
 from qleak.baseline import HARDWARE, SIMULATOR, BaselineEntry, BaselineTable, bundled_table
 from qleak.cloudsim import (
+    MAX_LAYOUTS,
     DeviceProfile,
     Scenario,
     ScenarioError,
@@ -18,6 +20,7 @@ from qleak.mitigations import (
     CIRCUIT_PADDING,
     COMPILE_RANDOMNESS,
     KIND_PARAMS,
+    KINDS,
     SCHEDULER_BATCHING,
     TIMER_NOISE,
     Mitigation,
@@ -27,7 +30,7 @@ from qleak.mitigations import (
 from qleak.stats import TimingDistribution, normal_quantile
 from qleak.trace import reconstruct
 from oracles import timer_noise_inflation
-from test_cloudsim import make_scenario
+from test_cloudsim import make_device, make_scenario
 
 #: two-sided 99.9% normal quantile for the Monte-Carlo intervals
 Z999 = normal_quantile(0.9995)
@@ -137,6 +140,14 @@ class TestValidation:
                 with pytest.raises(ValueError, match=f"{kind} does not read {name}"):
                     Mitigation(kind=kind, **own, **{name: value})
 
+    def test_layouts_are_bounded(self):
+        # one timing model per layout: a billion would run for hours
+        Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=MAX_LAYOUTS)
+        with pytest.raises(ValueError, match=(
+                f"compile-randomness needs layouts from 2 to {MAX_LAYOUTS}, "
+                f"got {MAX_LAYOUTS + 1}")):
+            Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=MAX_LAYOUTS + 1)
+
 
 class TestTransforms:
     def test_timer_noise_adds_variance(self):
@@ -172,6 +183,19 @@ class TestTransforms:
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.5)
         s = m.apply_to_scenario(make_scenario())
         assert s.device.timing("victim").variance == pytest.approx(0.8)
+
+    @pytest.mark.parametrize("m", [
+        Mitigation(kind=TIMER_NOISE, added_variance=0.5),
+        Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.08, layouts=3),
+        Mitigation(kind=CIRCUIT_PADDING, pad_toward="victim"),
+        Mitigation(kind=SCHEDULER_BATCHING, batch_factor=2),
+    ], ids=KINDS)
+    def test_reference_devices_pass_through(self, m):
+        # the reference models are the attacker's calibration, not the
+        # hardened service
+        references = (make_device(), make_device(victim_var=0.9))
+        s = replace(make_scenario(), reference_devices=references)
+        assert m.apply_to_scenario(s).reference_devices == references
 
     def test_compile_spread_names_the_short_circuit(self):
         # the probe (mean 0.05) is the one circuit below the spread's half;

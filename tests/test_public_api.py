@@ -148,6 +148,14 @@ def test_one_duration_draw():
     assert drawers == {"run_simulation"}
 
 
+def test_one_scenario_read():
+    """A scenario file is parsed in one place: only `load_scenario` calls
+    `yaml.safe_load`, and the reference devices come back with the
+    scenario rather than from a second read."""
+    readers = {scope for _, node, scope in _src_nodes() if _calls(node, "safe_load")}
+    assert readers == {"load_scenario"}
+
+
 def test_one_requirement_matrix_builder():
     """`baseline` alone builds a requirement matrix: only `pairwise_matrix`
     and `catalog_matrices` call `_requirements`, and `co_identify` calls
