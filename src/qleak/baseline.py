@@ -100,10 +100,9 @@ class BaselineTable:
         return [e.name for e in self.entries]
 
     def _index(self, name: str) -> int:
-        try:
-            return self._position[name]
-        except KeyError:
-            raise KeyError(f"unknown circuit {name!r}") from None
+        if name not in self._position:
+            raise ValueError(f"unknown circuit {name!r}")
+        return self._position[name]
 
     def entry(self, name: str) -> BaselineEntry:
         return self.entries[self._index(name)]
@@ -127,34 +126,37 @@ def load_table(path: str | Path) -> BaselineTable:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise TableFormatError(f"{path}: empty file")
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise TableFormatError(f"{path}: expected header {','.join(_CSV_HEADER)}")
-        entries, first_line = [], {}
-        for lineno, row in enumerate(reader, start=2):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            try:
-                if len(cells) != len(_CSV_HEADER):
-                    raise TableFormatError(
-                        f"expected {len(_CSV_HEADER)} fields, got {len(cells)}")
-                values = []
-                for col, cell in zip(_CSV_HEADER[1:], cells[1:]):
-                    try:  # an empty requirement cell is an absent requirement
-                        values.append(None if not cell and col.endswith("_required")
-                                      else float(cell))
-                    except ValueError:
-                        raise TableFormatError(f"bad {col} value {cell!r}") from None
-                entries.append(BaselineEntry(cells[0], *values))
-                first = first_line.setdefault(cells[0], lineno)
-                if first != lineno:
-                    raise TableFormatError(
-                        f"duplicate circuit name {cells[0]!r} (first on line {first})")
-            except TableFormatError as exc:
-                raise TableFormatError(f"{path}:{lineno}: {exc}") from None
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # a field past csv's size limit, say
+            raise TableFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise TableFormatError(f"{path}: empty file")
+    if [h.strip() for h in rows[0]] != _CSV_HEADER:
+        raise TableFormatError(f"{path}: expected header {','.join(_CSV_HEADER)}")
+    entries, first_line = [], {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        cells = [c.strip() for c in row]
+        if not any(cells):
+            continue
+        try:
+            if len(cells) != len(_CSV_HEADER):
+                raise TableFormatError(
+                    f"expected {len(_CSV_HEADER)} fields, got {len(cells)}")
+            values = []
+            for col, cell in zip(_CSV_HEADER[1:], cells[1:]):
+                try:  # an empty requirement cell is an absent requirement
+                    values.append(None if not cell and col.endswith("_required")
+                                  else float(cell))
+                except ValueError:
+                    raise TableFormatError(f"bad {col} value {cell!r}") from None
+            entries.append(BaselineEntry(cells[0], *values))
+            first = first_line.setdefault(cells[0], lineno)
+            if first != lineno:
+                raise TableFormatError(
+                    f"duplicate circuit name {cells[0]!r} (first on line {first})")
+        except TableFormatError as exc:
+            raise TableFormatError(f"{path}:{lineno}: {exc}") from None
     if not entries:
         raise TableFormatError(f"{path}: no data rows")
     return BaselineTable(tuple(entries))

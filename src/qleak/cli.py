@@ -11,13 +11,13 @@ Subcommands::
 
 Results go to stdout as CSV; diagnostics go to stderr. Exit status is 0
 on success, 1 when a tolerance or distinguishability check fails, 141
-when stdout closes early, and 2 for usage errors: a flag the subcommand
-or attack kind does not read (uc reads --table --backend --alpha --power,
-co and qp --alpha --power), or a rejected flag value, scenario or table
-file, or path, which prints one `<subcommand>: <reason>` line (`attack
-<kind>: ` for attack). The seed is --seed, else the scenario file's
-`seed:`, else 0; a negative seed is a usage error. --out-dir is made
-before the subcommand runs.
+when stdout closes early, and 2 for a usage error: a `ValueError` (a
+rejected value, such as a flag the subcommand or attack kind does not
+read: uc reads --table --backend --alpha --power, co and qp --alpha
+--power) or an `OSError` (an unusable path or a failed write), printed
+as one `<subcommand>: <reason>` line (`attack <kind>: ` for attack). Any
+other exception is a bug and ends in a traceback. The seed is --seed,
+else the scenario file's `seed:`, else 0. --out-dir is made before the run.
 """
 from __future__ import annotations
 
@@ -364,10 +364,9 @@ def main(argv=None) -> int:
         # what is left to write goes nowhere, as after SIGPIPE
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
-    except (ValueError, KeyError, FileNotFoundError, FileExistsError,
-            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (ValueError, OSError) as exc:  # a rejected value, an unusable path
         where = " ".join(filter(None, (args.command, getattr(args, "attack", None))))
-        _err(f"{where}: {exc.args[0] if isinstance(exc, KeyError) else exc}")
+        _err(f"{where}: {exc}")
         return EXIT_USAGE
 
 

@@ -26,8 +26,6 @@ DURATION_FLOOR = 1e-6
 
 #: a session peaks at about 100 bytes per job: 1.1 GB at this bound
 MAX_REPETITIONS = 10**7
-#: one timing model per layout: `evaluate` takes about 0.1 s at this bound (2 vCPUs)
-MAX_LAYOUTS = 10**4
 
 
 class ScenarioError(ValueError):
@@ -65,12 +63,9 @@ class DeviceProfile:
             raise ValueError("device needs at least one circuit timing")
 
     def timing(self, circuit: str) -> TimingDistribution | MixtureTiming:
-        try:
-            return self.circuit_timings[circuit]
-        except KeyError:
-            raise ScenarioError(
-                f"circuit {circuit!r} unknown on device {self.name!r}"
-            ) from None
+        if circuit not in self.circuit_timings:
+            raise ScenarioError(f"circuit {circuit!r} unknown on device {self.name!r}")
+        return self.circuit_timings[circuit]
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,8 @@ class Scenario:
                 "victim_repetitions ('repetitions' in a scenario file) must be "
                 f"between 1 and {MAX_REPETITIONS}, got {self.victim_repetitions}")
         if self.probe_every < 1:
-            raise ScenarioError("probe_every must be at least 1")
+            raise ScenarioError("probe_every ('every_k' in a scenario file) must be "
+                                f"at least 1, got {self.probe_every}")
         if self.seed < 0:
             raise ScenarioError(f"seed must be non-negative, got {self.seed}")
         self.device.timing(self.victim_circuit)
@@ -278,7 +274,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     with Path(path).open(encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, RecursionError) as exc:  # nesting past the stack
             reason = " ".join(str(exc).split())  # YAML's own spans lines
             raise ScenarioError(f"invalid YAML: {reason}") from None
     _check_keys(raw, ("device", "victim", "attacker", "seed", "reference_devices"),
@@ -297,7 +293,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
         victim_repetitions=_value(victim, "repetitions", "victim", kind=int),
         attacker_probe_circuit=_value(attacker, "probe_circuit", "attacker", kind=str),
         probe_every=_value(attacker, "every_k", "attacker", 1, int),
-        seed=int(seed) if seed is not None else _value(raw, "seed", "scenario", 0, int),
+        seed=seed if seed is not None else _value(raw, "seed", "scenario", 0, int),
         reference_devices=[_parse_device(b, f"reference_devices[{i}]")
                            for i, b in enumerate(references)],
     )

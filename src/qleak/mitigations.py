@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .baseline import BaselineTable
-from .cloudsim import MAX_LAYOUTS, Scenario, _check_ints
+from .cloudsim import Scenario, _check_ints
 from .stats import (
     MixtureTiming,
     PowerSpec,
@@ -48,6 +48,9 @@ KIND_PARAMS = {
     SCHEDULER_BATCHING: ("batch_factor",),
 }
 KINDS = tuple(KIND_PARAMS)
+
+#: one timing model per layout: `evaluate` takes about 0.1 s at this bound (2 vCPUs)
+MAX_LAYOUTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -102,17 +105,16 @@ class Mitigation:
     def apply(
         self,
         circuit: str,
-        timing: TimingDistribution,
         timing_of: Callable[[str], TimingDistribution | MixtureTiming],
     ) -> TimingDistribution | MixtureTiming:
-        """Transform the timing distribution of the named circuit.
-
-        circuit-padding reads its decoy's mean from `timing_of` (a table
-        column in `evaluate`, the device in `apply_to_scenario`); the other
-        kinds ignore it. scheduler-batching leaves distributions untouched.
+        """Transform the timing distribution of the named circuit, which
+        `timing_of` looks up: a table column in `evaluate`, the device in
+        `apply_to_scenario`. circuit-padding looks up its decoy there too.
+        scheduler-batching leaves distributions untouched.
         compile-randomness raises `ValueError`, naming the circuit, unless
         its mean exceeds layout_spread / 2, where its shortest layout ends.
         """
+        timing = timing_of(circuit)
         if self.kind == TIMER_NOISE:
             return TimingDistribution(timing.mean, timing.variance + self.added_variance)
         if self.kind == COMPILE_RANDOMNESS:
@@ -148,10 +150,7 @@ class Mitigation:
                 scenario, probe_every=scenario.probe_every * self.batch_factor
             )
         device = scenario.device
-        timings = {
-            name: self.apply(name, t, device.timing)
-            for name, t in device.circuit_timings.items()
-        }
+        timings = {n: self.apply(n, device.timing) for n in device.circuit_timings}
         return replace(scenario, device=replace(device, circuit_timings=timings))
 
 
@@ -193,8 +192,7 @@ def evaluate(
         raise ValueError(f"victim and reference are the same circuit {victim!r}")
     before = required_sample_size(effect_size(a, b), spec)
     timing_of = partial(table.timing, backend=backend)
-    am = mitigation.apply(victim, a, timing_of)
-    bm = mitigation.apply(reference, b, timing_of)
+    am, bm = mitigation.apply(victim, timing_of), mitigation.apply(reference, timing_of)
     after = required_sample_size(effect_size(am, bm), spec)
     if mitigation.kind == SCHEDULER_BATCHING:
         inflation = float(mitigation.batch_factor)

@@ -91,6 +91,8 @@ class PowerSpec:
     def __post_init__(self):
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+        if 1 - self.alpha / 2 == 1:  # the planner's quantile would be inf
+            raise ValueError(f"alpha must exceed 2**-53, got {self.alpha}")
         if not 0 < self.power < 1:
             raise ValueError(f"power must be in (0,1), got {self.power}")
 

@@ -64,7 +64,7 @@ class AttackerView:
 @dataclass(frozen=True, eq=False)
 class Trace:
     """Inferred victim durations plus per-interval bookkeeping: `counts`
-    is an int array of the executions inferred in each interval, summing
+    is an integer array of the executions inferred in each interval, summing
     to the number of durations. `inferred_counts` is the same column as a
     list of Python ints, derived for perfbench's tracer, which writes
     their sums to JSON. `dropped_intervals` reads 0 until ROADMAP item 2
@@ -76,7 +76,9 @@ class Trace:
 
     def __post_init__(self):
         durations = np.asarray(self.durations, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
+        counts = np.asarray(self.counts)
+        if counts.size and counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "counts", counts)
         if not np.all(np.isfinite(durations)):

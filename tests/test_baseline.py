@@ -43,7 +43,7 @@ class TestTable:
         e = table.entry("GHZ")
         assert e.latency(SIMULATOR) == pytest.approx(0.168084145)
         assert e.latency(HARDWARE) == pytest.approx(2.779299043)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             table.entry("nope")
 
     def test_roundtrip(self, table, tmp_path):
@@ -100,7 +100,7 @@ class TestColumns:
             table.column("gpu")
 
     def test_unknown_circuit(self, table):
-        with pytest.raises(KeyError) as info:
+        with pytest.raises(ValueError) as info:
             table.entry("nope")
         assert info.value.args == ("unknown circuit 'nope'",)
 
@@ -141,6 +141,24 @@ class TestLoadErrors:
         assert str(info.value) == (
             f"{p}:28: duplicate circuit name 'Bernstein-Vazirani Algorithm' "
             "(first on line 3)")
+
+    @pytest.mark.parametrize("text,reason", [
+        ("", "empty file"), (",".join(_CSV_HEADER) + "\n", "no data rows"),
+    ], ids=["empty", "header-only"])
+    def test_no_rows(self, tmp_path, text, reason):
+        p = tmp_path / "t.csv"
+        p.write_text(text)
+        with pytest.raises(TableFormatError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}: {reason}"
+
+    def test_field_past_the_csv_limit_names_its_line(self, tmp_path):
+        # the csv module's own error once escaped as a traceback
+        p = tmp_path / "t.csv"
+        p.write_text(f"{','.join(_CSV_HEADER)}\nGHZ,{'1' * 200_000},2.7,,\n")
+        with pytest.raises(TableFormatError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}:2: field larger than field limit (131072)"
 
     def test_empty_requirement_cells_are_absent(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -183,6 +201,10 @@ class TestRequirements:
         off = m[~np.isnan(m)]
         assert np.all(off >= 1.0)
         assert np.allclose(m, m.T, equal_nan=True)
+
+    def test_pairwise_matrix_needs_two_entries(self, table):
+        with pytest.raises(ValueError, match="need at least two entries"):
+            pairwise_matrix(BaselineTable(table.entries[:1]), SIMULATOR)
 
 
 class TestGroverCatalog:

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 import yaml
 
+from qleak import attacks
 from qleak.baseline import (
+    _CSV_HEADER,
     HARDWARE,
     SIMULATOR,
     bundled_table_path,
@@ -279,6 +281,39 @@ class TestUsage:
         assert proc.wait(timeout=120) == EXIT_PIPE
         assert err == b""
 
+    @pytest.mark.parametrize("argv,reason", [
+        (["simulate", "--scenario", "TMP/" + "a" * 300], "File name too long"),
+        (["simulate", "--scenario", "TMP/scenario.yaml",
+          "--out-dir", "TMP/" + "a" * 300], "File name too long"),
+        (["simulate", "--scenario", "TMP/loop"], "Too many levels of symbolic links"),
+        (["reproduce-table", "--table", "TMP/wide.csv"],
+         "TMP/wide.csv:2: field larger than field limit (131072)"),
+        (["simulate", "--scenario", "TMP/deep.yaml"],
+         "invalid YAML: maximum recursion depth exceeded"),
+    ], ids=["long-scenario-name", "long-out-dir-name", "symlink-loop",
+            "field-past-the-csv-limit", "nesting-past-the-stack"])
+    def test_unusable_file_is_one_line(self, capsys, tmp_path, argv, reason):
+        # each of these once ended in a traceback and exit 1
+        (tmp_path / "scenario.yaml").write_text(SCENARIO_YAML)
+        os.symlink("loop", tmp_path / "loop")
+        (tmp_path / "wide.csv").write_text(
+            f"{','.join(_CSV_HEADER)}\nGHZ,{'1' * 200_000},2.7,,\n")
+        depth = 5 * sys.getrecursionlimit()
+        (tmp_path / "deep.yaml").write_text("[" * depth + "]" * depth + "\n")
+        code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
+        assert reason.replace("TMP", str(tmp_path)) in err
+
+    def test_a_bug_is_not_a_usage_error(self, capsys, scenario_file, monkeypatch):
+        # an internal KeyError once printed `attack uc: boom` and exited 2
+        def boom(*args, **kwargs):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(attacks, "uc_classify", boom)
+        with pytest.raises(KeyError, match="boom"):
+            main(["attack", "--scenario", scenario_file, "--attack", "uc"])
+
     @pytest.mark.parametrize("out_dir", ["file", "file/sub"],
                              ids=["a-regular-file", "under-a-regular-file"])
     def test_out_dir_is_made_before_the_subcommand_runs(
@@ -362,6 +397,21 @@ class TestProbabilityFlags:
         else:
             where = "attack uc" if command == "attack" else command
             assert err == f"{where}: {flag[2:]} must be in (0,1), got {float(value)}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["power", "--effect-size", "1"],
+        ["reproduce-table"],
+        ["attack", "--scenario", "SCENARIO", "--attack", "co"],
+        ["mitigate", *BASE_ARGV["mitigate"]],
+    ], ids=["power", "reproduce-table", "attack-co", "mitigate"])
+    def test_alpha_that_rounds_away(self, capsys, scenario_file, argv):
+        # 1 - alpha/2 rounds to 1: the planner's quantile once failed
+        # with a message that named no flag
+        argv = [scenario_file if a == "SCENARIO" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "--alpha", "1e-300")
+        where = "attack co" if argv[0] == "attack" else argv[0]
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"{where}: alpha must exceed 2**-53, got 1e-300\n"
 
 
 class TestFlags:
@@ -463,6 +513,12 @@ class TestPower:
         code, out, err = run_cli(capsys, "power", "--effect-size", d, "--mc-check")
         assert code == EXIT_OK and len(parse_csv(out)) == 2
         assert err == f"mc-check d={float(d):g}: skipped ({reason})\n"
+
+    def test_mc_check_far_from_target_exits_1(self, capsys):
+        # n = 3 reaches well past the target power of 0.8
+        code, out, err = run_cli(capsys, "power", "--effect-size", "5", "--mc-check")
+        assert code == EXIT_TOLERANCE and len(parse_csv(out)) == 2
+        assert err == "mc-check d=5: n=3 empirical power 0.968 (target 0.8)\n"
 
 
 class TestReproduceTable:
@@ -729,6 +785,13 @@ class TestMitigate:
         assert err == (
             "mitigate: compile-randomness layout_spread 0.5 needs every circuit "
             "mean above layout_spread / 2 = 0.25, but 'GHZ' has mean 0.168084145\n")
+
+    def test_pad_toward_defaults_to_the_reference(self, capsys):
+        argv = ["mitigate", "--kind", "circuit-padding", "--pad-fraction", "0.5",
+                "--victim", "GHZ", "--reference", "Quantum Phase Estimation"]
+        default = run_cli(capsys, *argv)
+        assert default[0] == EXIT_OK
+        assert default == run_cli(capsys, *argv, "--pad-toward", argv[-1])
 
     def test_unknown_circuit_is_named(self, capsys):
         code, out, err = run_cli(

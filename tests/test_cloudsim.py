@@ -237,6 +237,27 @@ class TestValidation:
         with pytest.raises(ScenarioError, match=r"^seed must be non-negative, got -3$"):
             make_scenario(seed=-3)
 
+    def test_probe_every_below_one(self, tmp_path):
+        message = (r"^probe_every \('every_k' in a scenario file\) must be at "
+                   r"least 1, got 0$")
+        with pytest.raises(ScenarioError, match=message):
+            make_scenario(k=0)
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace("every_k: 3", "every_k: 0"))
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(p)
+
+    def test_device_needs_a_circuit(self, tmp_path):
+        with pytest.raises(ValueError, match="^device needs at least one circuit"):
+            DeviceProfile("dev", {})
+        old = "circuits: {victim: {mean: 3.1, variance: 0.3}}"
+        assert SCENARIO_YAML.count(old) == 1
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML.replace(old, "circuits: {}"))
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p)
+        assert str(info.value) == "reference_devices[1].circuits must be a non-empty map"
+
     def test_device_name_must_be_non_empty(self):
         with pytest.raises(ValueError, match="device name must be non-empty"):
             DeviceProfile("", {"probe": TimingDistribution(0.05, 1e-4)})
@@ -279,6 +300,21 @@ class TestYaml:
         p = tmp_path / "s.yaml"
         p.write_text(SCENARIO_YAML)
         assert load_scenario(p, seed=77).seed == 77
+
+    @pytest.mark.parametrize("seed,message", [
+        (2.7, "seed must be an integer, got 2.7"),
+        (-0.5, "seed must be an integer, got -0.5"),
+        (True, "seed must be an integer, got True"),
+        ("3", "seed must be an integer, got '3'"),
+        (-1, "seed must be non-negative, got -1"),
+    ], ids=["fraction", "negative-fraction", "bool", "string", "negative"])
+    def test_seed_override_is_checked(self, tmp_path, seed, message):
+        # int() once loaded 2.7 as 2, -0.5 as 0, True as 1 and "3" as 3
+        p = tmp_path / "s.yaml"
+        p.write_text(SCENARIO_YAML)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(p, seed=seed)
+        assert str(info.value) == message
 
     def test_reference_devices_ride_on_the_scenario(self, tmp_path):
         p = tmp_path / "s.yaml"

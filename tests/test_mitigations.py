@@ -9,7 +9,6 @@ import pytest
 from qleak.attacks import uc_classify
 from qleak.baseline import HARDWARE, SIMULATOR, BaselineEntry, BaselineTable, bundled_table
 from qleak.cloudsim import (
-    MAX_LAYOUTS,
     DeviceProfile,
     Scenario,
     ScenarioError,
@@ -21,6 +20,7 @@ from qleak.mitigations import (
     COMPILE_RANDOMNESS,
     KIND_PARAMS,
     KINDS,
+    MAX_LAYOUTS,
     SCHEDULER_BATCHING,
     TIMER_NOISE,
     Mitigation,
@@ -41,8 +41,11 @@ def table():
     return bundled_table()
 
 
-def no_lookup(name):
-    raise AssertionError(f"only circuit-padding looks up a decoy, got {name!r}")
+def only_v(name):
+    """The model of circuit "v"; only circuit-padding looks up another."""
+    if name != "v":
+        raise AssertionError(f"only circuit-padding looks up a decoy, got {name!r}")
+    return TimingDistribution(2.0, 0.3)
 
 
 def within_mc(sample, mean=None, variance=None):
@@ -99,6 +102,8 @@ class TestValidation:
             Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.0)
         with pytest.raises(ValueError):
             Mitigation(kind=CIRCUIT_PADDING, pad_toward="")
+        with pytest.raises(ValueError, match=r"pad_fraction must lie in \[0, 1\]"):
+            Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ", pad_fraction=1.5)
         with pytest.raises(ValueError):
             Mitigation(kind=SCHEDULER_BATCHING, batch_factor=0)
 
@@ -152,13 +157,13 @@ class TestValidation:
 class TestTransforms:
     def test_timer_noise_adds_variance(self):
         m = Mitigation(kind=TIMER_NOISE, added_variance=0.6)
-        t = m.apply("v", TimingDistribution(2.0, 0.3), no_lookup)
+        t = m.apply("v", only_v)
         assert t.mean == 2.0
         assert t.variance == pytest.approx(0.9)
 
     def test_compile_randomness_builds_mixture(self):
         m = Mitigation(kind=COMPILE_RANDOMNESS, layout_spread=0.5, layouts=5)
-        t = m.apply("v", TimingDistribution(2.0, 0.3), no_lookup)
+        t = m.apply("v", only_v)
         assert isinstance(t, MixtureTiming)
         assert t.mean == pytest.approx(2.0)
         assert t.variance > 0.3
@@ -167,11 +172,11 @@ class TestTransforms:
         # on the simulator GHZ runs longer than Hidden Shift
         m = Mitigation(kind=CIRCUIT_PADDING, pad_toward="GHZ", pad_fraction=1.0)
         shift = "Hidden Shift Application Benchmark"
-        ghz, hs = table.timing("GHZ", SIMULATOR), table.timing(shift, SIMULATOR)
+        ghz = table.timing("GHZ", SIMULATOR)
         column = partial(table.timing, backend=SIMULATOR)
-        assert m.apply(shift, hs, column).mean == pytest.approx(ghz.mean)
+        assert m.apply(shift, column).mean == pytest.approx(ghz.mean)
         # padding never shortens
-        assert m.apply("GHZ", ghz, column).mean == ghz.mean
+        assert m.apply("GHZ", column).mean == ghz.mean
 
     def test_batching_rewrites_scenario(self):
         m = Mitigation(kind=SCHEDULER_BATCHING, batch_factor=5)

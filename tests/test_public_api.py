@@ -192,6 +192,18 @@ def test_usage_errors_have_one_boundary():
     }
     assert handlers == {"main"}
     assert usage_returns == {"main"}
+    # the run is guarded by two handlers: a closed stdout, then every
+    # rejected value or unusable path; argparse's own exit is the other
+    main = next(n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == "main")
+    runs = [n for n in ast.walk(main) if isinstance(n, ast.Try)
+            and "args.func(args)" in ast.unparse(ast.Module(n.body, []))]
+    assert [[ast.unparse(h.type) for h in t.handlers] for t in runs] == [
+        ["BrokenPipeError", "(ValueError, OSError)"]]
+    caught = [ast.unparse(n.type) for n in ast.walk(tree)
+              if isinstance(n, ast.ExceptHandler)]
+    assert caught == ["SystemExit", "BrokenPipeError", "(ValueError, OSError)"]
+    assert not any("KeyError" in c for c in caught)
 
 
 def test_reconstruction_is_written_once():

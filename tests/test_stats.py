@@ -56,6 +56,16 @@ class TestSummaries:
         with pytest.raises(ValueError):
             PowerSpec(power=1.0)
 
+    @pytest.mark.parametrize("alpha", [1e-300, 2.0**-53])
+    def test_alpha_the_planner_can_use(self, alpha):
+        # 1 - alpha/2 rounds to 1 here: the planner's quantile once failed
+        # with a message that named no alpha
+        with pytest.raises(ValueError) as info:
+            PowerSpec(alpha)
+        assert str(info.value) == f"alpha must exceed 2**-53, got {alpha}"
+        n = required_sample_size(1.0, PowerSpec(1.2e-16))
+        assert n == pytest.approx(180.320201, rel=1e-8)
+
 
 class TestWelch:
     def test_matches_scipy(self):

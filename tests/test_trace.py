@@ -151,6 +151,14 @@ class TestAssembly:
         with pytest.raises(ValueError):
             Trace(np.ones(3), [1, 1])
 
+    @pytest.mark.parametrize("counts", [[2.2], [2.0], [True, True]],
+                             ids=["fraction", "integral-float", "bool"])
+    def test_counts_must_be_integers(self, counts):
+        # a cast to int once read a count of 2.2 as 2
+        with pytest.raises(ValueError, match="counts must be integers"):
+            Trace([1.0, 1.0], counts)
+        assert len(Trace.from_durations([])) == 0
+
     def test_inferred_counts_are_python_ints(self):
         # perfbench's tracer writes sums of these to JSON, which takes no
         # numpy integer
