@@ -55,6 +55,8 @@ class BaselineEntry:
     def __post_init__(self):
         if not self.name:
             raise TableFormatError("empty circuit name")
+        if self.name.splitlines() != [self.name]:
+            raise TableFormatError(f"circuit name {self.name!r} holds a line break")
         if not all(0 < x < math.inf for x in (self.sim_latency, self.qc_latency)):
             raise TableFormatError(f"{self.name}: latencies must be positive and finite "
                                    f"({self.sim_latency}, {self.qc_latency})")
@@ -126,16 +128,19 @@ def load_table(path: str | Path) -> BaselineTable:
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        rows, line = [], 1  # each record with the line it starts on
         try:
-            rows = list(reader)
+            for row in reader:
+                rows.append((line, row))
+                line = reader.line_num + 1
         except csv.Error as exc:  # a field past csv's size limit, say
             raise TableFormatError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows:
         raise TableFormatError(f"{path}: empty file")
-    if [h.strip() for h in rows[0]] != _CSV_HEADER:
+    if [h.strip() for h in rows[0][1]] != _CSV_HEADER:
         raise TableFormatError(f"{path}: expected header {','.join(_CSV_HEADER)}")
     entries, first_line = [], {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         cells = [c.strip() for c in row]
         if not any(cells):
             continue

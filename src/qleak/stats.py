@@ -209,16 +209,19 @@ def pooled_t_power(n, d: float, alpha: float = 0.05) -> float:
         raise ValueError("per-group n must exceed 1")
     ncp = d * math.sqrt(n / 2.0)
     tcrit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
-    p = 1.0 - float(special.nctdtr(df, ncp, tcrit))
+    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN);
+    # below that one nctdtr call computes both tails
+    if ncp < 4.0:
+        cdf, opposite = special.nctdtr(df, ncp, (tcrit, -tcrit)).tolist()
+    else:
+        cdf, opposite = float(special.nctdtr(df, ncp, tcrit)), 0.0
+    p = 1.0 - cdf
     if math.isnan(p):
         # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
         # normal approximation is ample there
         z = (ncp - tcrit) / math.sqrt(1.0 + tcrit * tcrit / (2.0 * df))
         p = float(special.ndtr(z))
-    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
-    if ncp < 4.0:
-        p += float(special.nctdtr(df, ncp, -tcrit))
-    return min(p, 1.0)
+    return min(p + opposite, 1.0)
 
 
 def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
@@ -303,25 +306,41 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
 
 @lru_cache(maxsize=4096)
 def _solve_sample_size(d: float, alpha: float, power: float) -> float:
-    hi = max(4.0 * normal_approx_sample_size(d, PowerSpec(alpha, power)), 16.0)
+    approx = normal_approx_sample_size(d, PowerSpec(alpha, power))
+    hi = max(4.0 * approx, 16.0)
     if not math.isfinite(hi):
         return math.inf
     # the bracket starts at the last point of this grid whose power is
     # below target. The points below target form a prefix of the grid
-    # (TestBracketSearch.test_short_points_are_a_prefix), so bisect it.
+    # (TestBracketSearch.test_short_points_are_a_prefix), so gallop from
+    # the last point below Guenther's corrected n, in steps 1, 2, 4, ...,
+    # until a point lands on the other side of the target
     grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-    below, above = -1, grid.size
+    guess = approx + normal_quantile(1 - alpha / 2) ** 2 / 4
+    k = max(int(np.searchsorted(grid, guess)) - 1, 0)
+    below, above, step = -1, grid.size, 1
+    while 0 <= k < grid.size and (below < 0 or above == grid.size):
+        p = pooled_t_power(grid[k], d, alpha)
+        if p < power:
+            below, p_lo, k = k, p, k + step
+        else:
+            above, k = k, k - step
+        step *= 2
+    # then bisect the last gap
     while above - below > 1:
         mid = (below + above) // 2
-        if pooled_t_power(grid[mid], d, alpha) < power:
-            below = mid
+        p = pooled_t_power(grid[mid], d, alpha)
+        if p < power:
+            below, p_lo = mid, p
         else:
             above = mid
     if below < 0:
         return 1.0
+    # Brent's first call is at grid[below], whose power is in hand
+    lo = float(grid[below])
     n = _brentq(
-        lambda n: pooled_t_power(n, d, alpha) - power,
-        float(grid[below]), hi, xtol=1e-12, rtol=8.9e-16,
+        lambda n: (p_lo if n == lo else pooled_t_power(n, d, alpha)) - power,
+        lo, hi, xtol=1e-12, rtol=8.9e-16,
     )
     # a pooled test needs two observations per group; solutions below that
     # mean a single measurement already settles the question
@@ -336,9 +355,13 @@ def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     below by the last point of a 400-point log grid whose power falls
     short of the target; the grid runs from 1.5 to hi, four times the
     normal-approximation n but at least 16. The points that fall short
-    form a prefix of the grid, so one bisection over all 400 indices
-    finds that point (`TestBracketSearch.test_short_points_are_a_prefix`
-    guards this). Returns inf for effect sizes whose hi is not finite:
+    form a prefix of the grid (`TestBracketSearch.test_short_points_are_a_prefix`
+    guards this), so the search for that point starts at the last grid
+    point below Guenther's corrected normal n, approx + z_{1-a/2}^2 / 4,
+    gallops away from it in steps of 1, 2, 4, ... grid points until a
+    point lands on the other side of the target, and bisects the last
+    gap. Brent's first end reuses the power the search found there.
+    Returns inf for effect sizes whose hi is not finite:
     non-positive ones and those below about 1.5e-154. Raises `ValueError`
     for NaN; results below two observations per group, and effect sizes
     whose grid never falls short, report as 1.0.

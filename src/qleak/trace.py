@@ -64,11 +64,11 @@ class AttackerView:
 @dataclass(frozen=True, eq=False)
 class Trace:
     """Inferred victim durations plus per-interval bookkeeping: `counts`
-    is an integer array of the executions inferred in each interval, summing
-    to the number of durations. `inferred_counts` is the same column as a
-    list of Python ints, derived for perfbench's tracer, which writes
-    their sums to JSON. `dropped_intervals` reads 0 until ROADMAP item 2
-    estimates the gap."""
+    is a non-negative integer array of the executions inferred in each
+    interval, summing to the number of durations. `inferred_counts` is the
+    same column as a list of Python ints, derived for perfbench's tracer,
+    which writes their sums to JSON. `dropped_intervals` reads 0 until
+    ROADMAP item 2 estimates the gap."""
 
     durations: np.ndarray
     counts: np.ndarray
@@ -77,8 +77,11 @@ class Trace:
     def __post_init__(self):
         durations = np.asarray(self.durations, dtype=float)
         counts = np.asarray(self.counts)
-        if counts.size and counts.dtype.kind not in "iu":
-            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if counts.size:
+            if counts.dtype.kind not in "iu":
+                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+            if counts.min() < 0:
+                raise ValueError("counts must not be negative")
         object.__setattr__(self, "durations", durations)
         object.__setattr__(self, "counts", counts)
         if not np.all(np.isfinite(durations)):

@@ -160,6 +160,22 @@ class TestLoadErrors:
             load_table(p)
         assert str(info.value) == f"{p}:2: field larger than field limit (131072)"
 
+    def test_row_after_a_multi_line_field_names_its_own_line(self, tmp_path):
+        # line 2's quoted qc_required cell runs on to line 3 and strips to
+        # empty; the bad row starts on line 4, the table's third record
+        p = tmp_path / "t.csv"
+        p.write_text(f'{",".join(_CSV_HEADER)}\nA,1.0,2.0,,"\n"\nC,x,3.0,,\n')
+        with pytest.raises(TableFormatError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}:4: bad sim_latency_s value 'x'"
+
+    def test_name_with_a_line_break_rejected(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text(f'{",".join(_CSV_HEADER)}\nQFT,1.0,2.0,,\n"A\nB",1.0,2.0,,\n')
+        with pytest.raises(TableFormatError) as info:
+            load_table(p)
+        assert str(info.value) == f"{p}:3: circuit name 'A\\nB' holds a line break"
+
     def test_empty_requirement_cells_are_absent(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text(f"{','.join(_CSV_HEADER)}\nGHZ,0.1,2.7,2495.7,198.5\nQFT, 1.0 ,2.0,, \n")

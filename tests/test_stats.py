@@ -17,6 +17,7 @@ from oracles import direct_mc_power, full_scan_sample_size, ovl_numeric, where_p
 from qleak import stats
 from qleak.baseline import (
     HARDWARE,
+    SIMULATOR,
     bundled_table,
     catalog_matrices,
     grover_catalog,
@@ -253,10 +254,14 @@ class TestPower:
         assert type(pooled_t_power(n, 0.3)) is float
 
     def test_matches_where_formula(self):
+        # ncp = d sqrt(n / 2) stays below 4, where one nctdtr call gives
+        # both tails, over the whole range at d = 1e-3 and up to n = 355
+        # at d = 0.3
         ns = np.logspace(math.log10(1.0001), 7, 400)
-        for d in (1e-3, 0.3, 5.5, 30.0):
-            powers = [pooled_t_power(n, d) for n in ns]
-            assert powers == where_power(ns, d, 0.05).tolist()
+        for alpha in (0.05, 0.01, 0.001, 0.2):
+            for d in (1e-3, 0.3, 5.5, 30.0):
+                powers = [pooled_t_power(n, d, alpha).hex() for n in ns]
+                assert powers == [p.hex() for p in where_power(ns, d, alpha).tolist()]
 
     def test_mc_oracle_agrees(self):
         d = 0.28
@@ -396,6 +401,63 @@ class TestBracketSearch:
         assert [n.hex() for n in got] == [n.hex() for n in expected]
         assert max(expected) > 4.0 and any(2.0 <= n < 4.0 for n in expected)
 
+    #: the specs of test_matches_full_scan
+    SPECS = [PowerSpec(), PowerSpec(0.01, 0.9), PowerSpec(0.001, 0.99), PowerSpec(0.2, 0.5)]
+
+    #: beyond EFFECTS: a plan too large to be finite, and at alpha = 1e-14
+    #: effect sizes whose Guenther guess lies past hi
+    EXTRA = [(1e-200, PowerSpec()), (6.0, PowerSpec(1e-14, 0.5)), (8.0, PowerSpec(1e-14, 0.5))]
+
+    def test_search_starts_every_way(self, monkeypatch):
+        # a cold solve first evaluates the point its search starts at. Over
+        # EFFECTS and EXTRA the search starts above the bracket point, 32 or
+        # more grid steps below it, at the grid's last point and on a grid
+        # with no point short of the target; every line of the solver runs
+        # and each result is the full scan's
+        code = stats._solve_sample_size.__wrapped__.__code__
+        ran, evaluated, starts = set(), [], set()
+        inner = stats.pooled_t_power
+
+        def recording(n, d, alpha=0.05):
+            evaluated.append(float(n))
+            return inner(n, d, alpha)
+
+        def trace(frame, event, arg):
+            if frame.f_code is not code:
+                return None
+            if event == "line":
+                ran.add(frame.f_lineno)
+            return trace
+
+        monkeypatch.setattr(stats, "pooled_t_power", recording)
+        cases = [(float(d), spec) for spec in self.SPECS for d in self.EFFECTS]
+        for d, spec in cases + self.EXTRA:
+            evaluated.clear()
+            stats._solve_sample_size.cache_clear()
+            outer = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                got = required_sample_size(d, spec)
+            finally:
+                sys.settrace(outer)
+            if got == math.inf:
+                assert not evaluated
+                continue
+            assert got.hex() == full_scan_sample_size(d, spec).hex(), (d, spec)
+            hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+            grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+            bracket = int(np.count_nonzero(where_power(grid, d, spec.alpha) < spec.power)) - 1
+            start = int(np.searchsorted(grid, evaluated[0]))
+            assert grid[start] == evaluated[0]
+            starts |= {
+                "none" if bracket < 0 else "above" if start > bracket
+                else "far below" if bracket - start >= 32 else "near",
+                "last" if start == grid.size - 1 else "inside",
+            }
+        assert starts == {"none", "above", "far below", "near", "last", "inside"}
+        lines = {line for _, line in dis.findlinestarts(code) if line}
+        assert lines - ran <= {code.co_firstlineno}
+
     def test_regimes_reached(self):
         # at d = 30 and 50 the grid ends at hi = 16, no point of it falls
         # short of the target, and nctdtr is NaN on part of it
@@ -515,8 +577,10 @@ class TestSolverWork:
     """Power points a cold solve evaluates, counted rather than timed. The
     full scan of the 400-point grid took 131,345 for the hardware matrix
     and 21,217 for the Grover catalog; bisecting the grid from n = 4 up
-    and scanning below 4 took 37,676 and 849; bisecting all of it takes
-    4,072 and 877."""
+    and scanning below 4 took 37,676 and 849; bisecting all of it took
+    4,072 and 877, and 4,543 for the simulator matrix. Galloping from the
+    grid point below Guenther's corrected normal n, with Brent's first end
+    taken from the search, takes 2,382, 469 and 3,277."""
 
     @pytest.fixture
     def points(self, monkeypatch):
@@ -533,11 +597,15 @@ class TestSolverWork:
 
     def test_pairwise_matrix(self, points):
         pairwise_matrix(bundled_table(), HARDWARE)
-        assert 0 < points[0] <= 6_000
+        assert 0 < points[0] <= 2_500
+
+    def test_simulator_matrix(self, points):
+        pairwise_matrix(bundled_table(), SIMULATOR)
+        assert 0 < points[0] <= 3_400
 
     def test_catalog_matrices(self, points):
         catalog_matrices(grover_catalog())
-        assert 0 < points[0] <= 2_000
+        assert 0 < points[0] <= 500
 
 
 def test_import_skips_scipy_stats():

@@ -159,6 +159,14 @@ class TestAssembly:
             Trace([1.0, 1.0], counts)
         assert len(Trace.from_durations([])) == 0
 
+    @pytest.mark.parametrize("durations,counts", [([1.0], [2, -1]), ([], [1, -1])],
+                             ids=["one-duration", "empty"])
+    def test_counts_must_not_be_negative(self, durations, counts):
+        # both sums match the durations; a negative count once passed
+        with pytest.raises(ValueError, match="counts must not be negative"):
+            Trace(durations, counts)
+        assert len(Trace.from_durations([])) == 0
+
     def test_inferred_counts_are_python_ints(self):
         # perfbench's tracer writes sums of these to JSON, which takes no
         # numpy integer
