@@ -30,7 +30,6 @@ from .baseline import (
     load_table,
     nearest_neighbor_requirement,
     pairwise_matrix,
-    save_table,
 )
 from .cloudsim import (
     DeviceProfile,

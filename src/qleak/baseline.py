@@ -1,6 +1,6 @@
-"""Benchmark latency database: per-circuit timing baselines, CSV
-persistence, pairwise required-measurement matrices, and the Grover
-variant catalog.
+"""Benchmark latency database: per-circuit timing baselines read from
+CSV, pairwise required-measurement matrices, and the Grover variant
+catalog.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .csvout import write_csv
 from .stats import (
     PowerSpec,
     TimingDistribution,
@@ -167,20 +166,6 @@ def load_table(path: str | Path) -> BaselineTable:
     return BaselineTable(tuple(entries))
 
 
-def save_table(table: BaselineTable, path: str | Path) -> None:
-    """Write a baseline table as CSV with 12 significant digits, lossless
-    for the published 10-digit values; absent requirements stay empty."""
-    write_csv(
-        path,
-        _CSV_HEADER,
-        (
-            [e.name, e.sim_latency, e.qc_latency, e.sim_required, e.qc_required]
-            for e in table.entries
-        ),
-        digits=12,
-    )
-
-
 def bundled_table_path() -> Path:
     return Path(resources.files("qleak").joinpath("data/table1.csv"))
 
@@ -290,26 +275,18 @@ def grover_key_offset(key: str, per_oracle_spread: float) -> float:
     return (GROVER_KEYS.index(key) - 3.5) * per_oracle_spread / 7.0
 
 
-def grover_catalog(
-    base_latency: float = DEFAULT_GROVER_BASE,
-    per_iteration: float = DEFAULT_GROVER_PER_ITERATION,
-    per_oracle_spread: float = DEFAULT_GROVER_SPREAD,
-    variance: float = DEFAULT_GROVER_VARIANCE,
-) -> list[GroverVariant]:
+def grover_catalog() -> list[GroverVariant]:
     """All 24 Grover timing variants: 3 iteration counts x 8 hidden keys.
 
-    mean = base + iterations * per_iteration + key_offset(key), listed in
-    index order (see GroverVariant.index).
+    mean = DEFAULT_GROVER_BASE + iterations * DEFAULT_GROVER_PER_ITERATION
+    + grover_key_offset(key, DEFAULT_GROVER_SPREAD), variance
+    DEFAULT_GROVER_VARIANCE, listed in index order (see GroverVariant.index).
     """
-    if base_latency <= 0 or per_iteration <= 0 or variance <= 0:
-        raise ValueError("catalog parameters must be positive")
-    if per_oracle_spread < 0:
-        raise ValueError("per_oracle_spread must not be negative")
     return [
         GroverVariant(key, it, TimingDistribution(
-            base_latency + it * per_iteration
-            + grover_key_offset(key, per_oracle_spread),
-            variance,
+            DEFAULT_GROVER_BASE + it * DEFAULT_GROVER_PER_ITERATION
+            + grover_key_offset(key, DEFAULT_GROVER_SPREAD),
+            DEFAULT_GROVER_VARIANCE,
         ))
         for it in (1, 2, 3)
         for key in GROVER_KEYS

@@ -128,15 +128,19 @@ def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
               models=None) -> float:
     """Monte-Carlo power at the planned n, rounded up to at least 2, of
     `models`, two timing models effect size d apart (by default of unit
-    variance), reported on stderr. NaN, reported as skipped, unless n and
-    d are finite."""
+    variance), reported on stderr. NaN, reported as skipped, unless d is
+    finite and n finite and within the oracle's range."""
     if not (math.isfinite(n) and math.isfinite(d)):
         reason = f"effect size is {d}" if not math.isfinite(d) else f"planned n is {n}"
         _err(f"mc-check {what}: skipped ({reason})")
         return math.nan
+    n_int = max(2, math.ceil(n))
+    if n_int > stats._MC_BLOCK_DRAWS:
+        _err(f"mc-check {what}: skipped (planned n is {n_int}, "
+             f"past the oracle's {stats._MC_BLOCK_DRAWS})")
+        return math.nan
     unit = stats.TimingDistribution
     models = models or (unit(1.0, 1.0), unit(1.0 + d, 1.0))
-    n_int = max(2, math.ceil(n))
     p = stats.mc_power_oracle(*models, n_int, spec, seed=seed)
     _err(f"mc-check {what}: n={n_int} empirical power {p:.3f} (target {spec.power})")
     return p
@@ -255,6 +259,9 @@ def cmd_attack(args) -> int:
         write_records(
             args.out_dir / f"{kind}_verdict.csv", attacks.AttackVerdict, [verdict]
         )
+    if verdict.planned_n > cloudsim.MAX_REPETITIONS:
+        _err(f"{verdict.attack}: the plan of {verdict.planned_n:.9g} runs is past "
+             f"{cloudsim.MAX_REPETITIONS}, so no scenario can hold it")
     _err(
         f"{verdict.attack}: label={verdict.label!r} n={verdict.measurements_used}"
         + (" (under-powered)" if verdict.underpowered else "")

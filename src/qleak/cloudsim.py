@@ -173,7 +173,12 @@ def run_simulation(scenario: Scenario) -> JobLog:
     clock = np.full(2 * n + 1, scenario.device.inter_job_gap)
     clock[:2] = 0.0
     np.maximum(durations, DURATION_FLOOR, out=clock[2::2])
-    np.cumsum(clock, out=clock)
+    with np.errstate(over="ignore"):
+        np.cumsum(clock, out=clock)
+    # every step is non-negative, so the last reading is the largest
+    if not math.isfinite(clock[-1]):
+        raise ScenarioError("the session's clock overflows: its durations and "
+                            "gaps sum past the largest float")
     return JobLog(
         victim=victim,
         clock=clock,

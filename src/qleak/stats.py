@@ -393,11 +393,13 @@ def mc_power_oracle(
     block plus four floats per trial. Welch df lies in [n - 1, 2n - 2], where
     the critical value falls as df rises, so only a |t| between the values
     at those two ends (or an out-of-range df) needs its own `stdtrit`.
-    Raises `ValueError` unless n is an integer of at least 2 and trials an
+    Raises `ValueError` unless n is an integer from 2 to 2^16
+    (`_MC_BLOCK_DRAWS`, so a block holds at least one row) and trials an
     integer of at least 1000 (numpy integers count).
     """
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"per-group n must be an integer >= 2, got {n!r}")
+    if not isinstance(n, numbers.Integral) or not 2 <= n <= _MC_BLOCK_DRAWS:
+        raise ValueError(
+            f"per-group n must be an integer from 2 to {_MC_BLOCK_DRAWS}, got {n!r}")
     if not isinstance(trials, numbers.Integral) or trials < 1000:
         raise ValueError(f"trials must be an integer >= 1000, got {trials!r}")
     rng = np.random.default_rng(seed)
@@ -406,10 +408,10 @@ def mc_power_oracle(
     sure = float(special.stdtrit(n - 1, level)) * (1 + 1e-6)
     never = float(special.stdtrit(2 * n - 2, level)) * (1 - 1e-6)
     df_lo, df_hi = (n - 1) * (1 - 1e-9), (2 * n - 2) * (1 + 1e-9)
-    rows = max(1, _MC_BLOCK_DRAWS // n)
+    rows = _MC_BLOCK_DRAWS // n
     rejected = 0
     left = trials
-    batch = max(1, 4_000_000 // (2 * n))
+    batch = 4_000_000 // (2 * n)
     while left:
         m = min(batch, left)
         left -= m

@@ -12,8 +12,7 @@ the interval split evenly, so a count-k interval contributes k correlated
 durations: the sample mean is unbiased but the sample variance shrinks by
 roughly a factor of k. Power planning on such traces must budget by
 intervals, not executions. No gap is subtracted and no interval is
-dropped, so `Trace.dropped_intervals` reads 0 until ROADMAP item 2
-estimates the gap.
+dropped, so `Trace.dropped_intervals` is a class constant, 0.
 
 `reconstruct` is the entry point: it runs the whole chain on a job log.
 """
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -67,12 +67,12 @@ class Trace:
     is a non-negative integer array of the executions inferred in each
     interval, summing to the number of durations. `inferred_counts` is the
     same column as a list of Python ints, derived for perfbench's tracer,
-    which writes their sums to JSON. `dropped_intervals` reads 0 until
-    ROADMAP item 2 estimates the gap."""
+    which writes their sums to JSON. `dropped_intervals` is a class
+    constant, 0, since no interval is dropped; it is no field."""
 
     durations: np.ndarray
     counts: np.ndarray
-    dropped_intervals: int = 0
+    dropped_intervals: ClassVar[int] = 0
 
     def __post_init__(self):
         durations = np.asarray(self.durations, dtype=float)
@@ -154,8 +154,8 @@ def estimate_victim_mean(view: AttackerView) -> float:
 def assemble_trace(view: AttackerView, avg_victim: float) -> Trace:
     """Turn probe intervals into per-execution victim durations: each
     interval split evenly over its inferred count of executions, and an
-    interval with no execution kept at count 0. No interval is dropped, so
-    `dropped_intervals` reads 0 until ROADMAP item 2 estimates the gap.
+    interval with no execution kept at count 0. No interval is dropped
+    (`Trace.dropped_intervals` is 0).
     """
     counts, per_execution = infer_execution_count(view.intervals, avg_victim)
     return Trace(np.repeat(per_execution, counts), counts)

@@ -4,8 +4,33 @@ import math
 import numpy as np
 from scipy import integrate, optimize, special
 
+from qleak.baseline import (
+    DEFAULT_GROVER_BASE,
+    DEFAULT_GROVER_VARIANCE,
+    GROVER_KEYS,
+    GroverVariant,
+    grover_key_offset,
+)
 from qleak.cloudsim import DURATION_FLOOR
-from qleak.stats import normal_approx_sample_size, welch_t
+from qleak.stats import TimingDistribution, normal_approx_sample_size, welch_t
+
+
+def spaced_catalog(per_iteration: float = 3.0,
+                   per_oracle_spread: float = 0.7) -> list:
+    """The 24 Grover variants of :func:`qleak.baseline.grover_catalog`'s
+    formula at other spacings: the default base and variance, iterations
+    `per_iteration` apart and keys spanning `per_oracle_spread`, in index
+    order. The defaults spread the keys wide enough that the key stage
+    plans a few hundred runs."""
+    return [
+        GroverVariant(key, it, TimingDistribution(
+            DEFAULT_GROVER_BASE + it * per_iteration
+            + grover_key_offset(key, per_oracle_spread),
+            DEFAULT_GROVER_VARIANCE,
+        ))
+        for it in (1, 2, 3)
+        for key in GROVER_KEYS
+    ]
 
 
 def _normal_pdf(x: float, mean: float, sd: float) -> float:

@@ -22,6 +22,7 @@ from qleak.attacks import (
     uc_classify,
 )
 from qleak.baseline import (
+    _CSV_HEADER,
     BACKENDS,
     HARDWARE,
     SIMULATOR,
@@ -30,10 +31,10 @@ from qleak.baseline import (
     grover_catalog,
     load_table,
     nearest_neighbor_requirement,
-    save_table,
 )
 from qleak.cloudsim import DeviceProfile, Scenario, ground_truth_durations, run_simulation
 from qleak.cli import within_tolerance
+from qleak.csvout import write_csv
 from qleak.stats import (
     PowerSpec,
     TimingDistribution,
@@ -384,7 +385,10 @@ def test_criterion_7_property_suite(table, tmp_path):
     checks["trace-identity-k1"] = np.allclose(tr.durations, truth)
 
     path = tmp_path / "roundtrip.csv"
-    save_table(table, path)
+    write_csv(path, _CSV_HEADER, (
+        [e.name, e.sim_latency, e.qc_latency, e.sim_required, e.qc_required]
+        for e in table.entries
+    ), digits=12)
     again = load_table(path)
     checks["csv-roundtrip"] = all(
         a.name == b.name

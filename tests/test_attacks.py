@@ -42,6 +42,7 @@ from qleak.stats import (
     required_sample_size,
 )
 from qleak.trace import Trace, reconstruct
+from oracles import spaced_catalog
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +263,7 @@ class TestCo:
 
     def test_key_stage_with_enough_data(self):
         # widen the per-key spread so the key stage is affordable to test
-        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        cat = spaced_catalog()
         target = next(v for v in cat if v.iterations == 1 and v.key == "110")
         rng = np.random.default_rng(6)
         tr = Trace.from_durations(
@@ -283,7 +284,7 @@ class TestCo:
             co_identify(Trace.from_durations([1.9, 1.9]), cat[:23] + [cat[0]])
 
     def test_catalog_order_irrelevant(self):
-        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        cat = spaced_catalog()
         shuffled = [cat[i] for i in np.random.default_rng(9).permutation(24)]
         tr = synthetic_trace(cat[13].timing.mean, cat[13].timing.variance, 900, seed=9)
         assert co_identify(tr, shuffled) == co_identify(tr, cat)
@@ -293,7 +294,7 @@ class TestCo:
 
     def test_zero_key_spread_plans_infinity(self):
         # all eight keys of an iteration share one mean
-        cat = grover_catalog(per_oracle_spread=0.0)
+        cat = spaced_catalog(0.046, 0.0)
         mu = cat[0].timing.mean
         verdict, _ = co_identify(Trace.from_durations([mu, mu, mu]), cat)
         assert verdict.planned_n == math.inf
@@ -304,7 +305,7 @@ class TestCo:
     @pytest.mark.parametrize("x,ambiguous", [(4.5, True), (4.46, False)])
     def test_key_tie_rule(self, x, ambiguous):
         # keys 000 and 001 of one iteration sit at 4.45 and 4.55
-        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        cat = spaced_catalog()
         verdict, _ = co_identify(Trace.from_durations([x, x]), cat)
         assert verdict.ambiguous is ambiguous
 
@@ -449,7 +450,7 @@ class TestOneVerdictRule:
     def test_co_plans_against_the_nearest_key(self, iterations, n):
         # key 000 has one nearest same-iteration variant, key 001, whose
         # requirement here is about 480
-        cat = grover_catalog(per_iteration=3.0, per_oracle_spread=0.7)
+        cat = spaced_catalog()
         v000, v001 = (
             next(v for v in cat if v.iterations == iterations and v.key == key)
             for key in ("000", "001")

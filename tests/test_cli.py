@@ -121,6 +121,24 @@ class TestUsage:
         assert err == qp_err.replace("attack qp: ", f"{where}: ")
         assert err == f"{where}: reference_devices must be a list of devices\n"
 
+    @pytest.mark.parametrize("edit", [
+        ("inter_job_gap: 0.0", "inter_job_gap: 1.0e+308"),
+        ("GHZ: {mean: 2.779299043", "GHZ: {mean: 1.0e+308"),
+    ], ids=["gap", "mean"])
+    @pytest.mark.parametrize("argv", [["simulate"], ["attack", "--attack", "uc"]],
+                             ids=["simulate", "attack"])
+    def test_overflowing_clock_is_a_usage_error(self, capsys, tmp_path, edit, argv):
+        # simulate once printed inf clock cells and exited 0, and uc blamed
+        # the probe times
+        p = tmp_path / "huge.yaml"
+        p.write_text(SCENARIO_YAML.replace(*edit)
+                     .replace("repetitions: 120", "repetitions: 3"))
+        code, out, err = run_cli(capsys, *argv, "--scenario", str(p))
+        where = " ".join(a for a in argv if not a.startswith("--"))
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"{where}: the session's clock overflows: its durations "
+                       "and gaps sum past the largest float\n")
+
     def test_no_reference_devices(self, capsys, tmp_path):
         p = tmp_path / "none.yaml"
         p.write_text(SCENARIO_YAML[: SCENARIO_YAML.index("reference_devices:")])
@@ -271,14 +289,14 @@ class TestUsage:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                           env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "qleak.cli", "simulate", "--scenario", str(p)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        assert proc.stdout.readline().startswith(b"job_id,")
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=120) == EXIT_PIPE
+        ) as proc:
+            assert proc.stdout.readline().startswith(b"job_id,")
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == EXIT_PIPE
         assert err == b""
 
     @pytest.mark.parametrize("argv,reason", [
@@ -506,6 +524,8 @@ class TestPower:
 
     @pytest.mark.parametrize("d,reason", [
         ("inf", "effect size is inf"), ("0", "planned n is inf"),
+        # 3.1e11 draws, about 1.7 hours of oracle work
+        ("0.001", "planned n is 15697722, past the oracle's 65536"),
     ])
     def test_mc_check_skips_an_undrawable_pair(self, capsys, d, reason):
         # an infinite effect size printed its CSV, then exited 2 over a
@@ -650,6 +670,22 @@ class TestSimulateAndAttack:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert rows[1][1] == "GHZ"
+
+    @pytest.mark.parametrize("attack", ["uc", "co", "qp"])
+    def test_a_plan_no_scenario_can_hold_is_named(self, capsys, scenario_file, attack):
+        # CO's key stage plans about 1.9e7 runs, past MAX_REPETITIONS, and
+        # once said only "(under-powered)"
+        code, out, err = run_cli(
+            capsys, "attack", "--scenario", scenario_file, "--attack", attack
+        )
+        planned_n = float(dict(zip(*parse_csv(out)))["planned_n"])
+        assert code == EXIT_OK
+        assert (planned_n > 10**7) is (attack == "co")
+        lines = err.splitlines()
+        assert len(lines) == 1 + (attack == "co")
+        if attack == "co":
+            assert lines[0] == ("CO: the plan of 18837266.2 runs is past 10000000, "
+                                "so no scenario can hold it")
 
     def test_attack_qp_reads_its_scenario_once(self, capsys, monkeypatch):
         # the reference devices once came from a second parse of the file

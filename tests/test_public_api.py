@@ -7,7 +7,9 @@ benchmark operations. Its tracer looks functions up by module, and skips
 any it cannot find, so those must exist where it looks.
 """
 import ast
+import dataclasses
 import importlib.util
+import inspect
 import io
 from pathlib import Path
 
@@ -76,6 +78,15 @@ def test_attack_results_lead_with_the_verdict():
     assert isinstance(qleak.co_identify(a, cat)[0], qleak.AttackVerdict)
     verdict = qleak.null_distinguishability(a, b)[0]
     assert verdict in (qleak.DISTINGUISHABLE, qleak.INDISTINGUISHABLE)
+
+
+def test_no_test_only_settings():
+    """The catalog is the calibrated one, a trace's dropped-interval count
+    is a constant, and the table is read, never written, by the package."""
+    assert inspect.signature(qleak.grover_catalog).parameters == {}
+    assert [f.name for f in dataclasses.fields(qleak.Trace)] == ["durations", "counts"]
+    assert "save_table" not in qleak.__all__
+    assert not hasattr(qleak.baseline, "save_table")
 
 
 def test_verdict_csv_columns():

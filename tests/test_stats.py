@@ -281,6 +281,8 @@ class TestPower:
             mc_power_oracle(p, p, 1)
         with pytest.raises(ValueError):
             mc_power_oracle(p, p, 10, trials=10)
+        with pytest.raises(ValueError):  # one row past a block
+            mc_power_oracle(p, p, 65_537)
 
 
 class TestOracle:
