@@ -2,17 +2,14 @@
 
 The attacker sees only its own jobs' start/end times, an (n, 2) array;
 victim execution time is the gap between the end of one probe and the
-start of the next, and all gaps are reconstructed at once as arrays: a
-view computes its intervals once, and a `Trace` holds the durations with
-an int column of per-interval counts (`Trace.inferred_counts` is that
-column as a Python list, derived for perfbench) and computes its moments
-once.
-When several victim runs fall inside one gap, the per-execution values are
-the interval split evenly, so a count-k interval contributes k correlated
-durations: the sample mean is unbiased but the sample variance shrinks by
-roughly a factor of k. Power planning on such traces must budget by
-intervals, not executions. No gap is subtracted and no interval is
-dropped, so `Trace.dropped_intervals` is a class constant, 0.
+start of the next. A view computes those intervals once, and a `Trace`
+holds what the attacker measured, one row per interval: its length
+(`sums`) and the int count of victim runs inferred in it (`counts`).
+`Trace.durations` is the derived per-run view, each interval split evenly
+over its count, so a count-k interval contributes k equal durations: the
+sample mean is unbiased but the sample variance shrinks by roughly a
+factor of k. Power planning on such traces must budget by intervals, not
+executions. No gap is subtracted and no interval is dropped.
 
 `reconstruct` is the entry point: it runs the whole chain on a job log.
 """
@@ -63,86 +60,88 @@ class AttackerView:
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Inferred victim durations plus per-interval bookkeeping: `counts`
-    is a non-negative integer array of the executions inferred in each
-    interval, summing to the number of durations. `inferred_counts` is the
-    same column as a list of Python ints, derived for perfbench's tracer,
-    which writes their sums to JSON. `dropped_intervals` is a class
-    constant, 0, since no interval is dropped; it is no field."""
+    """Probe intervals as two 1-d columns of equal length: `sums`, each
+    interval's length, and `counts`, the non-negative int count of victim
+    runs in it; a count-0 interval has length 0. `len` is the number of
+    runs. `inferred_counts` is `counts` as Python ints, for perfbench's
+    tracer, which writes their sums to JSON; `dropped_intervals` is a
+    class constant, 0, since no interval is dropped."""
 
-    durations: np.ndarray
+    sums: np.ndarray
     counts: np.ndarray
     dropped_intervals: ClassVar[int] = 0
 
     def __post_init__(self):
-        durations = np.asarray(self.durations, dtype=float)
-        counts = np.asarray(self.counts)
-        if counts.size:
-            if counts.dtype.kind not in "iu":
-                raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
-            if counts.min() < 0:
-                raise ValueError("counts must not be negative")
-        object.__setattr__(self, "durations", durations)
+        sums = np.asarray(self.sums, dtype=float)
+        counts = np.asarray(self.counts) if np.size(self.counts) else np.zeros(0, int)
+        if counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        if np.any(counts < 0):
+            raise ValueError("counts must not be negative")
+        object.__setattr__(self, "sums", sums)
         object.__setattr__(self, "counts", counts)
-        if not np.all(np.isfinite(durations)):
+        if not np.all(np.isfinite(sums)):
             raise ValueError("durations must be finite")
-        if len(durations) != counts.sum():
-            raise ValueError("durations length must equal the summed counts")
+        if sums.ndim != 1 or sums.shape != counts.shape:
+            raise ValueError("sums and counts must be 1-d columns of equal length")
+        if np.any(sums[counts == 0]):
+            raise ValueError("an interval with count 0 must have length 0")
 
     def __len__(self):
-        return len(self.durations)
+        return int(self.counts.sum())
 
     @property
     def inferred_counts(self) -> list[int]:
         return self.counts.tolist()
 
     @cached_property
+    def _per_run(self) -> np.ndarray:
+        return self.sums / np.maximum(self.counts, 1)
+
+    @cached_property
+    def durations(self) -> np.ndarray:
+        """Each interval split evenly over its runs, one value per run."""
+        return np.repeat(self._per_run, self.counts)
+
+    @cached_property
     def moments(self) -> tuple[int, float, float]:
-        """(n, mean, unbiased variance) of the durations, computed once;
-        one duration has variance 0. The variance takes numpy's own `var`
-        steps from the mean already in hand, so both keep `mean()`'s and
-        `var(ddof=1)`'s bits."""
-        xs = self.durations
-        n = xs.size
+        """(n, mean, unbiased variance) of the durations, computed once from
+        the columns; one duration has variance 0. With every count 1 the
+        steps are numpy's own, so they keep `durations.mean()`'s and
+        `durations.var(ddof=1)`'s bits."""
+        n = len(self)
         if n < 1:
             raise ValueError("empty trace")
-        mean = xs.sum() / n
+        mean = self.sums.sum() / n
         if n == 1:
             return n, float(mean), 0.0
-        deviations = xs - mean
-        np.square(deviations, out=deviations)
+        deviations = self._per_run - mean
+        # weigh by count before squaring: a count-0 row adds 0, never inf * 0
+        deviations *= deviations * self.counts
         return n, float(mean), float(deviations.sum() / (n - 1))
 
     @classmethod
     def from_durations(cls, durations) -> "Trace":
+        """One count-1 interval per duration."""
         durations = np.asarray(durations, dtype=float)
-        return cls(durations, np.ones(len(durations), dtype=int))
+        return cls(durations, np.ones(durations.shape, dtype=int))
 
 
-def infer_execution_count(interval, avg_victim: float):
-    """Number of victim executions inside each interval and their implied
-    per-execution duration, as numpy int and float values of the
-    interval's shape (shape () for a scalar interval).
+def infer_execution_count(interval, avg_victim: float) -> np.ndarray:
+    """Number of victim executions inside each interval, as numpy ints of
+    the interval's shape (shape () for a scalar interval).
 
     Nearest-integer count, half-way cases rounding down (a phantom extra
     execution is worse than a missed one); floored at 1 for any positive
-    interval. A zero interval means no victim ran (count and duration 0).
+    interval. A zero interval means no victim ran (count 0).
     """
     if not avg_victim > 0:
         raise ValueError("avg_victim must be positive")
     intervals = np.asarray(interval, dtype=float)
     if not np.all(np.isfinite(intervals) & (intervals >= 0)):
         raise ValueError("interval must be finite and non-negative")
-    # one scratch array (`out` keeps it an array for a 0-d interval): the
-    # count floored at 1 divides the interval, then a zero interval's
-    # count becomes 0
-    scratch = np.divide(intervals, avg_victim, out=np.empty(intervals.shape))
-    scratch -= 0.5
-    np.ceil(scratch, out=scratch)
-    np.maximum(scratch, 1, out=scratch)
-    per_execution = intervals / scratch
-    np.copyto(scratch, 0.0, where=intervals == 0)
-    return scratch.astype(int), per_execution
+    runs = np.maximum(np.ceil(intervals / avg_victim - 0.5), 1)
+    return np.where(intervals == 0, 0, runs).astype(int)
 
 
 def estimate_victim_mean(view: AttackerView) -> float:
@@ -152,13 +151,10 @@ def estimate_victim_mean(view: AttackerView) -> float:
 
 
 def assemble_trace(view: AttackerView, avg_victim: float) -> Trace:
-    """Turn probe intervals into per-execution victim durations: each
-    interval split evenly over its inferred count of executions, and an
-    interval with no execution kept at count 0. No interval is dropped
-    (`Trace.dropped_intervals` is 0).
-    """
-    counts, per_execution = infer_execution_count(view.intervals, avg_victim)
-    return Trace(np.repeat(per_execution, counts), counts)
+    """The trace of a view's intervals, as they are, with their inferred
+    counts; an interval with no execution is kept at count 0 and none is
+    dropped (`Trace.dropped_intervals` is 0)."""
+    return Trace(view.intervals, infer_execution_count(view.intervals, avg_victim))
 
 
 def reconstruct(log: JobLog) -> Trace:

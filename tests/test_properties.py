@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qleak.baseline import GROVER_KEYS, grover_key_offset
 from qleak.cloudsim import DeviceProfile, Scenario, run_simulation
@@ -15,7 +15,7 @@ from qleak.stats import (
     pooled_t_power,
     required_sample_size,
 )
-from qleak.trace import AttackerView, assemble_trace, infer_execution_count
+from qleak.trace import AttackerView, Trace, assemble_trace, infer_execution_count
 from oracles import loop_assemble, loop_simulation
 
 means = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -75,13 +75,42 @@ class TestCountProperties:
         st.floats(min_value=1e-3, max_value=1e3),
     )
     def test_count_consistency(self, interval, avg):
-        count, per = infer_execution_count(interval, avg)
+        count = infer_execution_count(interval, avg)
         assert count >= 1
+        per_run = Trace([interval], [count]).durations
+        assert len(per_run) == count
+        per = per_run[0]
         assert count * per == pytest.approx(interval)
         # the implied per-execution duration is within half a job of avg,
         # unless the interval was too short to hold even one
         if interval >= avg / 2:
             assert abs(per - avg) <= avg / 2 + 1e-9 or count == 1
+
+
+#: an interval: a count of runs and, for a positive count, a length
+INTERVALS = st.one_of(
+    st.just((0.0, 0)),
+    st.tuples(st.floats(min_value=1e-3, max_value=1e3), st.integers(1, 6)),
+)
+
+
+class TestTraceProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(INTERVALS, min_size=1, max_size=60))
+    def test_moments_match_the_durations(self, intervals):
+        sums, counts = (np.array(column) for column in zip(*intervals))
+        trace = Trace(sums, counts)
+        xs = trace.durations
+        assume(len(xs) >= 2)
+        n, mean, var = trace.moments
+        assert n == len(xs) == counts.sum()
+        if np.all(counts == 1):
+            assert (mean.hex(), var.hex()) == (
+                float(xs.mean()).hex(), float(xs.var(ddof=1)).hex())
+        # below 1e-12 of the squared scale both variances are rounding noise
+        scale = float(np.max(xs)) ** 2
+        assert mean == pytest.approx(xs.mean(), rel=1e-12)
+        assert var == pytest.approx(xs.var(ddof=1), rel=1e-12, abs=1e-12 * scale)
 
 
 class TestSimulationProperties:

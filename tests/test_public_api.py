@@ -81,10 +81,11 @@ def test_attack_results_lead_with_the_verdict():
 
 
 def test_no_test_only_settings():
-    """The catalog is the calibrated one, a trace's dropped-interval count
-    is a constant, and the table is read, never written, by the package."""
+    """The catalog is the calibrated one, a trace is its probe intervals
+    with a constant dropped-interval count, and the table is read, never
+    written, by the package."""
     assert inspect.signature(qleak.grover_catalog).parameters == {}
-    assert [f.name for f in dataclasses.fields(qleak.Trace)] == ["durations", "counts"]
+    assert [f.name for f in dataclasses.fields(qleak.Trace)] == ["sums", "counts"]
     assert "save_table" not in qleak.__all__
     assert not hasattr(qleak.baseline, "save_table")
 
@@ -157,6 +158,14 @@ def test_one_duration_draw():
             drawers.add(scope)
     assert samplers == []
     assert drawers == {"run_simulation"}
+
+
+def test_one_per_run_split():
+    """A trace is its intervals: only `Trace.durations` spreads an interval
+    over its runs with `np.repeat`."""
+    repeats = {f"{path.name}:{scope}" for path, node, scope in _src_nodes()
+               if _calls(node, "repeat")}
+    assert repeats == {"trace.py:durations"}
 
 
 def test_one_scenario_read():

@@ -57,36 +57,47 @@ class TestIntervals:
 
 class TestCountInference:
     def test_single_execution(self):
-        count, per = infer_execution_count(3.0, 3.0)
-        assert count == 1 and per == pytest.approx(3.0)
+        assert infer_execution_count(3.0, 3.0) == 1
 
     def test_three_executions(self):
         # 9.1 seconds of occupancy at ~3 s per run implies three runs
-        count, per = infer_execution_count(9.1, 3.0)
-        assert count == 3
-        assert per == pytest.approx(9.1 / 3)
+        assert infer_execution_count(9.1, 3.0) == 3
 
     def test_halfway_rounds_down(self):
-        count, _ = infer_execution_count(4.5, 3.0)
-        assert count == 1
+        assert infer_execution_count(4.5, 3.0) == 1
 
     def test_zero_interval(self):
-        assert infer_execution_count(0.0, 3.0) == (0, 0.0)
+        assert infer_execution_count(0.0, 3.0) == 0
 
     def test_small_positive_floored_to_one(self):
-        count, _ = infer_execution_count(0.2, 3.0)
-        assert count == 1
+        assert infer_execution_count(0.2, 3.0) == 1
 
     def test_elementwise(self):
-        counts, per = infer_execution_count(np.array([0.0, 3.0, 9.1]), 3.0)
+        counts = infer_execution_count(np.array([0.0, 3.0, 9.1]), 3.0)
+        assert counts.dtype.kind == "i"
         assert counts.tolist() == [0, 1, 3]
-        assert per.tolist() == [0.0, 3.0, 9.1 / 3]
 
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             infer_execution_count(1.0, 0.0)
         with pytest.raises(ValueError):
             infer_execution_count(-1.0, 3.0)
+
+
+class TestPerRun:
+    """`Trace.durations` splits each interval evenly over its runs."""
+
+    def test_three_executions(self):
+        assert Trace([9.1], [3]).durations.tolist() == [9.1 / 3] * 3
+
+    def test_zero_interval_has_no_runs(self):
+        trace = Trace([0.0], [0])
+        assert trace.durations.tolist() == [] and len(trace) == 0
+
+    def test_elementwise(self):
+        trace = Trace(np.array([0.0, 3.0, 9.1]), np.array([0, 1, 3]))
+        assert trace.durations.tolist() == [3.0, 9.1 / 3, 9.1 / 3, 9.1 / 3]
+        assert len(trace) == 4
 
 
 class TestReconstruct:
@@ -106,6 +117,8 @@ class TestReconstruct:
                 x.hex() for x in want.durations
             ]
             assert list(got.inferred_counts) == list(want.inferred_counts)
+            assert [x.hex() for x in got.sums] == [x.hex() for x in want.sums]
+            assert got.counts.tolist() == want.counts.tolist()
             assert got.dropped_intervals == want.dropped_intervals
 
 
@@ -147,9 +160,15 @@ class TestAssembly:
         view = AttackerView.from_log(log)
         assert estimate_victim_mean(view) == pytest.approx(2.0, abs=0.3)
 
-    def test_trace_bookkeeping(self):
-        with pytest.raises(ValueError):
-            Trace(np.ones(3), [1, 1])
+    @pytest.mark.parametrize("sums,counts,match", [
+        (np.ones(3), [1, 1], "equal length"),
+        (np.ones((2, 2)), np.ones((2, 2), dtype=int), "1-d columns"),
+        ([1.0, 0.5], [1, 0], "count 0 must have length 0"),
+    ], ids=["unequal-lengths", "2-d", "count-0-nonzero-length"])
+    def test_trace_bookkeeping(self, sums, counts, match):
+        # a 2-d pair of equal shape is rejected too: a column is 1-d
+        with pytest.raises(ValueError, match=match):
+            Trace(sums, counts)
 
     @pytest.mark.parametrize("counts", [[2.2], [2.0], [True, True]],
                              ids=["fraction", "integral-float", "bool"])
@@ -175,7 +194,7 @@ class TestAssembly:
             assert trace.inferred_counts
             assert all(type(c) is int for c in trace.inferred_counts)
 
-    @pytest.mark.parametrize("field", ["durations", "counts", "dropped_intervals"])
+    @pytest.mark.parametrize("field", ["sums", "counts", "durations", "dropped_intervals"])
     def test_trace_is_frozen(self, field):
         trace = Trace.from_durations([1.0, 2.0])
         with pytest.raises(dataclasses.FrozenInstanceError):
