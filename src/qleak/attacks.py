@@ -128,16 +128,14 @@ def uc_classify(
     return _classify("UC", trace, table.column(backend), spec)
 
 
-def detect_backend(
-    trace: Trace, table: BaselineTable, spec: PowerSpec = PowerSpec()
-) -> AttackVerdict:
+def detect_backend(trace: Trace, table: BaselineTable) -> AttackVerdict:
     """Decide simulator vs hardware by nearest mean over both columns.
 
-    The label is the backend of the nearest table model; the plan is
-    against the model in the other column nearest that one.
+    The label is the backend of the nearest table model; the plan is at
+    `PowerSpec()` against the model in the other column nearest that one.
     """
     candidates = [(b, m) for b in BACKENDS for _, m in table.column(b)]
-    return _classify("UC", trace, candidates, spec)
+    return _classify("UC", trace, candidates, PowerSpec())
 
 
 def co_identify(

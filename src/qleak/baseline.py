@@ -191,17 +191,16 @@ def _requirements(timings: list, spec: PowerSpec) -> np.ndarray:
     )
 
 
-def pairwise_matrix(
-    table: BaselineTable, backend: str, spec: PowerSpec = PowerSpec()
-) -> np.ndarray:
+def pairwise_matrix(table: BaselineTable, backend: str) -> np.ndarray:
     """Symmetric matrix of per-group required measurements.
 
-    Cell (i, j) holds the planning n for distinguishing entries i and j on
-    the given backend; the diagonal is NaN, identical means give inf.
+    Cell (i, j) holds the planning n at `PowerSpec()` for distinguishing
+    entries i and j on the given backend; the diagonal is NaN, identical
+    means give inf.
     """
     if len(table) < 2:
         raise ValueError("need at least two entries")
-    return _requirements([m for _, m in table.column(backend)], spec)
+    return _requirements([m for _, m in table.column(backend)], PowerSpec())
 
 
 def _nearest(mu: float, means: list[float]) -> int:

@@ -65,7 +65,8 @@ class Trace:
     runs in it; a count-0 interval has length 0. `len` is the number of
     runs. `inferred_counts` is `counts` as Python ints, for perfbench's
     tracer, which writes their sums to JSON; `dropped_intervals` is a
-    class constant, 0, since no interval is dropped."""
+    class constant, 0, since no interval is dropped. Known per-run
+    durations `x` are count-1 intervals: `Trace(x, np.ones(len(x), int))`."""
 
     sums: np.ndarray
     counts: np.ndarray
@@ -119,12 +120,6 @@ class Trace:
         # weigh by count before squaring: a count-0 row adds 0, never inf * 0
         deviations *= deviations * self.counts
         return n, float(mean), float(deviations.sum() / (n - 1))
-
-    @classmethod
-    def from_durations(cls, durations) -> "Trace":
-        """One count-1 interval per duration."""
-        durations = np.asarray(durations, dtype=float)
-        return cls(durations, np.ones(durations.shape, dtype=int))
 
 
 def infer_execution_count(interval, avg_victim: float) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Independent reference formulas the tests check the package against."""
+"""Independent reference formulas the tests check the package against, and
+the test inputs they build."""
 import math
 
 import numpy as np
@@ -13,6 +14,12 @@ from qleak.baseline import (
 )
 from qleak.cloudsim import DURATION_FLOOR
 from qleak.stats import TimingDistribution, normal_approx_sample_size, welch_t
+from qleak.trace import Trace
+
+
+def runs_trace(durations) -> Trace:
+    """The trace of known per-run durations: one count-1 interval each."""
+    return Trace(durations, np.ones(len(durations), dtype=int))
 
 
 def spaced_catalog(per_iteration: float = 3.0,

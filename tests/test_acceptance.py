@@ -11,7 +11,6 @@ import math
 import zlib
 
 import numpy as np
-import pytest
 from scipy.stats import binomtest
 
 from qleak.attacks import (
@@ -26,7 +25,6 @@ from qleak.baseline import (
     BACKENDS,
     HARDWARE,
     SIMULATOR,
-    bundled_table,
     catalog_matrices,
     grover_catalog,
     load_table,
@@ -46,18 +44,13 @@ from qleak.stats import (
     required_sample_size,
     welch_t,
 )
-from qleak.trace import AttackerView, Trace, assemble_trace, reconstruct
-from oracles import ovl_numeric
+from qleak.trace import AttackerView, assemble_trace, reconstruct
+from oracles import ovl_numeric, runs_trace
 from table1_divergences import DIVERGENT_CELLS
 
 
 def report(k: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {k} {'PASS' if ok else 'FAIL'} - {detail}")
-
-
-@pytest.fixture(scope="module")
-def table():
-    return bundled_table()
 
 
 def _pair_n(table, a, b, backend):
@@ -212,7 +205,7 @@ def test_criterion_3_uc_end_to_end(table):
     rng = np.random.default_rng(0)
     mu = table.entry("GHZ").latency(HARDWARE)
     sd = math.sqrt(table.qc_variance)
-    tr = Trace.from_durations(rng.normal(mu, sd, 623))
+    tr = runs_trace(rng.normal(mu, sd, 623))
     assert uc_classify(tr, table, HARDWARE).label == "GHZ"
 
     floor = _uc_floor()
@@ -269,7 +262,7 @@ def test_criterion_4_qp_crossing():
         scenario = Scenario(dev_a, "grover", 60, "probe", probe_every=1, seed=seed)
         tr = reconstruct(run_simulation(scenario))
         v = qp_fingerprint(
-            Trace.from_durations(tr.durations[:10]), [dev_a, dev_b], "grover"
+            runs_trace(tr.durations[:10]), [dev_a, dev_b], "grover"
         )
         hits += v.label == "dev_a" and not v.underpowered
     rate = hits / seeds
@@ -325,8 +318,8 @@ def _null_fp_rate(n, variance, seeds=1000, seed0=0):
     rng = np.random.default_rng(seed0)
     fp = 0
     for _ in range(seeds):
-        a = Trace.from_durations(rng.normal(2.0, sd, n))
-        b = Trace.from_durations(rng.normal(2.0, sd, n))
+        a = runs_trace(rng.normal(2.0, sd, n))
+        b = runs_trace(rng.normal(2.0, sd, n))
         verdict, _ = null_distinguishability(a, b)
         fp += verdict == DISTINGUISHABLE
     return fp / seeds

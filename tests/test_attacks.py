@@ -21,7 +21,6 @@ from qleak.baseline import (
     SIMULATOR,
     BaselineEntry,
     BaselineTable,
-    bundled_table,
     catalog_matrices,
     grover_catalog,
     nearest_neighbor_requirement,
@@ -41,18 +40,13 @@ from qleak.stats import (
     pooled_t_power,
     required_sample_size,
 )
-from qleak.trace import Trace, reconstruct
-from oracles import spaced_catalog
-
-
-@pytest.fixture(scope="module")
-def table():
-    return bundled_table()
+from qleak.trace import reconstruct
+from oracles import runs_trace, spaced_catalog
 
 
 def synthetic_trace(mean, variance, n, seed=0):
     rng = np.random.default_rng(seed)
-    return Trace.from_durations(rng.normal(mean, math.sqrt(variance), n))
+    return runs_trace(rng.normal(mean, math.sqrt(variance), n))
 
 
 class TestVerdict:
@@ -119,7 +113,7 @@ class TestUc:
             BaselineEntry("b", 1.0, 6.0),
             BaselineEntry("c", 3.0, 7.0),
         ))
-        v = uc_classify(Trace.from_durations([1.0, 1.0, 1.0]), tied, SIMULATOR)
+        v = uc_classify(runs_trace([1.0, 1.0, 1.0]), tied, SIMULATOR)
         assert v.planned_n == math.inf
         assert v.underpowered
         assert v.label == "a" and v.ambiguous
@@ -131,7 +125,7 @@ class TestUc:
             BaselineEntry("b", 3.0, 4.0),
             BaselineEntry("c", 10.0, 11.0),
         ))
-        v = uc_classify(Trace.from_durations([x, x]), abc, SIMULATOR)
+        v = uc_classify(runs_trace([x, x]), abc, SIMULATOR)
         assert v.label == "a"
         assert v.ambiguous is ambiguous
 
@@ -141,7 +135,7 @@ class TestUc:
             BaselineEntry("x", 1.0, 5.0),
             BaselineEntry("y", 3.0, 1.0),
         ))
-        v = detect_backend(Trace.from_durations([1.0, 1.0]), crossed)
+        v = detect_backend(runs_trace([1.0, 1.0]), crossed)
         assert v.label == SIMULATOR
         assert v.ambiguous
         # no separation and no spread: zero standard errors apart
@@ -154,7 +148,7 @@ class TestUc:
             BaselineEntry("a", 50.0, 1.0),
             BaselineEntry("b", 60.0, 3.0),
         ))
-        v = detect_backend(Trace.from_durations([2.0] * 100), split)
+        v = detect_backend(runs_trace([2.0] * 100), split)
         assert v.label == HARDWARE
         assert not v.ambiguous
 
@@ -166,7 +160,7 @@ class TestUc:
         second = BaselineTable((BaselineEntry("a", 4.0, 9.0),
                                 BaselineEntry("b", 1.5, 9.5),
                                 BaselineEntry("c", 1.0, 10.0)))
-        trace = Trace.from_durations([1.0, 1.0])
+        trace = runs_trace([1.0, 1.0])
         for tbl, label, rival in ((first, "a", 2.0), (second, "c", 1.5),
                                   (first, "a", 2.0)):
             v = uc_classify(trace, tbl, SIMULATOR)
@@ -182,14 +176,14 @@ class TestUc:
 class TestTraceReading:
     def test_moments(self):
         xs = [1.0, 2.0, 4.0]
-        n, mean, var = Trace.from_durations(xs).moments
+        n, mean, var = runs_trace(xs).moments
         assert n == 3
         assert mean == pytest.approx(np.mean(xs))
         assert var == pytest.approx(np.var(xs, ddof=1))
-        assert Trace.from_durations([2.5]).moments == (1, 2.5, 0.0)
+        assert runs_trace([2.5]).moments == (1, 2.5, 0.0)
 
     def test_empty_trace_rejected(self, table):
-        empty = Trace.from_durations([])
+        empty = runs_trace([])
         for attack in (
             lambda: uc_classify(empty, table, SIMULATOR),
             lambda: detect_backend(empty, table),
@@ -216,7 +210,7 @@ class TestSharedNearestRule:
     @pytest.mark.parametrize("backend", [SIMULATOR, HARDWARE])
     def test_uc_plan_is_the_table_requirement(self, table, backend):
         for e in table.entries:
-            exact = Trace.from_durations([e.latency(backend)] * 3)
+            exact = runs_trace([e.latency(backend)] * 3)
             v = uc_classify(exact, table, backend)
             assert v.label == e.name
             neighbor, n = nearest_neighbor_requirement(table, e.name, backend)
@@ -234,7 +228,7 @@ class TestSharedNearestRule:
             BaselineEntry("z", 1.0, 1.0),
         ))
         assert nearest_neighbor_requirement(xyz, "y", SIMULATOR)[0] == "x"
-        v = uc_classify(Trace.from_durations([1.5, 1.5]), xyz, SIMULATOR)
+        v = uc_classify(runs_trace([1.5, 1.5]), xyz, SIMULATOR)
         assert v.label == "y" and v.ambiguous
 
 
@@ -253,7 +247,7 @@ class TestCo:
         planned = required_sample_size(effect_size(mixtures[1], mixtures[0]), PowerSpec())
         assert planned == pytest.approx(2226.545, abs=1e-3)
         for n, underpowered in ((700, True), (4000, False)):
-            verdict, iteration = co_identify(Trace.from_durations(xs[:n]), cat)
+            verdict, iteration = co_identify(runs_trace(xs[:n]), cat)
             assert verdict.label == "iterations=2 key=under-powered"
             assert verdict.underpowered  # the key needs far more data
             assert iteration.attack == "CO" and iteration.label == "2"
@@ -266,7 +260,7 @@ class TestCo:
         cat = spaced_catalog()
         target = next(v for v in cat if v.iterations == 1 and v.key == "110")
         rng = np.random.default_rng(6)
-        tr = Trace.from_durations(
+        tr = runs_trace(
             rng.normal(target.timing.mean, target.timing.sd, 3000)
         )
         verdict, _ = co_identify(tr, cat)
@@ -275,13 +269,13 @@ class TestCo:
 
     def test_catalog_size_checked(self):
         with pytest.raises(ValueError):
-            co_identify(Trace.from_durations([1.0, 2.0]), grover_catalog()[:5])
+            co_identify(runs_trace([1.0, 2.0]), grover_catalog()[:5])
 
     def test_catalog_indices_checked(self):
         cat = grover_catalog()
         # variant 24 missing, variant 1 twice
         with pytest.raises(ValueError):
-            co_identify(Trace.from_durations([1.9, 1.9]), cat[:23] + [cat[0]])
+            co_identify(runs_trace([1.9, 1.9]), cat[:23] + [cat[0]])
 
     def test_catalog_order_irrelevant(self):
         cat = spaced_catalog()
@@ -296,7 +290,7 @@ class TestCo:
         # all eight keys of an iteration share one mean
         cat = spaced_catalog(0.046, 0.0)
         mu = cat[0].timing.mean
-        verdict, _ = co_identify(Trace.from_durations([mu, mu, mu]), cat)
+        verdict, _ = co_identify(runs_trace([mu, mu, mu]), cat)
         assert verdict.planned_n == math.inf
         assert verdict.underpowered
         assert verdict.label == "iterations=1 key=under-powered"
@@ -306,7 +300,7 @@ class TestCo:
     def test_key_tie_rule(self, x, ambiguous):
         # keys 000 and 001 of one iteration sit at 4.45 and 4.55
         cat = spaced_catalog()
-        verdict, _ = co_identify(Trace.from_durations([x, x]), cat)
+        verdict, _ = co_identify(runs_trace([x, x]), cat)
         assert verdict.ambiguous is ambiguous
 
     def test_iteration_stage_is_the_centre_rule(self):
@@ -328,7 +322,7 @@ class TestCo:
         grid += [b + e for b in bounds for e in (-1e-11, -1e-13, 0.0, 1e-13, 1e-11)]
         ties = []
         for x in grid:
-            tr = Trace.from_durations([x] * 3)
+            tr = runs_trace([x] * 3)
             mu = float(tr.durations.mean())
             it, iter_tie = first_nearest(mu, centres)
             key_tie = first_nearest(mu, groups[it])[1]
@@ -342,23 +336,23 @@ class TestCo:
 class TestNullRule:
     def test_identical_distributions_indistinguishable(self):
         rng = np.random.default_rng(7)
-        a = Trace.from_durations(rng.normal(2.0, 0.5, 400))
-        b = Trace.from_durations(rng.normal(2.0, 0.5, 400))
+        a = runs_trace(rng.normal(2.0, 0.5, 400))
+        b = runs_trace(rng.normal(2.0, 0.5, 400))
         verdict, (ns, dom, band) = null_distinguishability(a, b)
         assert verdict == INDISTINGUISHABLE
         assert len(ns) == len(dom) == len(band) == 399
 
     def test_separated_distributions_distinguishable(self):
         rng = np.random.default_rng(8)
-        a = Trace.from_durations(rng.normal(2.0, 0.3, 400))
-        b = Trace.from_durations(rng.normal(2.5, 0.3, 400))
+        a = runs_trace(rng.normal(2.0, 0.3, 400))
+        b = runs_trace(rng.normal(2.5, 0.3, 400))
         verdict, _ = null_distinguishability(a, b)
         assert verdict == DISTINGUISHABLE
 
     def test_needs_two(self):
         with pytest.raises(ValueError):
             null_distinguishability(
-                Trace.from_durations([1.0]), Trace.from_durations([1.0])
+                runs_trace([1.0]), runs_trace([1.0])
             )
 
 
@@ -373,7 +367,7 @@ class TestQp:
     def test_identifies_device_quickly(self):
         devices = make_devices()
         rng = np.random.default_rng(9)
-        tr = Trace.from_durations(
+        tr = runs_trace(
             rng.normal(1.853176702, math.sqrt(0.3), 100)
         )
         v = qp_fingerprint(tr, devices, "grover")
@@ -382,7 +376,7 @@ class TestQp:
 
     def test_plan_follows_spec(self):
         rng = np.random.default_rng(9)
-        tr = Trace.from_durations(rng.normal(1.853176702, math.sqrt(0.3), 100))
+        tr = runs_trace(rng.normal(1.853176702, math.sqrt(0.3), 100))
         default = qp_fingerprint(tr, make_devices(), "grover")
         stricter = qp_fingerprint(
             tr, make_devices(), "grover", spec=PowerSpec(power=0.9)
@@ -392,19 +386,19 @@ class TestQp:
 
     def test_needs_a_device(self):
         with pytest.raises(ValueError, match="two device names"):
-            qp_fingerprint(Trace.from_durations([1.0, 2.0]), [], "grover")
+            qp_fingerprint(runs_trace([1.0, 2.0]), [], "grover")
 
     def test_needs_two_devices(self):
         with pytest.raises(ValueError):
             qp_fingerprint(
-                Trace.from_durations([1.0, 2.0]), make_devices()[:1], "grover"
+                runs_trace([1.0, 2.0]), make_devices()[:1], "grover"
             )
 
     def test_needs_two_device_names(self):
         a, b = make_devices()
         twin = DeviceProfile(a.name, b.circuit_timings)
         with pytest.raises(ValueError, match="no rival"):
-            qp_fingerprint(Trace.from_durations([1.0, 2.0]), [a, twin], "grover")
+            qp_fingerprint(runs_trace([1.0, 2.0]), [a, twin], "grover")
 
     def test_demo_sessions_are_right_and_fully_powered(self):
         # the demo scenario's 700 runs are far beyond the 8-run plan, so
@@ -439,7 +433,7 @@ class TestOneVerdictRule:
     def test_uc_plans_against_the_nearest_entry(self, table, n):
         # GHZ's nearest hardware neighbour needs about 622 measurements
         mu = table.entry("GHZ").latency(HARDWARE)
-        v = uc_classify(Trace.from_durations([mu] * n), table, HARDWARE)
+        v = uc_classify(runs_trace([mu] * n), table, HARDWARE)
         assert v.label == "GHZ"
         neighbor, _ = nearest_neighbor_requirement(table, "GHZ", HARDWARE)
         d = effect_size(table.timing("GHZ", HARDWARE), table.timing(neighbor, HARDWARE))
@@ -456,7 +450,7 @@ class TestOneVerdictRule:
             for key in ("000", "001")
         )
         mu = v000.timing.mean
-        verdict, _ = co_identify(Trace.from_durations([mu] * n), cat)
+        verdict, _ = co_identify(runs_trace([mu] * n), cat)
         self.check(verdict, effect_size(v000.timing, v001.timing), n < 480)
         key = "under-powered" if verdict.underpowered else "000"
         assert verdict.label == f"iterations={iterations} key={key}"
@@ -468,7 +462,7 @@ class TestOneVerdictRule:
         devices = make_devices() + [
             DeviceProfile("dev_c", {"grover": TimingDistribution(1.0, 0.3)})
         ]
-        tr = Trace.from_durations([1.853176702] * n)
+        tr = runs_trace([1.853176702] * n)
         v = qp_fingerprint(tr, devices, "grover")
         assert v.label == "dev_a"
         d = effect_size(devices[0].timing("grover"), devices[2].timing("grover"))
@@ -482,7 +476,7 @@ class TestOneVerdictRule:
             DeviceProfile(name, {"grover": TimingDistribution(mu, 0.3)})
             for name, mu in (("dev_a", 1.0), ("dev_b", 1.1), ("dev_c", 2.0))
         ]
-        v = qp_fingerprint(Trace.from_durations([2.0] * n), devices, "grover")
+        v = qp_fingerprint(runs_trace([2.0] * n), devices, "grover")
         assert v.label == "dev_c"
         d = effect_size(devices[2].timing("grover"), devices[1].timing("grover"))
         self.check(v, d, n < 7)
@@ -491,7 +485,7 @@ class TestOneVerdictRule:
     def test_backend_plans_against_the_other_column(self, table, n):
         # GHZ's nearest simulator model needs about 3.08 measurements
         mu = table.entry("GHZ").latency(HARDWARE)
-        v = detect_backend(Trace.from_durations([mu] * n), table)
+        v = detect_backend(runs_trace([mu] * n), table)
         assert v.label == HARDWARE
         rival = min(
             (table.timing(name, SIMULATOR) for name in table.names),
@@ -506,7 +500,7 @@ class TestOneVerdictRule:
         req_m = catalog_matrices(cat)[1]
         for v in cat:
             mu = v.timing.mean
-            verdict, _ = co_identify(Trace.from_durations([mu, mu]), cat)
+            verdict, _ = co_identify(runs_trace([mu, mu]), cat)
             assert verdict.label.startswith(f"iterations={v.iterations} ")
             start = 8 * (v.iterations - 1)
             row = req_m[v.index - 1, start : start + 8]

@@ -15,7 +15,6 @@ from qleak.baseline import (
     BaselineEntry,
     BaselineTable,
     TableFormatError,
-    bundled_table,
     bundled_table_path,
     catalog_matrices,
     grover_catalog,
@@ -26,11 +25,6 @@ from qleak.baseline import (
 )
 from qleak.csvout import write_csv
 from qleak.stats import TimingDistribution
-
-
-@pytest.fixture(scope="module")
-def table():
-    return bundled_table()
 
 
 class TestTable:

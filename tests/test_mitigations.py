@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qleak.attacks import uc_classify
-from qleak.baseline import HARDWARE, SIMULATOR, BaselineEntry, BaselineTable, bundled_table
+from qleak.baseline import HARDWARE, SIMULATOR, BaselineEntry, BaselineTable
 from qleak.cloudsim import (
     DeviceProfile,
     Scenario,
@@ -34,11 +34,6 @@ from test_cloudsim import make_device, make_scenario
 
 #: two-sided 99.9% normal quantile for the Monte-Carlo intervals
 Z999 = normal_quantile(0.9995)
-
-
-@pytest.fixture(scope="module")
-def table():
-    return bundled_table()
 
 
 def only_v(name):

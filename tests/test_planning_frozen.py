@@ -15,7 +15,6 @@ from qleak.baseline import (
     BACKENDS,
     HARDWARE,
     SIMULATOR,
-    bundled_table,
     catalog_matrices,
     grover_catalog,
     nearest_neighbor_requirement,
@@ -193,11 +192,6 @@ CELLS = {
 
 def _sha(m) -> str:
     return hashlib.sha256(m.tobytes()).hexdigest()
-
-
-@pytest.fixture(scope="module")
-def table():
-    return bundled_table()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

@@ -11,6 +11,7 @@ import dataclasses
 import importlib.util
 import inspect
 import io
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -74,20 +75,82 @@ def test_attack_results_lead_with_the_verdict():
     # the benchmark reads co_identify(...)[0] and null_distinguishability(...)[0]
     cat = qleak.grover_catalog()
     rng = np.random.default_rng(0)
-    a, b = (qleak.Trace.from_durations(rng.normal(2.0, 0.5, 50)) for _ in range(2))
+    a, b = (qleak.Trace(rng.normal(2.0, 0.5, 50), np.ones(50, dtype=int)) for _ in range(2))
     assert isinstance(qleak.co_identify(a, cat)[0], qleak.AttackVerdict)
     verdict = qleak.null_distinguishability(a, b)[0]
     assert verdict in (qleak.DISTINGUISHABLE, qleak.INDISTINGUISHABLE)
 
 
+def _public_api():
+    """(qualified name, parameters) of every public module-level function
+    and class in src/qleak/*.py and of every public method or property of
+    those classes. A dataclass's parameters are its fields, a method's
+    leave out `self` or `cls`, and any other class or a property has
+    none."""
+    for path in sorted((ROOT / "src" / "qleak").glob("[!_]*.py")):
+        module = importlib.import_module(f"qleak.{path.stem}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_") or not callable(obj)
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            if not inspect.isclass(obj):
+                yield f"{path.stem}.{name}", inspect.signature(obj).parameters
+                continue
+            fields = inspect.signature(obj).parameters if dataclasses.is_dataclass(obj) else {}
+            yield f"{path.stem}.{name}", fields
+            for attr, member in vars(obj).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, (classmethod, staticmethod)):
+                    params = inspect.signature(getattr(obj, attr)).parameters
+                elif inspect.isfunction(member):
+                    params = dict(list(inspect.signature(member).parameters.items())[1:])
+                elif isinstance(member, (property, cached_property)):
+                    params = {}
+                else:
+                    continue
+                yield f"{path.stem}.{name}.{attr}", params
+
+
+def _passed(call: ast.Call, params) -> set[str]:
+    """The parameters a call passes: by position, by keyword, or through a
+    splat; a `*` splat reaches every later positional parameter and a `**`
+    splat every parameter."""
+    positional = [name for name, p in params.items()
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    passed = set()
+    for i, arg in enumerate(call.args):
+        passed.update(positional[i:] if isinstance(arg, ast.Starred) else positional[i:i + 1])
+    for keyword in call.keywords:
+        passed.update([keyword.arg] if keyword.arg else params)
+    return passed
+
+
 def test_no_test_only_settings():
-    """The catalog is the calibrated one, a trace is its probe intervals
-    with a constant dropped-interval count, and the table is read, never
-    written, by the package."""
-    assert inspect.signature(qleak.grover_catalog).parameters == {}
-    assert [f.name for f in dataclasses.fields(qleak.Trace)] == ["sums", "counts"]
-    assert "save_table" not in qleak.__all__
-    assert not hasattr(qleak.baseline, "save_table")
+    """Nothing in src/ serves only the tests: every public name of the
+    package is read in src/ (not counting the re-exports in
+    `__init__.py`), demos/ or perfbench/, and every defaulted parameter
+    or dataclass field is passed by some call there."""
+    reads, calls = set(), []
+    for path in sorted([*(ROOT / "src").rglob("*.py"), *SCRIPTS]):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    unread, unset = [], []
+    for qualname, params in _public_api():
+        name = qualname.rsplit(".", 1)[1]
+        if name not in reads:
+            unread.append(qualname)
+        passed = set().union(*(_passed(c, params) for c in calls if _calls(c, name)))
+        unset += [f"{qualname}({p})" for p, param in params.items()
+                  if param.default is not param.empty and p not in passed]
+    assert unread + unset == []
 
 
 def test_verdict_csv_columns():
@@ -161,8 +224,10 @@ def test_one_duration_draw():
 
 
 def test_one_per_run_split():
-    """A trace is its intervals: only `Trace.durations` spreads an interval
-    over its runs with `np.repeat`."""
+    """A trace is its intervals, with a constant dropped-interval count
+    rather than a field: only `Trace.durations` spreads an interval over
+    its runs with `np.repeat`."""
+    assert [f.name for f in dataclasses.fields(qleak.Trace)] == ["sums", "counts"]
     repeats = {f"{path.name}:{scope}" for path, node, scope in _src_nodes()
                if _calls(node, "repeat")}
     assert repeats == {"trace.py:durations"}

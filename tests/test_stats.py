@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,6 +37,29 @@ from qleak.stats import (
     required_sample_size,
     welch_t,
 )
+
+
+@contextmanager
+def every_line_runs(code):
+    """Trace the block's runs of `code` and assert that they reach every
+    line of it but the `def` line."""
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    outer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield
+    finally:
+        sys.settrace(outer)
+    lines = {line for _, line in dis.findlinestarts(code) if line}
+    assert lines - ran <= {code.co_firstlineno}
 
 
 class TestSummaries:
@@ -416,49 +440,35 @@ class TestBracketSearch:
         # more grid steps below it, at the grid's last point and on a grid
         # with no point short of the target; every line of the solver runs
         # and each result is the full scan's
-        code = stats._solve_sample_size.__wrapped__.__code__
-        ran, evaluated, starts = set(), [], set()
+        evaluated, starts = [], set()
         inner = stats.pooled_t_power
 
         def recording(n, d, alpha=0.05):
             evaluated.append(float(n))
             return inner(n, d, alpha)
 
-        def trace(frame, event, arg):
-            if frame.f_code is not code:
-                return None
-            if event == "line":
-                ran.add(frame.f_lineno)
-            return trace
-
         monkeypatch.setattr(stats, "pooled_t_power", recording)
         cases = [(float(d), spec) for spec in self.SPECS for d in self.EFFECTS]
-        for d, spec in cases + self.EXTRA:
-            evaluated.clear()
-            stats._solve_sample_size.cache_clear()
-            outer = sys.gettrace()
-            sys.settrace(trace)
-            try:
+        with every_line_runs(stats._solve_sample_size.__wrapped__.__code__):
+            for d, spec in cases + self.EXTRA:
+                evaluated.clear()
+                stats._solve_sample_size.cache_clear()
                 got = required_sample_size(d, spec)
-            finally:
-                sys.settrace(outer)
-            if got == math.inf:
-                assert not evaluated
-                continue
-            assert got.hex() == full_scan_sample_size(d, spec).hex(), (d, spec)
-            hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
-            grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-            bracket = int(np.count_nonzero(where_power(grid, d, spec.alpha) < spec.power)) - 1
-            start = int(np.searchsorted(grid, evaluated[0]))
-            assert grid[start] == evaluated[0]
-            starts |= {
-                "none" if bracket < 0 else "above" if start > bracket
-                else "far below" if bracket - start >= 32 else "near",
-                "last" if start == grid.size - 1 else "inside",
-            }
+                if got == math.inf:
+                    assert not evaluated
+                    continue
+                assert got.hex() == full_scan_sample_size(d, spec).hex(), (d, spec)
+                hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+                grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+                bracket = int(np.count_nonzero(where_power(grid, d, spec.alpha) < spec.power)) - 1
+                start = int(np.searchsorted(grid, evaluated[0]))
+                assert grid[start] == evaluated[0]
+                starts |= {
+                    "none" if bracket < 0 else "above" if start > bracket
+                    else "far below" if bracket - start >= 32 else "near",
+                    "last" if start == grid.size - 1 else "inside",
+                }
         assert starts == {"none", "above", "far below", "near", "last", "inside"}
-        lines = {line for _, line in dis.findlinestarts(code) if line}
-        assert lines - ran <= {code.co_firstlineno}
 
     def test_regimes_reached(self):
         # at d = 30 and 50 the grid ends at hi = 16, no point of it falls
@@ -551,28 +561,12 @@ class TestBrent:
             stats._brentq(f, a, b, 1e-12, 8.9e-16, maxiter)
 
     def test_cases_run_every_line(self):
-        code = stats._brentq.__code__
-        ran = set()
-
-        def trace(frame, event, arg):
-            if frame.f_code is not code:
-                return None
-            if event == "line":
-                ran.add(frame.f_lineno)
-            return trace
-
-        outer = sys.gettrace()
-        sys.settrace(trace)
-        try:
+        with every_line_runs(stats._brentq.__code__):
             for f, a, b, xtol, rtol in self.CASES.values():
                 stats._brentq(f, a, b, xtol, rtol)
             for f, a, b, maxiter in self.FAILURES.values():
                 with pytest.raises((ValueError, RuntimeError)):
                     stats._brentq(f, a, b, 1e-12, 8.9e-16, maxiter)
-        finally:
-            sys.settrace(outer)
-        lines = {line for _, line in dis.findlinestarts(code) if line}
-        assert lines - ran <= {code.co_firstlineno}
 
 
 class TestSolverWork:

@@ -14,6 +14,7 @@ from qleak.trace import (
     reconstruct,
 )
 from qleak.csvout import write_csv
+from oracles import runs_trace
 from test_cloudsim import make_scenario
 
 
@@ -176,7 +177,7 @@ class TestAssembly:
         # a cast to int once read a count of 2.2 as 2
         with pytest.raises(ValueError, match="counts must be integers"):
             Trace([1.0, 1.0], counts)
-        assert len(Trace.from_durations([])) == 0
+        assert len(runs_trace([])) == 0
 
     @pytest.mark.parametrize("durations,counts", [([1.0], [2, -1]), ([], [1, -1])],
                              ids=["one-duration", "empty"])
@@ -184,19 +185,19 @@ class TestAssembly:
         # both sums match the durations; a negative count once passed
         with pytest.raises(ValueError, match="counts must not be negative"):
             Trace(durations, counts)
-        assert len(Trace.from_durations([])) == 0
+        assert len(runs_trace([])) == 0
 
     def test_inferred_counts_are_python_ints(self):
         # perfbench's tracer writes sums of these to JSON, which takes no
         # numpy integer
         log = run_simulation(make_scenario(reps=40, k=4, seed=6))
-        for trace in (reconstruct(log), Trace.from_durations([1.0, 2.0])):
+        for trace in (reconstruct(log), runs_trace([1.0, 2.0])):
             assert trace.inferred_counts
             assert all(type(c) is int for c in trace.inferred_counts)
 
     @pytest.mark.parametrize("field", ["sums", "counts", "durations", "dropped_intervals"])
     def test_trace_is_frozen(self, field):
-        trace = Trace.from_durations([1.0, 2.0])
+        trace = runs_trace([1.0, 2.0])
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(trace, field, getattr(trace, field))
 
@@ -205,10 +206,10 @@ class TestAssembly:
         # a NaN duration once gave UC a label with statistic NaN and the
         # null rule an "indistinguishable"
         with pytest.raises(ValueError, match="durations must be finite"):
-            Trace.from_durations([1.0, bad, 2.0])
+            runs_trace([1.0, bad, 2.0])
 
     def test_csv(self, tmp_path):
-        t = Trace.from_durations([1.0, 2.0 / 3.0])
+        t = runs_trace([1.0, 2.0 / 3.0])
         p = tmp_path / "t.csv"
         write_csv(p, ["duration_s"], ([d] for d in t.durations), digits=12)
         assert p.read_bytes() == b"duration_s\r\n1\r\n0.666666666667\r\n"
