@@ -46,11 +46,16 @@ from qleak.stats import (
 )
 from qleak.trace import AttackerView, assemble_trace, reconstruct
 from oracles import ovl_numeric, runs_trace
+from pins import load_pins
 from table1_divergences import DIVERGENT_CELLS
 
 
 def report(k: int, ok: bool, detail: str) -> None:
-    print(f"\nACCEPTANCE {k} {'PASS' if ok else 'FAIL'} - {detail}")
+    """Print the scoreboard line, then check it against its pin: a detail
+    line moves only with a change that says why."""
+    line = f"ACCEPTANCE {k} {'PASS' if ok else 'FAIL'} - {detail}"
+    print(f"\n{line}")
+    assert line == load_pins()["acceptance"][str(k)]
 
 
 def _pair_n(table, a, b, backend):

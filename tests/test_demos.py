@@ -1,12 +1,8 @@
-"""Each demo runs to the end and prints its closing result."""
-import os
-import subprocess
-import sys
-from pathlib import Path
-
+"""Each demo runs to the end, prints its closing result and the pinned
+stdout."""
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from pins import load_pins, run_demo, sha256
 
 
 @pytest.mark.parametrize(
@@ -18,16 +14,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ],
 )
 def test_demo_runs(script, marker):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    proc = run_demo(script)
     assert proc.returncode == 0, proc.stderr
     assert marker in proc.stdout
+    assert sha256(proc.stdout) == load_pins()["demos"][script]
