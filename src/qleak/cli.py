@@ -40,6 +40,9 @@ EXIT_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a closed pipe
 
 BACKEND_FLAG = {"sim": baseline.SIMULATOR, "qc": baseline.HARDWARE}
 
+#: draws one --mc-check takes at most: 2,048 trials at the oracle's largest n
+MC_CHECK_DRAWS = 1 << 28
+
 #: relative-error tolerances for table reproduction
 TOL_LARGE = 0.02   # printed n >= 100
 TOL_SMALL = 0.15   # printed n < 100
@@ -125,25 +128,33 @@ def cmd_reproduce_table(args) -> int:
 
 
 def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
-              models=None) -> float:
-    """Monte-Carlo power at the planned n, rounded up to at least 2, of
-    `models`, two timing models effect size d apart (by default of unit
-    variance), reported on stderr. NaN, reported as skipped, unless d is
-    finite and n finite and within the oracle's range."""
+              models=None) -> bool:
+    """Check the plan n for `models` (by default two unit-variance models d
+    apart) with the Monte-Carlo oracle at n_i = max(2, ceil(n)), drawing up
+    to 10,000 trials within MC_CHECK_DRAWS, and report on stderr. True when
+    the check fails: the empirical power lies more than the band (4
+    binomial standard errors plus one trial) from the pooled test's power a
+    at n_i, or that far below the target. A check whose d or n is not
+    finite, or whose n_i is past the oracle's range, is skipped, reported
+    and not failed."""
     if not (math.isfinite(n) and math.isfinite(d)):
         reason = f"effect size is {d}" if not math.isfinite(d) else f"planned n is {n}"
         _err(f"mc-check {what}: skipped ({reason})")
-        return math.nan
+        return False
     n_int = max(2, math.ceil(n))
     if n_int > stats._MC_BLOCK_DRAWS:
         _err(f"mc-check {what}: skipped (planned n is {n_int}, "
              f"past the oracle's {stats._MC_BLOCK_DRAWS})")
-        return math.nan
+        return False
     unit = stats.TimingDistribution
     models = models or (unit(1.0, 1.0), unit(1.0 + d, 1.0))
-    p = stats.mc_power_oracle(*models, n_int, spec, seed=seed)
-    _err(f"mc-check {what}: n={n_int} empirical power {p:.3f} (target {spec.power})")
-    return p
+    trials = min(10_000, MC_CHECK_DRAWS // (2 * n_int))
+    p = stats.mc_power_oracle(*models, n_int, spec, trials, seed)
+    a = stats.pooled_t_power(n_int, d, spec.alpha)
+    band = 4.0 * math.sqrt(a * (1.0 - a) / trials) + 1.0 / trials
+    _err(f"mc-check {what}: n={n_int} empirical power {p:.3f} "
+         f"(analytic {a:.3f} +- {band:.2g}, {trials} trials)")
+    return abs(p - a) > band or p < spec.power - band
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +207,8 @@ def cmd_power(args) -> int:
         ["effect_size", "alpha", "power", "required_n"],
         [[d, str(spec.alpha), str(spec.power), n]],
     )
-    if args.mc_check:
-        p = _mc_check(f"d={d:g}", n, d, spec, args.seed or 0)
-        # a skipped check, NaN, fails no comparison
-        if abs(p - spec.power) > 0.05:
-            return EXIT_TOLERANCE
+    if args.mc_check and _mc_check(f"d={d:g}", n, d, spec, args.seed or 0):
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
-"""Two-sample timing statistics: Welch t, difference-of-means curves,
-Gaussian overlap, and sample-size planning with a Monte-Carlo oracle.
+"""Two-sample timing statistics: difference-of-means curves, Gaussian
+overlap, and pooled t-test sample-size planning with a Monte-Carlo oracle.
 
 All quantities are in seconds (means) and seconds squared (variances).
 Sample-size results are continuous per-group counts, not rounded.
@@ -105,23 +105,6 @@ def normal_quantile(p: float) -> float:
     if not 0 < p < 1:
         raise ValueError(f"quantile argument must be in (0,1), got {p}")
     return float(special.ndtri(p))
-
-
-def welch_t(mean_a, var_a, n_a, mean_b, var_b, n_b):
-    """Welch t-score (mean_a - mean_b) / sqrt(var_a/n_a + var_b/n_b) and its
-    Welch-Satterthwaite degrees of freedom, elementwise over arrays.
-
-    With zero variance on both sides t is +-inf (NaN for equal means) and
-    df is NaN.
-    """
-    if np.any(~(np.asarray(n_a) >= 2)) or np.any(~(np.asarray(n_b) >= 2)):
-        raise ValueError("welch_t needs at least two observations per sample")
-    ra, rb = np.divide(var_a, n_a), np.divide(var_b, n_b)
-    se2 = ra + rb
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.subtract(mean_a, mean_b) / np.sqrt(se2)
-        df = se2**2 / (ra**2 / (n_a - 1) + rb**2 / (n_b - 1))
-    return t, df
 
 
 def _prefix_moments(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,16 +366,17 @@ def mc_power_oracle(
     trials: int = 10_000,
     seed: int = 0,
 ) -> float:
-    """Brute-force power estimate: fraction of trials in which a Welch test
-    on n fresh draws per group rejects at level alpha.
+    """Brute-force power estimate: fraction of trials in which a pooled
+    two-sample t-test on n fresh draws per group rejects at level alpha.
 
-    Independent of the planning path: draws samples and runs the test. In
-    each batch of 4,000,000 // (2n) trials, all of p's rows of n draws come
-    from the seeded stream before all of q's. Rows are drawn and reduced to
-    their mean and variance in blocks of about 2^16 draws, so memory is one
-    block plus four floats per trial. Welch df lies in [n - 1, 2n - 2], where
-    the critical value falls as df rises, so only a |t| between the values
-    at those two ends (or an out-of-range df) needs its own `stdtrit`.
+    Independent of the planning path: draws samples and runs the test whose
+    power `required_sample_size` solves for. In each batch of
+    4,000,000 // (2n) trials, all of p's rows of n draws come from the
+    seeded stream before all of q's. Rows are drawn and reduced to their
+    mean and variance in blocks of about 2^16 draws, so memory is one block
+    plus four floats per trial. With n per group the pooled t is
+    (m_p - m_q) / sqrt(v_p/n + v_q/n) on 2n - 2 degrees of freedom, so one
+    critical value serves every trial.
     Raises `ValueError` unless n is an integer from 2 to 2^16
     (`_MC_BLOCK_DRAWS`, so a block holds at least one row) and trials an
     integer of at least 1000 (numpy integers count).
@@ -403,11 +387,7 @@ def mc_power_oracle(
     if not isinstance(trials, numbers.Integral) or trials < 1000:
         raise ValueError(f"trials must be an integer >= 1000, got {trials!r}")
     rng = np.random.default_rng(seed)
-    level = 1.0 - spec.alpha / 2.0
-    # the 1e-6 margins are far wider than stdtrit's rounding
-    sure = float(special.stdtrit(n - 1, level)) * (1 + 1e-6)
-    never = float(special.stdtrit(2 * n - 2, level)) * (1 - 1e-6)
-    df_lo, df_hi = (n - 1) * (1 - 1e-9), (2 * n - 2) * (1 + 1e-9)
+    tcrit = float(special.stdtrit(2 * n - 2, 1.0 - spec.alpha / 2.0))
     rows = _MC_BLOCK_DRAWS // n
     rejected = 0
     left = trials
@@ -421,10 +401,9 @@ def mc_power_oracle(
                 x = rng.normal(dist.mean, dist.sd, (min(rows, m - i), n))
                 mv[2 * k, i : i + len(x)] = x.mean(axis=1)
                 mv[2 * k + 1, i : i + len(x)] = x.var(axis=1, ddof=1)
-        t, df = welch_t(mv[0], mv[1], n, mv[2], mv[3], n)
-        t = np.abs(t)
-        reject = t > sure
-        exact = ~(reject | (t < never)) | ~((df >= df_lo) & (df <= df_hi))
-        reject[exact] = t[exact] > special.stdtrit(df[exact], level)
-        rejected += int(np.count_nonzero(reject))
+        # rows of equal draws (a variance below float resolution) give a
+        # t of +-inf, which rejects, or NaN for equal means, which does not
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (mv[0] - mv[2]) / np.sqrt(mv[1] / n + mv[3] / n)
+        rejected += int(np.count_nonzero(np.abs(t) > tcrit))
     return rejected / trials

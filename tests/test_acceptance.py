@@ -42,7 +42,6 @@ from qleak.stats import (
     normal_quantile,
     ovl,
     required_sample_size,
-    welch_t,
 )
 from qleak.trace import AttackerView, assemble_trace, reconstruct
 from oracles import ovl_numeric, runs_trace
@@ -355,12 +354,15 @@ def test_criterion_7_property_suite(table, tmp_path):
     checks["ovl-symmetry"] = abs(ovl(p, q) - ovl(q, p)) < 1e-12
     checks["ovl-vs-integration"] = abs(ovl(p, q) - ovl_numeric(p, q)) < 1e-6
 
-    # (mean, variance, n) of two samples, and of both shifted by 10
-    a, b = (1.0, 0.5, 30), (1.4, 0.8, 40)
-    a10, b10 = (11.0, 0.5, 30), (11.4, 0.8, 40)
-    t_ab = welch_t(*a, *b)[0]
-    checks["welch-antisymmetry"] = t_ab == -welch_t(*b, *a)[0]
-    checks["welch-shift-invariance"] = abs(t_ab - welch_t(*a10, *b10)[0]) < 1e-9
+    # the oracle's pooled test holds its level at n = 2, where Welch's df
+    # would halve it, and shifting both means moves no verdict
+    alpha = PowerSpec().alpha
+    null = mc_power_oracle(p, p, 2, trials=20_000, seed=7)
+    checks["oracle-null-level"] = abs(null - alpha) <= 4 * math.sqrt(
+        alpha * (1 - alpha) / 20_000)
+    shifted = (TimingDistribution(11.3, 0.4), TimingDistribution(12.1, 1.7))
+    checks["oracle-shift-invariance"] = (
+        mc_power_oracle(p, q, 5, seed=7) == mc_power_oracle(*shifted, 5, seed=7))
 
     n1, n2 = required_sample_size(0.05), required_sample_size(0.10)
     checks["n-monotone"] = n1 > n2

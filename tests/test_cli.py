@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from qleak import attacks
+from qleak import attacks, stats
 from qleak.baseline import (
     _CSV_HEADER,
     HARDWARE,
@@ -20,7 +20,15 @@ from qleak.baseline import (
     catalog_matrices,
     grover_catalog,
 )
-from qleak.cli import EXIT_OK, EXIT_PIPE, EXIT_TOLERANCE, EXIT_USAGE, build_parser, main
+from qleak.cli import (
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_TOLERANCE,
+    EXIT_USAGE,
+    MC_CHECK_DRAWS,
+    build_parser,
+    main,
+)
 from qleak.stats import PowerSpec
 from table1_divergences import divergent_names
 
@@ -534,11 +542,41 @@ class TestPower:
         assert code == EXIT_OK and len(parse_csv(out)) == 2
         assert err == f"mc-check d={float(d):g}: skipped ({reason})\n"
 
-    def test_mc_check_far_from_target_exits_1(self, capsys):
-        # n = 3 reaches well past the target power of 0.8
-        code, out, err = run_cli(capsys, "power", "--effect-size", "5", "--mc-check")
-        assert code == EXIT_TOLERANCE and len(parse_csv(out)) == 2
-        assert err == "mc-check d=5: n=3 empirical power 0.968 (target 0.8)\n"
+    @pytest.mark.parametrize("d,line", [
+        ("2", "n=6 empirical power 0.877 (analytic 0.876 +- 0.013, 10000 trials)"),
+        ("3", "n=4 empirical power 0.940 (analytic 0.939 +- 0.0097, 10000 trials)"),
+        ("4", "n=3 empirical power 0.947 (analytic 0.948 +- 0.009, 10000 trials)"),
+        ("5", "n=3 empirical power 0.992 (analytic 0.993 +- 0.0035, 10000 trials)"),
+    ], ids=["d=2", "d=3", "d=4", "d=5"])
+    def test_mc_check_passes_a_right_plan(self, capsys, d, line):
+        # these plans round up well past the target power; the check once
+        # compared them with the target, under Welch's test, and exited 1
+        code, out, err = run_cli(capsys, "power", "--effect-size", d, "--mc-check")
+        assert code == EXIT_OK and len(parse_csv(out)) == 2
+        assert err == f"mc-check d={d}: {line}\n"
+
+    def test_mc_check_fails_a_short_plan(self, capsys, monkeypatch):
+        # a planner whose n is 20% short: 141 runs reach power 0.71
+        plan = stats.required_sample_size
+        monkeypatch.setattr(stats, "required_sample_size",
+                            lambda d, spec: 0.8 * plan(d, spec))
+        code, _, err = run_cli(capsys, "power", "--effect-size", "0.3", "--mc-check")
+        assert code == EXIT_TOLERANCE
+        assert err.startswith("mc-check d=0.3: n=141 empirical power 0.7")
+
+    def test_mc_check_trials_fit_the_draw_budget(self, capsys, monkeypatch):
+        # 10,000 trials at this plan drew 1.3e9 samples in 38.5 s
+        drawn = []
+
+        def oracle(p, q, n, spec, trials, seed):
+            drawn.append((n, trials))
+            return stats.pooled_t_power(n, stats.effect_size(p, q), spec.alpha)
+
+        monkeypatch.setattr(stats, "mc_power_oracle", oracle)
+        code, _, err = run_cli(capsys, "power", "--effect-size", "0.0155", "--mc-check")
+        assert code == EXIT_OK and drawn == [(65_341, 2054)]
+        assert 2 * 65_341 * 2054 <= MC_CHECK_DRAWS
+        assert err.endswith("(analytic 0.800 +- 0.036, 2054 trials)\n")
 
 
 class TestReproduceTable:
