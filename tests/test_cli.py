@@ -565,7 +565,7 @@ class TestPower:
         assert err.startswith("mc-check d=0.3: n=141 empirical power 0.7")
 
     def test_mc_check_trials_fit_the_draw_budget(self, capsys, monkeypatch):
-        # 10,000 trials at this plan drew 1.3e9 samples in 38.5 s
+        # 10,000 trials at this plan would draw 1.3e9 samples
         drawn = []
 
         def oracle(p, q, n, spec, trials, seed):
