@@ -16,6 +16,10 @@ from typing import Mapping
 
 import numpy as np
 import yaml
+from yaml.composer import Composer
+from yaml.constructor import SafeConstructor
+from yaml.cyaml import CParser
+from yaml.resolver import Resolver
 
 from .stats import MixtureTiming, TimingDistribution
 
@@ -196,6 +200,19 @@ def ground_truth_durations(log: JobLog) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Scenario config files
 
+class _ScenarioLoader(Composer, CParser, SafeConstructor, Resolver):
+    """`yaml.safe_load`'s objects from libyaml's C scanner and parser.
+    PyYAML's Python `Composer` builds the nodes, so nesting past the
+    stack ends in a RecursionError; `yaml.CSafeLoader` composes in C
+    with no depth check and crashes the process there."""
+
+    def __init__(self, stream):
+        CParser.__init__(self, stream)
+        Composer.__init__(self)
+        SafeConstructor.__init__(self)
+        Resolver.__init__(self)
+
+
 def _check_keys(block, allowed: tuple[str, ...], where: str) -> dict:
     """`block` itself, once it is a mapping holding only `allowed` keys."""
     if not isinstance(block, dict):
@@ -253,7 +270,9 @@ def _parse_device(block: dict, where: str = "device") -> DeviceProfile:
 
 def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """Load a scenario from YAML, read and checked whole; `seed` overrides
-    the file's value.
+    the file's value. The file is parsed by `_ScenarioLoader` (libyaml's
+    parser under PyYAML's composer), to the objects `yaml.safe_load`
+    gives.
 
     Schema (every key shown; `reference_devices:`, a list of device blocks
     for QP, may be left out; any other key is a ScenarioError, and so is a
@@ -278,7 +297,7 @@ def load_scenario(path: str | Path, seed: int | None = None) -> Scenario:
     """
     with Path(path).open(encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ScenarioLoader)
         except (yaml.YAMLError, RecursionError) as exc:  # nesting past the stack
             reason = " ".join(str(exc).split())  # YAML's own spans lines
             raise ScenarioError(f"invalid YAML: {reason}") from None

@@ -316,16 +316,21 @@ class TestUsage:
          "TMP/wide.csv:2: field larger than field limit (131072)"),
         (["simulate", "--scenario", "TMP/deep.yaml"],
          "invalid YAML: maximum recursion depth exceeded"),
+        (["simulate", "--scenario", "TMP/deeper.yaml"],
+         "invalid YAML: maximum recursion depth exceeded"),
     ], ids=["long-scenario-name", "long-out-dir-name", "symlink-loop",
-            "field-past-the-csv-limit", "nesting-past-the-stack"])
+            "field-past-the-csv-limit", "nesting-past-the-stack",
+            "nesting-past-the-c-stack"])
     def test_unusable_file_is_one_line(self, capsys, tmp_path, argv, reason):
-        # each of these once ended in a traceback and exit 1
+        # each of these once ended in a traceback and exit 1; libyaml's own
+        # composer (yaml.CSafeLoader) has no depth check and crashes the
+        # process on deeper.yaml
         (tmp_path / "scenario.yaml").write_text(SCENARIO_YAML)
         os.symlink("loop", tmp_path / "loop")
         (tmp_path / "wide.csv").write_text(
             f"{','.join(_CSV_HEADER)}\nGHZ,{'1' * 200_000},2.7,,\n")
-        depth = 5 * sys.getrecursionlimit()
-        (tmp_path / "deep.yaml").write_text("[" * depth + "]" * depth + "\n")
+        for name, depth in (("deep", 5 * sys.getrecursionlimit()), ("deeper", 100_000)):
+            (tmp_path / f"{name}.yaml").write_text("[" * depth + "]" * depth + "\n")
         code, out, err = run_cli(capsys, *(a.replace("TMP", str(tmp_path)) for a in argv))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith(f"{argv[0]}: ") and err.count("\n") == 1
@@ -729,11 +734,11 @@ class TestSimulateAndAttack:
         # the reference devices once came from a second parse of the file
         reads = []
 
-        def counting_load(stream, load=yaml.safe_load):
+        def counting_load(stream, Loader, load=yaml.load):
             reads.append(stream.name)
-            return load(stream)
+            return load(stream, Loader)
 
-        monkeypatch.setattr(yaml, "safe_load", counting_load)
+        monkeypatch.setattr(yaml, "load", counting_load)
         path = str(ROOT / "demos" / "scenarios" / "ghz_hardware.yaml")
         code, _, _ = run_cli(capsys, "attack", "--scenario", path, "--attack", "qp")
         assert code == EXIT_OK and reads == [path]

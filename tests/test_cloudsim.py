@@ -1,7 +1,13 @@
+import ast
+import importlib.util
+import io
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from qleak.attacks import uc_classify
 from qleak.baseline import HARDWARE, bundled_table
@@ -12,6 +18,7 @@ from qleak.cloudsim import (
     DeviceProfile,
     Scenario,
     ScenarioError,
+    _ScenarioLoader,
     ground_truth_durations,
     load_reference_devices,
     load_scenario,
@@ -459,3 +466,106 @@ class TestYaml:
         p.write_text("device:\n  name: d\n  circuits:\n    x: {mean: 1, variance: 1}\n")
         with pytest.raises(ScenarioError):
             load_scenario(p)
+
+
+# ---------------------------------------------------------------------------
+# load_scenario's parser against yaml.safe_load, the reference
+
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+
+
+def _scenario_edits(path: Path) -> tuple[str, list[str]]:
+    """A test file's SCENARIO_YAML and that text under each of the file's
+    (old, new) edits of it: a `.replace` of two string literals, or the
+    `edit` or `old`, `new` values of a `parametrize` table."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    text = next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["SCENARIO_YAML"])
+    pairs = []
+    for node in ast.walk(tree):
+        called = getattr(getattr(node, "func", None), "attr", None)
+        if called == "replace":
+            pairs.append(node.args)
+        elif called == "parametrize":
+            names = node.args[0].value.split(",")
+            for row in getattr(node.args[1], "elts", []):
+                cells = dict(zip(names, row.elts)) if len(names) > 1 else {names[0]: row}
+                pairs.append(getattr(cells.get("edit"), "elts", []))
+                pairs.append([cells[k] for k in ("old", "new") if k in cells])
+    edits = []
+    for pair in pairs:
+        if (len(pair) == 2 and all(isinstance(a, ast.Constant) and isinstance(a.value, str)
+                                   for a in pair) and text.count(pair[0].value) == 1):
+            edits.append(text.replace(pair[0].value, pair[1].value))
+    return text, edits
+
+
+def _perfbench_scenarios() -> list[str]:
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    return [wl.qp_scenario_yaml(10_000, 0), wl.qp_scenario_yaml(700, 2024),
+            wl.scenario_yaml("grover_4", (2.5, 0.3), 700, 2024)]
+
+
+def _repo_scenarios() -> dict[str, str]:
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted((ROOT / "demos" / "scenarios").glob("*.yaml"))}
+    for name in ("test_cli.py", "test_cloudsim.py"):
+        text, edits = _scenario_edits(TESTS / name)
+        texts[name] = text
+        texts.update((f"{name} edit {i}", edit) for i, edit in enumerate(edits))
+    texts.update((f"perfbench {i}", text) for i, text in enumerate(_perfbench_scenarios()))
+    return texts
+
+
+def _parse(load, text):
+    """("data", the loaded data) or ("YAMLError", None)."""
+    try:
+        return "data", load(io.StringIO(text))
+    except yaml.YAMLError:
+        return "YAMLError", None
+
+
+def _assert_parsed_alike(text):
+    reference = _parse(yaml.safe_load, text)
+    assert _parse(lambda s: yaml.load(s, Loader=_ScenarioLoader), text) == reference
+    return reference[0]
+
+
+_numbers = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none())
+_names = st.text(min_size=1, max_size=8)
+_devices = st.fixed_dictionaries(
+    {"name": _names,
+     "circuits": st.dictionaries(_names, st.fixed_dictionaries(
+         {"mean": _numbers, "variance": _numbers}), min_size=1, max_size=3)},
+    optional={"inter_job_gap": _numbers})
+_scenarios = st.fixed_dictionaries(
+    {"device": _devices,
+     "victim": st.fixed_dictionaries({"circuit": _names, "repetitions": _numbers}),
+     "attacker": st.fixed_dictionaries({"probe_circuit": _names, "every_k": _numbers})},
+    optional={"seed": _numbers, "reference_devices": st.lists(_devices, max_size=3)})
+
+
+class TestScenarioParser:
+    """load_scenario parses with libyaml under PyYAML's Python composer;
+    every text must load to what `yaml.safe_load` gives, or fail under
+    both with a YAMLError."""
+
+    def test_repo_scenarios_parse_alike(self):
+        texts = _repo_scenarios()
+        outcomes = {name: _assert_parsed_alike(text) for name, text in texts.items()}
+        assert len(texts) > 40 and outcomes["ghz_hardware.yaml"] == "data"
+        # test_cli's `yaml-syntax` edit is among them, and malformed
+        syntax_error = texts["test_cli.py"].replace("name: dev\n", "name: [1\n")
+        assert syntax_error in texts.values()
+        assert _assert_parsed_alike(syntax_error) == "YAMLError"
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_scenarios, st.booleans(), st.booleans())
+    def test_dumped_scenarios_parse_alike(self, scenario, flow, unicode):
+        text = yaml.safe_dump(scenario, default_flow_style=flow, allow_unicode=unicode)
+        assert _assert_parsed_alike(text) == "data"

@@ -235,9 +235,9 @@ def test_one_per_run_split():
 
 def test_one_scenario_read():
     """A scenario file is parsed in one place: only `load_scenario` calls
-    `yaml.safe_load`, and the reference devices come back with the
+    `yaml.load`, and the reference devices come back with the
     scenario rather than from a second read."""
-    readers = {scope for _, node, scope in _src_nodes() if _calls(node, "safe_load")}
+    readers = {scope for _, node, scope in _src_nodes() if _calls(node, "load")}
     assert readers == {"load_scenario"}
 
 
