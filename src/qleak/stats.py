@@ -15,6 +15,11 @@ from typing import Sequence
 import numpy as np
 from scipy import special
 
+# the scipy.special ufuncs' own kernels, called on Python floats without the
+# ufunc machinery, which was about half of a scalar call; the tests compare
+# pooled_t_power with the ufuncs bit for bit
+from scipy.special import cython_special
+
 
 #: confidence of the difference-of-means band; the null rule's
 #: false-positive level (attacks.NULL_RULE_FP_LEVEL) was measured at it
@@ -191,14 +196,10 @@ def pooled_t_power(n, d: float, alpha: float = 0.05) -> float:
     if not df > 0:
         raise ValueError("per-group n must exceed 1")
     ncp = d * math.sqrt(n / 2.0)
-    tcrit = float(special.stdtrit(df, 1.0 - alpha / 2.0))
-    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN);
-    # below that one nctdtr call computes both tails
-    if ncp < 4.0:
-        cdf, opposite = special.nctdtr(df, ncp, (tcrit, -tcrit)).tolist()
-    else:
-        cdf, opposite = float(special.nctdtr(df, ncp, tcrit)), 0.0
-    p = 1.0 - cdf
+    tcrit = cython_special.stdtrit(df, 1.0 - alpha / 2.0)
+    # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
+    opposite = cython_special.nctdtr(df, ncp, -tcrit) if ncp < 4.0 else 0.0
+    p = 1.0 - cython_special.nctdtr(df, ncp, tcrit)
     if math.isnan(p):
         # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
         # normal approximation is ample there
@@ -230,24 +231,24 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     Raises `ValueError` when f has the same sign at both ends or returns
     NaN, and `RuntimeError` after `maxiter` steps.
     """
-    def call(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN")
-        return fx
-
+    # f's values are checked for NaN where they are made, so past the
+    # checks for zero `v < 0` reads C's signbit(v)
     xpre, xcur = float(xa), float(xb)
-    fpre, fcur = call(xpre), call(xcur)
+    fpre = f(xpre)
+    if math.isnan(fpre):
+        raise ValueError(f"the function value at x={xpre} is NaN")
+    fcur = f(xcur)
+    if math.isnan(fcur):
+        raise ValueError(f"the function value at x={xcur} is NaN")
     if fpre == 0:
         return xpre
     if fcur == 0:
         return xcur
-    sign = lambda v: math.copysign(1.0, v)
-    if sign(fpre) == sign(fcur):
+    if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and sign(fpre) != sign(fcur):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
@@ -283,8 +284,24 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
+        fcur = f(xcur)
+        if math.isnan(fcur):
+            raise ValueError(f"the function value at x={xcur} is NaN")
     raise RuntimeError(f"failed to converge after {maxiter} iterations")
+
+
+def _bracket_grid(hi: float) -> np.ndarray:
+    """`np.logspace(log10(1.5), log10(hi), 400)` in linspace's own
+    arithmetic, bit for bit (`TestBracketGrid`), without its call overhead.
+    Near the largest float 10**log10(hi) can round past it; that point is
+    inf, without a warning."""
+    start, stop = math.log10(1.5), math.log10(hi)
+    y = np.arange(400.0)
+    y *= (stop - start) / 399
+    y += start
+    y[-1] = stop
+    with np.errstate(over="ignore"):
+        return np.power(10.0, y)
 
 
 @lru_cache(maxsize=4096)
@@ -298,7 +315,7 @@ def _solve_sample_size(d: float, alpha: float, power: float) -> float:
     # (TestBracketSearch.test_short_points_are_a_prefix), so gallop from
     # the last point below Guenther's corrected n, in steps 1, 2, 4, ...,
     # until a point lands on the other side of the target
-    grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+    grid = _bracket_grid(hi)
     guess = approx + normal_quantile(1 - alpha / 2) ** 2 / 4
     k = max(int(np.searchsorted(grid, guess)) - 1, 0)
     below, above, step = -1, grid.size, 1
@@ -337,15 +354,19 @@ def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     as in scipy's `brentq` (the tests check it bit for bit), bracketed
     below by the last point of a 400-point log grid whose power falls
     short of the target; the grid runs from 1.5 to hi, four times the
-    normal-approximation n but at least 16. The points that fall short
+    normal-approximation n but at least 16, and is built as
+    `np.logspace(log10(1.5), log10(hi), 400)` builds it, bit for bit. Where
+    10**log10(hi) rounds past the largest float the last point is inf,
+    whose power is 1.0, and no warning is raised. The points that fall short
     form a prefix of the grid (`TestBracketSearch.test_short_points_are_a_prefix`
     guards this), so the search for that point starts at the last grid
     point below Guenther's corrected normal n, approx + z_{1-a/2}^2 / 4,
     gallops away from it in steps of 1, 2, 4, ... grid points until a
     point lands on the other side of the target, and bisects the last
     gap. Brent's first end reuses the power the search found there.
-    Returns inf for effect sizes whose hi is not finite:
-    non-positive ones and those below about 1.5e-154. Raises `ValueError`
+    Returns inf for effect sizes whose hi is not finite: non-positive ones
+    and those for which 4 × 2 ((z_{1-a/2} + z_power) / d)^2 overflows, below
+    about 5.9e-154 at alpha 0.05 and power 0.8. Raises `ValueError`
     for NaN; results below two observations per group, and effect sizes
     whose grid never falls short, report as 1.0.
     """

@@ -1,4 +1,5 @@
 import dis
+import functools
 import math
 import os
 import subprocess
@@ -205,7 +206,7 @@ class TestPower:
             normal_approx_sample_size(math.nan)
 
     def test_overflowing_plan_is_inf(self):
-        # (z / d) ** 2 overflows below d of about 1.5e-154; at 5e-324 z / d
+        # (z / d) ** 2 overflows below d of about 2.1e-154; at 5e-324 z / d
         # is already inf. Neither may warn or raise.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -213,6 +214,25 @@ class TestPower:
                 assert normal_approx_sample_size(d) == math.inf
                 assert required_sample_size(d) == math.inf
                 assert required_sample_size(d, PowerSpec(0.001, 0.99)) == math.inf
+
+    @pytest.mark.parametrize(
+        "d,spec,n",
+        [
+            (1.0341325719950269e-153, PowerSpec(0.01, 0.99), "0x1.ffffffffffe70p+1021"),
+            (2.7034808588303332e-154, PowerSpec(0.2, 0.5), "0x1.f5418b1209ee3p+1021"),
+        ],
+    )
+    def test_grid_ending_past_the_largest_float(self, d, spec, n):
+        # hi is finite but 10**log10(hi) rounds to inf: the grid's last
+        # point is inf, without a warning, and its power of 1.0 keeps it
+        # above target
+        stats._solve_sample_size.cache_clear()
+        hi = 4.0 * normal_approx_sample_size(d, spec)
+        with pytest.raises(OverflowError):
+            10.0 ** math.log10(hi)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert required_sample_size(d, spec).hex() == n
 
     def test_tiny_effect_matches_scipy(self):
         # the plan is finite but its Brent solve divides by zero on the way;
@@ -250,9 +270,9 @@ class TestPower:
         assert type(pooled_t_power(n, 0.3)) is float
 
     def test_matches_where_formula(self):
-        # ncp = d sqrt(n / 2) stays below 4, where one nctdtr call gives
-        # both tails, over the whole range at d = 1e-3 and up to n = 355
-        # at d = 0.3
+        # ncp = d sqrt(n / 2) stays below 4, where the opposite tail is
+        # added, over the whole range at d = 1e-3 and up to n = 355 at
+        # d = 0.3
         ns = np.logspace(math.log10(1.0001), 7, 400)
         for alpha in (0.05, 0.01, 0.001, 0.2):
             for d in (1e-3, 0.3, 5.5, 30.0):
@@ -365,17 +385,6 @@ class TestBracketSearch:
     #: the nctdtr NaN fallback (test_regimes_reached)
     EFFECTS = np.append(np.logspace(-3, math.log10(50.0), 80), 30.0)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [PowerSpec(), PowerSpec(0.01, 0.9), PowerSpec(0.001, 0.99), PowerSpec(0.2, 0.5)],
-    )
-    def test_matches_full_scan(self, spec):
-        expected = [full_scan_sample_size(float(d), spec) for d in self.EFFECTS]
-        stats._solve_sample_size.cache_clear()
-        got = [required_sample_size(float(d), spec) for d in self.EFFECTS]
-        assert [n.hex() for n in got] == [n.hex() for n in expected]
-        assert max(expected) > 4.0 and any(2.0 <= n < 4.0 for n in expected)
-
     #: the specs of test_matches_full_scan
     SPECS = [PowerSpec(), PowerSpec(0.01, 0.9), PowerSpec(0.001, 0.99), PowerSpec(0.2, 0.5)]
 
@@ -383,7 +392,29 @@ class TestBracketSearch:
     #: effect sizes whose Guenther guess lies past hi
     EXTRA = [(1e-200, PowerSpec()), (6.0, PowerSpec(1e-14, 0.5)), (8.0, PowerSpec(1e-14, 0.5))]
 
-    def test_search_starts_every_way(self, monkeypatch):
+    @pytest.fixture(scope="class")
+    def full_scan(self):
+        """(d, spec) -> the full scan's n, its grid and the index of the
+        grid's last point short of target, each computed once per class"""
+
+        @functools.cache
+        def scan(d, spec):
+            hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+            grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+            bracket = int(np.count_nonzero(where_power(grid, d, spec.alpha) < spec.power)) - 1
+            return full_scan_sample_size(d, spec), grid, bracket
+
+        return scan
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_matches_full_scan(self, spec, full_scan):
+        expected = [full_scan(float(d), spec)[0] for d in self.EFFECTS]
+        stats._solve_sample_size.cache_clear()
+        got = [required_sample_size(float(d), spec) for d in self.EFFECTS]
+        assert [n.hex() for n in got] == [n.hex() for n in expected]
+        assert max(expected) > 4.0 and any(2.0 <= n < 4.0 for n in expected)
+
+    def test_search_starts_every_way(self, monkeypatch, full_scan):
         # a cold solve first evaluates the point its search starts at. Over
         # EFFECTS and EXTRA the search starts above the bracket point, 32 or
         # more grid steps below it, at the grid's last point and on a grid
@@ -406,10 +437,8 @@ class TestBracketSearch:
                 if got == math.inf:
                     assert not evaluated
                     continue
-                assert got.hex() == full_scan_sample_size(d, spec).hex(), (d, spec)
-                hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
-                grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-                bracket = int(np.count_nonzero(where_power(grid, d, spec.alpha) < spec.power)) - 1
+                expected, grid, bracket = full_scan(d, spec)
+                assert got.hex() == expected.hex(), (d, spec)
                 start = int(np.searchsorted(grid, evaluated[0]))
                 assert grid[start] == evaluated[0]
                 starts |= {
@@ -455,6 +484,30 @@ class TestBracketSearch:
         assert regimes == {"none", True, False} and fallback
 
 
+class TestBracketGrid:
+    """The solver's bracket grid against `np.logspace`, bit for bit."""
+
+    def test_matches_logspace(self):
+        # hi from 16 up to the largest float, log-uniform between, and the
+        # two hi of test_grid_ending_past_the_largest_float, whose last
+        # grid point is inf
+        top = sys.float_info.max
+        log_uniform = 10.0 ** np.random.default_rng(0).uniform(
+            math.log10(16.0), math.log10(top), 10_000)
+        overflowing = [
+            4.0 * normal_approx_sample_size(1.0341325719950269e-153, PowerSpec(0.01, 0.99)),
+            4.0 * normal_approx_sample_size(2.7034808588303332e-154, PowerSpec(0.2, 0.5)),
+        ]
+        infs = 0
+        for hi in [16.0, *log_uniform.tolist(), *overflowing, top]:
+            got = stats._bracket_grid(hi)
+            with np.errstate(over="ignore"):
+                expected = np.logspace(math.log10(1.5), math.log10(hi), 400)
+            assert got.tobytes() == expected.tobytes(), hi.hex()
+            infs += math.isinf(got[-1])
+        assert infs >= 3
+
+
 class TestBrent:
     """`stats._brentq` against `scipy.optimize.brentq`, bit for bit."""
 
@@ -489,6 +542,7 @@ class TestBrent:
     FAILURES = {
         "same-sign": (lambda x: x * x + 1.0, -1.0, 1.0, 100),
         "same-sign-tiny": (lambda x: math.copysign(1e-200, x), 1.0, 2.0, 100),
+        "nan-at-a": (lambda x: math.nan if x < 0.5 else x - 1.0, 0.0, 2.0, 100),
         "nan-at-end": (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, 100),
         "nan-inside": (
             lambda x: x - 1.0 if abs(x - 1.0) > 0.5 else math.nan, 0.0, 2.0, 100
