@@ -7,34 +7,26 @@ inference attack needs, together with the countermeasures that raise
 that cost.
 """
 from .stats import (
-    MixtureTiming,
     PowerSpec,
     TimingDistribution,
-    dom_curves,
     effect_size,
     mc_power_oracle,
-    ovl,
     pooled_t_power,
     required_sample_size,
 )
 from .baseline import (
     BACKENDS,
     HARDWARE,
-    SIMULATOR,
-    BaselineEntry,
     BaselineTable,
-    TableFormatError,
     bundled_table,
     catalog_matrices,
     grover_catalog,
-    load_table,
     nearest_neighbor_requirement,
     pairwise_matrix,
 )
 from .cloudsim import (
     DeviceProfile,
     Scenario,
-    ScenarioError,
     ground_truth_durations,
     load_reference_devices,
     load_scenario,
@@ -42,25 +34,19 @@ from .cloudsim import (
 )
 from .trace import (
     AttackerView,
-    Trace,
     assemble_trace,
     estimate_victim_mean,
     reconstruct,
 )
 from .attacks import (
-    DISTINGUISHABLE,
     INDISTINGUISHABLE,
-    NULL_RULE_FP_LEVEL,
-    AttackVerdict,
     co_identify,
     detect_backend,
     null_distinguishability,
     qp_fingerprint,
     uc_classify,
 )
-from .csvout import write_csv
 from .mitigations import (
-    KINDS,
     Mitigation,
     evaluate,
 )

@@ -135,8 +135,8 @@ def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
     the check fails: the empirical power lies more than the band (4
     binomial standard errors plus one trial) from the pooled test's power a
     at n_i, or that far below the target. A check whose d or n is not
-    finite, or whose n_i is past the oracle's range, is skipped, reported
-    and not failed."""
+    finite, whose n_i is past the oracle's range, or whose draws overflow
+    the oracle's row moments, is skipped, reported and not failed."""
     if not (math.isfinite(n) and math.isfinite(d)):
         reason = f"effect size is {d}" if not math.isfinite(d) else f"planned n is {n}"
         _err(f"mc-check {what}: skipped ({reason})")
@@ -150,6 +150,9 @@ def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
     models = models or (unit(1.0, 1.0), unit(1.0 + d, 1.0))
     trials = min(10_000, MC_CHECK_DRAWS // (2 * n_int))
     p = stats.mc_power_oracle(*models, n_int, spec, trials, seed)
+    if math.isnan(p):
+        _err(f"mc-check {what}: skipped (rows of {n_int} draws overflow)")
+        return False
     a = stats.pooled_t_power(n_int, d, spec.alpha)
     band = 4.0 * math.sqrt(a * (1.0 - a) / trials) + 1.0 / trials
     _err(f"mc-check {what}: n={n_int} empirical power {p:.3f} "

@@ -13,11 +13,9 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy import special
-
 # the scipy.special ufuncs' own kernels, called on Python floats without the
 # ufunc machinery, which was about half of a scalar call; the tests compare
-# pooled_t_power with the ufuncs bit for bit
+# them with the ufuncs bit for bit. Their fused signatures take no ints
 from scipy.special import cython_special
 
 
@@ -102,22 +100,15 @@ class PowerSpec:
             raise ValueError(f"power must be in (0,1), got {self.power}")
 
 
-def normal_cdf(x: float) -> float:
-    return float(special.ndtr(x))
-
-
-def normal_quantile(p: float) -> float:
-    if not 0 < p < 1:
-        raise ValueError(f"quantile argument must be in (0,1), got {p}")
-    return float(special.ndtri(p))
-
-
 def _prefix_moments(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running means and unbiased variances of x over prefixes of length n."""
-    mean = np.cumsum(x) / n
-    ss = np.cumsum(x * x) - n * mean * mean
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = np.cumsum(x) / n
+        ss = np.cumsum(x * x) - n * mean * mean
         var = ss / (n - 1)
+    if not np.isfinite(ss).all():
+        raise ValueError("durations must be finite and their squares must sum "
+                         f"below the largest float, got up to {np.abs(x).max():.3g}")
     # rounding can push the centered sum of squares slightly negative
     return mean, np.maximum(var, 0.0)
 
@@ -132,7 +123,9 @@ def dom_curves(
     prefix lengths n = 2..len, where band is the half-width of the
     equal-population confidence band from running unbiased variances and
     the normal quantile of (1 + DOM_CONFIDENCE) / 2. A prefix is
-    "distinguished" when |dom| exceeds the band.
+    "distinguished" when |dom| exceeds the band. Raises `ValueError` for
+    fewer than two observations, or durations whose running sum of
+    squares overflows (one past about 1.3e154 is enough).
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     a, b = a[: b.size], b[: a.size]
@@ -141,7 +134,7 @@ def dom_curves(
     n = np.arange(1, a.size + 1, dtype=float)
     ma, va = _prefix_moments(a, n)
     mb, vb = _prefix_moments(b, n)
-    z = normal_quantile((1 + DOM_CONFIDENCE) / 2)
+    z = cython_special.ndtri((1 + DOM_CONFIDENCE) / 2)
     dom = (ma - mb)[1:]
     band = z * np.sqrt((va + vb)[1:] / n[1:])
     return n[1:].astype(int), dom, band
@@ -156,7 +149,7 @@ def ovl(p: TimingDistribution, q: TimingDistribution) -> float:
     if a == 0.0:
         # equal variances, or ones a rounding apart: the densities cross
         # once, midway between the means
-        return 2.0 * normal_cdf(-abs(p.mean - q.mean) / (2.0 * lo.sd))
+        return 2.0 * cython_special.ndtr(-abs(p.mean - q.mean) / (2.0 * lo.sd))
     # unequal variances: the log-density difference is a quadratic with two
     # real roots; the narrower density is the smaller one outside them
     b = hi.mean / hi.variance - lo.mean / lo.variance
@@ -166,7 +159,7 @@ def ovl(p: TimingDistribution, q: TimingDistribution) -> float:
         - math.log(hi.sd / lo.sd)
     )
     r1, r2 = sorted(np.roots([a, b, c]).real)
-    cdf = lambda d, x: normal_cdf((x - d.mean) / d.sd)
+    cdf = lambda d, x: cython_special.ndtr((x - d.mean) / d.sd)
     total = cdf(lo, r1) + (cdf(hi, r2) - cdf(hi, r1)) + (1.0 - cdf(lo, r2))
     return float(min(total, 1.0))
 
@@ -204,7 +197,7 @@ def pooled_t_power(n, d: float, alpha: float = 0.05) -> float:
         # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
         # normal approximation is ample there
         z = (ncp - tcrit) / math.sqrt(1.0 + tcrit * tcrit / (2.0 * df))
-        p = float(special.ndtr(z))
+        p = cython_special.ndtr(z)
     return min(p + opposite, 1.0)
 
 
@@ -215,7 +208,7 @@ def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
         raise ValueError("effect size must not be NaN")
     if d <= 0:
         return math.inf
-    z = normal_quantile(1 - spec.alpha / 2) + normal_quantile(spec.power)
+    z = cython_special.ndtri(1 - spec.alpha / 2) + cython_special.ndtri(spec.power)
     try:
         return 2.0 * (z / d) ** 2
     except OverflowError:
@@ -305,8 +298,9 @@ def _bracket_grid(hi: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _solve_sample_size(d: float, alpha: float, power: float) -> float:
-    approx = normal_approx_sample_size(d, PowerSpec(alpha, power))
+def _solve_sample_size(d: float, spec: PowerSpec) -> float:
+    alpha, power = spec.alpha, spec.power
+    approx = normal_approx_sample_size(d, spec)
     hi = max(4.0 * approx, 16.0)
     if not math.isfinite(hi):
         return math.inf
@@ -316,7 +310,7 @@ def _solve_sample_size(d: float, alpha: float, power: float) -> float:
     # the last point below Guenther's corrected n, in steps 1, 2, 4, ...,
     # until a point lands on the other side of the target
     grid = _bracket_grid(hi)
-    guess = approx + normal_quantile(1 - alpha / 2) ** 2 / 4
+    guess = approx + cython_special.ndtri(1 - alpha / 2) ** 2 / 4
     k = max(int(np.searchsorted(grid, guess)) - 1, 0)
     below, above, step = -1, grid.size, 1
     while 0 <= k < grid.size and (below < 0 or above == grid.size):
@@ -372,7 +366,7 @@ def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     """
     if math.isnan(d):
         raise ValueError("effect size must not be NaN")
-    return _solve_sample_size(float(d), spec.alpha, spec.power)
+    return _solve_sample_size(float(d), spec)
 
 
 #: draws per row block of mc_power_oracle, 512 KiB of float64
@@ -397,7 +391,9 @@ def mc_power_oracle(
     mean and variance in blocks of about 2^16 draws, so memory is one block
     plus four floats per trial. With n per group the pooled t is
     (m_p - m_q) / sqrt(v_p/n + v_q/n) on 2n - 2 degrees of freedom, so one
-    critical value serves every trial.
+    critical value serves every trial. Returns NaN when a row's mean or
+    variance overflows (models near the largest float), as no test can be
+    run on it.
     Raises `ValueError` unless n is an integer from 2 to 2^16
     (`_MC_BLOCK_DRAWS`, so a block holds at least one row) and trials an
     integer of at least 1000 (numpy integers count).
@@ -408,7 +404,7 @@ def mc_power_oracle(
     if not isinstance(trials, numbers.Integral) or trials < 1000:
         raise ValueError(f"trials must be an integer >= 1000, got {trials!r}")
     rng = np.random.default_rng(seed)
-    tcrit = float(special.stdtrit(2 * n - 2, 1.0 - spec.alpha / 2.0))
+    tcrit = cython_special.stdtrit(float(2 * n - 2), 1.0 - spec.alpha / 2.0)
     rows = _MC_BLOCK_DRAWS // n
     rejected = 0
     left = trials
@@ -417,14 +413,18 @@ def mc_power_oracle(
         m = min(batch, left)
         left -= m
         mv = np.empty((4, m))  # means and variances of p's rows, then q's
-        for k, dist in enumerate((p, q)):
-            for i in range(0, m, rows):
-                x = rng.normal(dist.mean, dist.sd, (min(rows, m - i), n))
-                mv[2 * k, i : i + len(x)] = x.mean(axis=1)
-                mv[2 * k + 1, i : i + len(x)] = x.var(axis=1, ddof=1)
-        # rows of equal draws (a variance below float resolution) give a
-        # t of +-inf, which rejects, or NaN for equal means, which does not
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, dist in enumerate((p, q)):
+                for i in range(0, m, rows):
+                    x = rng.normal(dist.mean, dist.sd, (min(rows, m - i), n))
+                    mv[2 * k, i : i + len(x)] = x.mean(axis=1)
+                    mv[2 * k + 1, i : i + len(x)] = x.var(axis=1, ddof=1)
+        if not np.isfinite(mv).all():
+            return math.nan
+        # a t past the largest float, or from rows of equal draws (a
+        # variance below float resolution), is +-inf and rejects; equal
+        # means over such rows give NaN, which does not
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = (mv[0] - mv[2]) / np.sqrt(mv[1] / n + mv[3] / n)
         rejected += int(np.count_nonzero(np.abs(t) > tcrit))
     return rejected / trials

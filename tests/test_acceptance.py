@@ -11,6 +11,7 @@ import math
 import zlib
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 from scipy.stats import binomtest
 
 from qleak.attacks import (
@@ -38,8 +39,6 @@ from qleak.stats import (
     TimingDistribution,
     effect_size,
     mc_power_oracle,
-    normal_cdf,
-    normal_quantile,
     ovl,
     required_sample_size,
 )
@@ -169,8 +168,8 @@ def _uc_floor(spec=PowerSpec()):
     mean crosses the midpoint to a neighbour at least d away with
     probability at most Phi(-(z(1-alpha/2) + z(power))/sqrt(2)) per side.
     """
-    z = normal_quantile(1 - spec.alpha / 2) + normal_quantile(spec.power)
-    return 1 - 2 * normal_cdf(-z / math.sqrt(2))
+    z = ndtri(1 - spec.alpha / 2) + ndtri(spec.power)
+    return 1 - 2 * float(ndtr(-z / math.sqrt(2)))
 
 
 def _uc_accuracy(table, name, backend, n, seeds=UC_RUNS):
@@ -190,7 +189,7 @@ def _uc_accuracy(table, name, backend, n, seeds=UC_RUNS):
     below, above = centers[centers < mu], centers[centers > mu]
     lo = (mu + below.max()) / 2 if below.size else -math.inf
     hi = (mu + above.min()) / 2 if above.size else math.inf
-    analytic = normal_cdf((hi - mu) / se) - normal_cdf((lo - mu) / se)
+    analytic = float(ndtr((hi - mu) / se) - ndtr((lo - mu) / se))
 
     rng = np.random.default_rng(zlib.crc32(f"{name}/{backend}".encode()))
     trace_means = rng.normal(mu, se, seeds)

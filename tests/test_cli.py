@@ -180,6 +180,25 @@ class TestUsage:
         assert out == "" and "Traceback" not in err
         assert err.startswith(f"attack {attack}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("attack", ["ca", "qm"])
+    def test_durations_whose_squares_overflow(self, capsys, tmp_path, attack):
+        # the band's running sums of squares once went NaN: the null attacks
+        # wrote 49 empty band cells and exited 0 with "indistinguishable"
+        p = tmp_path / "huge.yaml"
+        p.write_text(
+            SCENARIO_YAML
+            .replace("GHZ: {mean: 2.779299043, variance: 0.3}",
+                     "GHZ: {mean: 1.0e+155, variance: 1.0e+300}", 1)
+            .replace("probe: {mean: 0.05, variance: 0.0001}",
+                     "probe: {mean: 1.0e+150, variance: 1.0e+290}"))
+        out_dir = tmp_path / "out"
+        code, out, err = run_cli(capsys, "attack", "--scenario", str(p), "--attack", attack,
+                                 "--out-dir", str(out_dir))
+        assert code == EXIT_USAGE and out == "" and list(out_dir.iterdir()) == []
+        assert err.startswith(f"attack {attack}: durations must be finite and their "
+                              "squares must sum below the largest float, got up to ")
+        assert err.count("\n") == 1
+
     def test_repetitions_past_the_bound(self, capsys, tmp_path):
         # a billion runs once asked numpy for about 15 GiB and ended in a
         # memory-error traceback with exit 1
@@ -539,10 +558,13 @@ class TestPower:
         ("inf", "effect size is inf"), ("0", "planned n is inf"),
         # 3.1e11 draws, about 1.7 hours of oracle work
         ("0.001", "planned n is 15697722, past the oracle's 65536"),
+        ("9e307", "rows of 2 draws overflow"), ("1e308", "rows of 2 draws overflow"),
     ])
     def test_mc_check_skips_an_undrawable_pair(self, capsys, d, reason):
         # an infinite effect size printed its CSV, then exited 2 over a
-        # latency mean the user never gave
+        # latency mean the user never gave; rows summing past the largest
+        # float gave a NaN t, which never rejects, and exited 1 after numpy's
+        # overflow warnings
         code, out, err = run_cli(capsys, "power", "--effect-size", d, "--mc-check")
         assert code == EXIT_OK and len(parse_csv(out)) == 2
         assert err == f"mc-check d={float(d):g}: skipped ({reason})\n"
@@ -552,10 +574,12 @@ class TestPower:
         ("3", "n=4 empirical power 0.940 (analytic 0.939 +- 0.0097, 10000 trials)"),
         ("4", "n=3 empirical power 0.947 (analytic 0.948 +- 0.009, 10000 trials)"),
         ("5", "n=3 empirical power 0.992 (analytic 0.993 +- 0.0035, 10000 trials)"),
-    ], ids=["d=2", "d=3", "d=4", "d=5"])
+        ("8e+307", "n=2 empirical power 1.000 (analytic 1.000 +- 0.0001, 10000 trials)"),
+    ], ids=["d=2", "d=3", "d=4", "d=5", "d=8e307"])
     def test_mc_check_passes_a_right_plan(self, capsys, d, line):
         # these plans round up well past the target power; the check once
-        # compared them with the target, under Welch's test, and exited 1
+        # compared them with the target, under Welch's test, and exited 1.
+        # At 8e307 an infinite t rejects, once after an overflow warning
         code, out, err = run_cli(capsys, "power", "--effect-size", d, "--mc-check")
         assert code == EXIT_OK and len(parse_csv(out)) == 2
         assert err == f"mc-check d={d}: {line}\n"

@@ -1,10 +1,12 @@
-"""The package exports every qleak name the demos and the benchmark use.
+"""The package exports exactly the qleak names the demos and the benchmark
+use.
 
 The benchmark harness under perfbench/ reaches qleak only through its
 public names (``q.<name>``, ``qleak.<name>``, ``from qleak import ...``);
 a name dropped from the package would otherwise surface only as failed
 benchmark operations. Its tracer looks functions up by module, and skips
-any it cannot find, so those must exist where it looks.
+any it cannot find, so those must exist where it looks. Every other name
+is imported from its submodule.
 """
 import ast
 import dataclasses
@@ -18,6 +20,9 @@ import numpy as np
 import pytest
 
 import qleak
+import qleak.csvout
+from qleak.attacks import DISTINGUISHABLE, AttackVerdict
+from qleak.trace import Trace
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted([*ROOT.glob("perfbench/*.py"), *ROOT.glob("demos/*.py")])
@@ -55,6 +60,14 @@ def test_package_exports_what_scripts_use(path):
     assert missing == [], f"{path.name} uses names qleak does not export"
 
 
+def test_package_exports_only_what_scripts_use():
+    used = set().union(*map(used_names, SCRIPTS))
+    exported = {name for name in qleak.__all__
+                if importlib.util.find_spec(f"qleak.{name}") is None}
+    assert exported == {name for name in used
+                        if importlib.util.find_spec(f"qleak.{name}") is None}
+
+
 def _tracer_constant(name: str):
     tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
     for node in tree.body:
@@ -75,10 +88,10 @@ def test_attack_results_lead_with_the_verdict():
     # the benchmark reads co_identify(...)[0] and null_distinguishability(...)[0]
     cat = qleak.grover_catalog()
     rng = np.random.default_rng(0)
-    a, b = (qleak.Trace(rng.normal(2.0, 0.5, 50), np.ones(50, dtype=int)) for _ in range(2))
-    assert isinstance(qleak.co_identify(a, cat)[0], qleak.AttackVerdict)
+    a, b = (Trace(rng.normal(2.0, 0.5, 50), np.ones(50, dtype=int)) for _ in range(2))
+    assert isinstance(qleak.co_identify(a, cat)[0], AttackVerdict)
     verdict = qleak.null_distinguishability(a, b)[0]
-    assert verdict in (qleak.DISTINGUISHABLE, qleak.INDISTINGUISHABLE)
+    assert verdict in (DISTINGUISHABLE, qleak.INDISTINGUISHABLE)
 
 
 def _public_api():
@@ -156,7 +169,7 @@ def test_no_test_only_settings():
 def test_verdict_csv_columns():
     # the benchmark reads the verdict row by these column names
     out = io.StringIO()
-    qleak.csvout.write_records(out, qleak.AttackVerdict, [])
+    qleak.csvout.write_records(out, AttackVerdict, [])
     assert out.getvalue() == (
         "attack,label,measurements_used,statistic,planned_n,confidence,"
         "ambiguous,underpowered\n"
@@ -227,10 +240,23 @@ def test_one_per_run_split():
     """A trace is its intervals, with a constant dropped-interval count
     rather than a field: only `Trace.durations` spreads an interval over
     its runs with `np.repeat`."""
-    assert [f.name for f in dataclasses.fields(qleak.Trace)] == ["sums", "counts"]
+    assert [f.name for f in dataclasses.fields(Trace)] == ["sums", "counts"]
     repeats = {f"{path.name}:{scope}" for path, node, scope in _src_nodes()
                if _calls(node, "repeat")}
     assert repeats == {"trace.py:durations"}
+
+
+def test_scipy_only_through_cython_special():
+    """src/ imports one thing from scipy, `scipy.special.cython_special`,
+    whose kernels the tests compare with the `scipy.special` ufuncs."""
+    imports = set()
+    for path, node, _ in _src_nodes():
+        if isinstance(node, ast.Import):
+            imports.update((path.name, alias.name) for alias in node.names
+                           if alias.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy":
+            imports.update((path.name, f"{node.module}.{alias.name}") for alias in node.names)
+    assert imports == {("stats.py", "scipy.special.cython_special")}
 
 
 def test_one_scenario_read():

@@ -32,7 +32,6 @@ from qleak.stats import (
     effect_size,
     mc_power_oracle,
     normal_approx_sample_size,
-    normal_quantile,
     ovl,
     pooled_t_power,
     required_sample_size,
@@ -320,7 +319,7 @@ class TestOracle:
             for var_b in (1.0, 2.5):
                 for alpha in (0.05, 0.01):
                     spec = PowerSpec(alpha)
-                    z = normal_quantile(1 - alpha / 2) + normal_quantile(spec.power)
+                    z = special.ndtri(1 - alpha / 2) + special.ndtri(spec.power)
                     # no shift, and the shift whose normal-approximation plan is n
                     for d in (0.0, z * math.sqrt((1.0 + var_b) / n)):
                         if n == 6280 and (var_b, alpha, d > 0) != self.LARGEST_CONFIG:
@@ -622,6 +621,41 @@ def test_import_skips_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+class TestKernels:
+    """`stats` calls scipy's kernels through `cython_special`; on Python
+    floats (float df for `stdtrit`) they return the `scipy.special` ufuncs'
+    bits."""
+
+    #: zeros, one, the infinities, NaN, subnormals and the float below one
+    EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan, 5e-324,
+             -5e-324, 3 * 2.0**-1074, 2.0**-1023, 2.0**-1022, 1 - 2.0**-53, 1 - 2.0**-52]
+
+    @staticmethod
+    def mismatches(kernel, ufunc, *grids):
+        grids = [g.ravel() for g in np.broadcast_arrays(*map(np.asarray, grids))]
+        assert grids[0].size >= 10_000
+        want = ufunc(*grids).tolist()
+        return [args for args, w in zip(zip(*(g.tolist() for g in grids)), want)
+                if kernel(*args).hex() != w.hex()]
+
+    def test_ndtr(self):
+        mag = np.logspace(-323, 308, 2000)
+        x = np.concatenate([self.EDGES, np.linspace(-40, 40, 8001), mag, -mag])
+        assert self.mismatches(stats.cython_special.ndtr, special.ndtr, x) == []
+
+    def test_ndtri(self):
+        p = np.concatenate([self.EDGES, [1.5, 7 * 2.0**-1074], np.linspace(0, 1, 8001),
+                            np.logspace(-323, 0, 1000), 1 - np.logspace(-17, 0, 1000)])
+        assert self.mismatches(stats.cython_special.ndtri, special.ndtri, p) == []
+
+    def test_stdtrit(self):
+        df = np.concatenate([self.EDGES, [2.0, 3.0, 1e300], np.logspace(-3, 12, 90)])
+        p = np.concatenate([self.EDGES, np.linspace(0, 1, 81),
+                            1 - np.logspace(-17, -1, 10), np.logspace(-300, -1, 10)])
+        assert self.mismatches(
+            stats.cython_special.stdtrit, special.stdtrit, df[:, None], p[None, :]) == []
 
 
 class TestDom:
