@@ -16,8 +16,8 @@ rejected value, such as a flag the subcommand or attack kind does not
 read: uc reads --table --backend --alpha --power, co and qp --alpha
 --power) or an `OSError` (an unusable path or a failed write), printed
 as one `<subcommand>: <reason>` line (`attack <kind>: ` for attack). Any
-other exception is a bug and ends in a traceback. The seed is --seed,
-else the scenario file's `seed:`, else 0. --out-dir is made before the run.
+other exception is a bug and ends in a traceback. A scenario's seed is
+--seed, else the file's `seed:`, else 0. --out-dir is made before the run.
 """
 from __future__ import annotations
 
@@ -116,22 +116,14 @@ def cmd_reproduce_table(args) -> int:
         "computed_n", "rel_err", "status",
     ], rows)
     failures = sum(row[-1] == "FAIL" for row in rows)
-    # the two smallest plans of each backend, the finite ones first
-    for backend in backends if args.mc_check else ():
-        cells = sorted((r for r in rows if r[1] == backend), key=lambda r: r[4])
-        for name, _, nb, _, n, *_ in cells[:2]:
-            models = table.timing(name, backend), table.timing(nb, backend)
-            _mc_check(f"{backend} {name!r} vs {nb!r}", n, stats.effect_size(*models),
-                      spec, args.seed or 0, models)
     _err(f"{len(rows)} cells, {failures} outside tolerance")
     return EXIT_TOLERANCE if failures else EXIT_OK
 
 
-def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
-              models=None) -> bool:
-    """Check the plan n for `models` (by default two unit-variance models d
-    apart) with the Monte-Carlo oracle at n_i = max(2, ceil(n)), drawing up
-    to 10,000 trials within MC_CHECK_DRAWS, and report on stderr. True when
+def _mc_check(n: float, d: float, spec: stats.PowerSpec) -> bool:
+    """Check the plan n for two unit-variance models d apart with the
+    Monte-Carlo oracle at n_i = max(2, ceil(n)) and seed 0, drawing up to
+    10,000 trials within MC_CHECK_DRAWS, and report on stderr. True when
     the check fails: the empirical power lies more than the band (4
     binomial standard errors plus one trial) from the pooled test's power a
     at n_i, or that far below the target. A check whose d or n is not
@@ -139,23 +131,22 @@ def _mc_check(what: str, n: float, d: float, spec: stats.PowerSpec, seed: int,
     the oracle's row moments, is skipped, reported and not failed."""
     if not (math.isfinite(n) and math.isfinite(d)):
         reason = f"effect size is {d}" if not math.isfinite(d) else f"planned n is {n}"
-        _err(f"mc-check {what}: skipped ({reason})")
+        _err(f"mc-check d={d:g}: skipped ({reason})")
         return False
     n_int = max(2, math.ceil(n))
     if n_int > stats._MC_BLOCK_DRAWS:
-        _err(f"mc-check {what}: skipped (planned n is {n_int}, "
+        _err(f"mc-check d={d:g}: skipped (planned n is {n_int}, "
              f"past the oracle's {stats._MC_BLOCK_DRAWS})")
         return False
     unit = stats.TimingDistribution
-    models = models or (unit(1.0, 1.0), unit(1.0 + d, 1.0))
     trials = min(10_000, MC_CHECK_DRAWS // (2 * n_int))
-    p = stats.mc_power_oracle(*models, n_int, spec, trials, seed)
+    p = stats.mc_power_oracle(unit(1.0, 1.0), unit(1.0 + d, 1.0), n_int, spec, trials, 0)
     if math.isnan(p):
-        _err(f"mc-check {what}: skipped (rows of {n_int} draws overflow)")
+        _err(f"mc-check d={d:g}: skipped (rows of {n_int} draws overflow)")
         return False
     a = stats.pooled_t_power(n_int, d, spec.alpha)
     band = 4.0 * math.sqrt(a * (1.0 - a) / trials) + 1.0 / trials
-    _err(f"mc-check {what}: n={n_int} empirical power {p:.3f} "
+    _err(f"mc-check d={d:g}: n={n_int} empirical power {p:.3f} "
          f"(analytic {a:.3f} +- {band:.2g}, {trials} trials)")
     return abs(p - a) > band or p < spec.power - band
 
@@ -210,7 +201,7 @@ def cmd_power(args) -> int:
         ["effect_size", "alpha", "power", "required_n"],
         [[d, str(spec.alpha), str(spec.power), n]],
     )
-    if args.mc_check and _mc_check(f"d={d:g}", n, d, spec, args.seed or 0):
+    if args.mc_check and _mc_check(n, d, spec):
         return EXIT_TOLERANCE
     return EXIT_OK
 
@@ -318,9 +309,9 @@ FLAGS = {
     "backend": dict(choices=("sim", "qc")),
     "alpha": dict(type=float, default=stats.PowerSpec.alpha),
     "power": dict(type=float, default=stats.PowerSpec.power),
-    "seed": dict(type=int, help="default: the scenario file's seed, else 0"),
+    "seed": dict(type=int, help="the scenario's seed (default: its file's seed, else 0)"),
     "out-dir": dict(),
-    "mc-check": dict(action="store_true", help="cross-check analytics with Monte Carlo"),
+    "mc-check": dict(action="store_true", help="cross-check the plan with Monte Carlo"),
     "scenario": dict(required=True, help="scenario YAML file"),
     "effect-size": dict(type=float),
     "delta-mean": dict(type=float),
@@ -335,11 +326,11 @@ FLAGS = {
 
 SUBCOMMANDS = (
     ("reproduce-table", cmd_reproduce_table, "recompute the requirement table",
-     "table backend alpha power seed mc-check"),
+     "table backend alpha power"),
     ("matrix", cmd_matrix, "Grover catalog overlap/requirement matrices",
      "out-dir"),
     ("power", cmd_power, "sample-size planning",
-     "alpha power seed mc-check effect-size delta-mean variance"),
+     "alpha power mc-check effect-size delta-mean variance"),
     ("simulate", cmd_simulate, "run a scenario, dump the job log",
      "scenario seed out-dir"),
     ("attack", cmd_attack, "run an attack on a scenario",

@@ -193,11 +193,14 @@ def pooled_t_power(n, d: float, alpha: float = 0.05) -> float:
     # the opposite-tail term is below 1e-8 once ncp >= 4 (and may be NaN)
     opposite = cython_special.nctdtr(df, ncp, -tcrit) if ncp < 4.0 else 0.0
     p = 1.0 - cython_special.nctdtr(df, ncp, tcrit)
-    if math.isnan(p):
-        # nctdtr goes NaN for extreme noncentrality; a Satterthwaite-style
-        # normal approximation is ample there
-        z = (ncp - tcrit) / math.sqrt(1.0 + tcrit * tcrit / (2.0 * df))
-        p = cython_special.ndtr(z)
+    if math.isnan(p + opposite):
+        # nctdtr goes NaN at extreme noncentrality and, at small alpha, at
+        # scattered points of either tail; a normal approximation is ample
+        s = math.sqrt(1.0 + tcrit * tcrit / (2.0 * df))
+        if math.isnan(p):
+            p = cython_special.ndtr((ncp - tcrit) / s)
+        if math.isnan(opposite):
+            opposite = cython_special.ndtr((-tcrit - ncp) / s)
     return min(p + opposite, 1.0)
 
 

@@ -109,7 +109,7 @@ class Trace:
         """(n, mean, unbiased variance) of the durations, computed once from
         the columns; one duration has variance 0. With every count 1 the
         steps are numpy's own, so they keep `durations.mean()`'s and
-        `durations.var(ddof=1)`'s bits."""
+        `durations.var(ddof=1)`'s bits; overflowing squares raise `ValueError`."""
         n = len(self)
         if n < 1:
             raise ValueError("empty trace")
@@ -117,9 +117,14 @@ class Trace:
         if n == 1:
             return n, float(mean), 0.0
         deviations = self._per_run - mean
-        # weigh by count before squaring: a count-0 row adds 0, never inf * 0
-        deviations *= deviations * self.counts
-        return n, float(mean), float(deviations.sum() / (n - 1))
+        with np.errstate(over="ignore"):
+            # weigh by count before squaring: a count-0 row adds 0, never inf * 0
+            deviations *= deviations * self.counts
+            ss = deviations.sum()
+        if not np.isfinite(ss):
+            raise ValueError("durations must be finite and their squares must sum "
+                             f"below the largest float, got up to {self._per_run.max():.3g}")
+        return n, float(mean), float(ss / (n - 1))
 
 
 def infer_execution_count(interval, avg_victim: float) -> np.ndarray:

@@ -66,10 +66,12 @@ def where_power(n, d: float, alpha: float) -> np.ndarray:
     df = 2.0 * n - 2.0
     ncp = d * np.sqrt(n / 2.0)
     tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
+    s = np.sqrt(1.0 + tcrit * tcrit / (2.0 * df))
     p = 1.0 - special.nctdtr(df, ncp, tcrit)
-    approx = special.ndtr((ncp - tcrit) / np.sqrt(1.0 + tcrit * tcrit / (2.0 * df)))
-    p = np.where(np.isnan(p), approx, p)
-    p = p + np.where(ncp < 4.0, special.nctdtr(df, ncp, -tcrit), 0.0)
+    p = np.where(np.isnan(p), special.ndtr((ncp - tcrit) / s), p)
+    opposite = special.nctdtr(df, ncp, -tcrit)
+    opposite = np.where(np.isnan(opposite), special.ndtr((-tcrit - ncp) / s), opposite)
+    p = p + np.where(ncp < 4.0, opposite, 0.0)
     return np.minimum(p, 1.0)
 
 

@@ -37,7 +37,6 @@ _MITIGATE = ["mitigate", "--victim", "GHZ", "--reference", "Quantum Phase Estima
 #: name -> argv; OUT is replaced by a fresh directory for each run
 COMMANDS = {
     "reproduce-table": ["reproduce-table"],
-    "reproduce-table --mc-check": ["reproduce-table", "--mc-check"],
     "matrix": ["matrix"],
     "matrix --out-dir": ["matrix", "--out-dir", OUT],
     "power 0.08": ["power", "--effect-size", "0.08"],

@@ -182,6 +182,14 @@ class TestTraceReading:
         assert var == pytest.approx(np.var(xs, ddof=1))
         assert runs_trace([2.5]).moments == (1, 2.5, 0.0)
 
+    def test_overflowing_squares_rejected(self):
+        # deviations of 1e154 square to 1e308 and two sum past the largest
+        # float: the variance was inf, and every verdict read statistic 0
+        with pytest.raises(ValueError, match="squares must sum below the largest "
+                                             "float, got up to 2e\\+154"):
+            runs_trace([0.0, 2e154]).moments
+        assert runs_trace([0.0, 1.4e154]).moments[2] == pytest.approx(9.8e307)
+
     def test_empty_trace_rejected(self, table):
         empty = runs_trace([])
         for attack in (

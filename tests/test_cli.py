@@ -199,6 +199,26 @@ class TestUsage:
                               "squares must sum below the largest float, got up to ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("attack", ["uc", "co", "qp"])
+    def test_trace_whose_squares_overflow(self, capsys, tmp_path, attack):
+        # the trace's variance once came out inf: each attack exited 0 with
+        # statistic 0 after numpy's "overflow encountered in reduce"
+        p = tmp_path / "huge.yaml"
+        p.write_text(
+            SCENARIO_YAML
+            .replace("GHZ: {mean: 2.779299043, variance: 0.3}",
+                     "GHZ: {mean: 1.0e+154, variance: 1.0e+306}")
+            .replace("GHZ: {mean: 4.0, variance: 0.3}",
+                     "GHZ: {mean: 2.0e+154, variance: 1.0e+306}")
+            .replace("probe: {mean: 0.05, variance: 0.0001}",
+                     "probe: {mean: 1.0e+150, variance: 1.0e+290}")
+            .replace("repetitions: 120", "repetitions: 700")
+            .replace("seed: 11", "seed: 3"))
+        code, out, err = run_cli(capsys, "attack", "--scenario", str(p), "--attack", attack)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"attack {attack}: durations must be finite and their squares "
+                       "must sum below the largest float, got up to 1.33e+154\n")
+
     def test_repetitions_past_the_bound(self, capsys, tmp_path):
         # a billion runs once asked numpy for about 15 GiB and ended in a
         # memory-error traceback with exit 1
@@ -235,7 +255,6 @@ class TestUsage:
             (["matrix", "--out-dir", "TMP/file/sub"], None),
             ([*ATTACK, "co", "--backend", "sim", "--table", "/nonexistent"], None),
             ([*ATTACK, "qm", "--alpha", "0.01"], None),
-            (["power", "--effect-size", "1", "--mc-check", "--seed", "-1"], None),
             (BAD_SCENARIO, ("name: dev\n", 'name: ""\n')),
         ],
         ids=["repetitions-not-a-number", "seed-not-a-number", "negative-gap",
@@ -243,7 +262,7 @@ class TestUsage:
              "yaml-syntax", "bool-gap", "bool-mean", "bool-variance",
              "table-is-a-directory",
              "out-dir-under-a-file", "co-with-backend-and-table", "qm-with-alpha",
-             "power-negative-seed", "empty-device-name"],
+             "empty-device-name"],
     )
     def test_rejected_input_is_one_line(self, capsys, tmp_path, argv, edit):
         # each of these once ended in a traceback and exit 1, ignored a flag,
@@ -267,8 +286,6 @@ class TestUsage:
              "simulate: --seed must be non-negative, got -1"),
             (["attack", "--scenario", "TMP", "--attack", "qm", "--seed", "-1"], None,
              "attack qm: --seed must be non-negative, got -1"),
-            (["power", "--effect-size", "1", "--mc-check", "--seed", "-1"], None,
-             "power: --seed must be non-negative, got -1"),
             (["simulate", "--scenario", "TMP"], ("seed: 11", "seed: -3"),
              "simulate: seed must be non-negative, got -3"),
             (["attack", "--scenario", "TMP", "--attack", "qp"], ("name: dev_a", "name:"),
@@ -281,7 +298,7 @@ class TestUsage:
             (["simulate", "--scenario", "TMP"], ("circuit: GHZ", "circuit: null"),
              "simulate: 'circuit' in victim must be a non-empty string, got None"),
         ],
-        ids=["simulate-seed", "attack-seed", "power-seed", "scenario-seed",
+        ids=["simulate-seed", "attack-seed", "scenario-seed",
              "null-reference-name", "empty-reference-name", "null-victim-circuit"],
     )
     def test_rejection_names_its_flag_or_key(self, capsys, tmp_path, argv, edit, message):
@@ -382,10 +399,9 @@ class TestUsage:
 
 #: the options each subcommand declares: exactly those some run of it reads
 OPTIONS = {
-    "reproduce-table": {"table", "backend", "alpha", "power", "seed", "mc-check"},
+    "reproduce-table": {"table", "backend", "alpha", "power"},
     "matrix": {"out-dir"},
-    "power": {"alpha", "power", "seed", "mc-check", "effect-size", "delta-mean",
-              "variance"},
+    "power": {"alpha", "power", "mc-check", "effect-size", "delta-mean", "variance"},
     "simulate": {"scenario", "seed", "out-dir"},
     "attack": {"scenario", "attack", "table", "backend", "alpha", "power", "seed",
                "out-dir"},
@@ -410,10 +426,10 @@ FLAG_VALUE = {"--table": ["/nonexistent.csv"], "--backend": ["qc"], "--seed": ["
               "--power": ["0.8"]}
 
 UNREAD = [
-    ("reproduce-table", "--out-dir"),
+    *[("reproduce-table", f) for f in ("--seed", "--out-dir", "--mc-check")],
     *[("matrix", f) for f in ("--table", "--backend", "--seed", "--mc-check",
                                "--alpha", "--power")],
-    *[("power", f) for f in ("--table", "--backend", "--out-dir")],
+    *[("power", f) for f in ("--table", "--backend", "--seed", "--out-dir")],
     *[("simulate", f) for f in ("--table", "--backend", "--alpha", "--power",
                                 "--mc-check")],
     ("attack", "--mc-check"),
@@ -480,9 +496,9 @@ class TestFlags:
             for name, sp in sub.choices.items()
         }
         assert declared == OPTIONS
-        assert sum(map(len, declared.values())) == 38
-        # with the 19 unread flags the subcommands declared 57
-        assert len(UNREAD) == 19
+        assert sum(map(len, declared.values())) == 35
+        # with the 22 unread flags the subcommands declared 57
+        assert len(UNREAD) == 22
 
     @pytest.mark.parametrize("command,flag", UNREAD)
     def test_unread_flag_is_usage_error(
@@ -626,28 +642,20 @@ class TestReproduceTable:
         assert sorted(fails) == divergent_names(SIMULATOR)
         assert len(fails) == 2
 
-
-    def test_mc_check_follows_backend(self, capsys):
-        code, out, err = run_cli(
-            capsys, "reproduce-table", "--backend", "sim", "--mc-check"
-        )
-        checks = [line for line in err.splitlines() if line.startswith("mc-check")]
-        assert len(checks) == 2
-        assert all(line.startswith("mc-check simulator ") for line in checks)
-
     def test_mc_check_skips_an_infinite_plan(self, capsys, tmp_path):
-        # equal simulator latencies plan inf: math.ceil(inf) once ended the
-        # run in an OverflowError traceback after the CSV
+        # a cell's plan is checked as `power --delta-mean <latency gap>
+        # --variance <backend variance> --mc-check`; equal simulator
+        # latencies plan inf, and math.ceil(inf) once ended that check in an
+        # OverflowError traceback after the CSV
         p = tmp_path / "t.csv"
         p.write_text("name,sim_latency_s,qc_latency_s,sim_required,qc_required\n"
                      "A,1.0,2.0,,\nB,1.0,3.0,,\n")
-        code, out, err = run_cli(capsys, "reproduce-table", "--table", str(p), "--mc-check")
-        assert code == EXIT_OK and len(parse_csv(out)) == 5
-        checks = [line for line in err.splitlines() if line.startswith("mc-check")]
-        assert checks[:2] == [f"mc-check simulator {pair}: skipped (planned n is inf)"
-                              for pair in ("'A' vs 'B'", "'B' vs 'A'")]
-        assert [line.startswith("mc-check hardware ") and "empirical power" in line
-                for line in checks[2:]] == [True, True]
+        _, out, _ = run_cli(capsys, "reproduce-table", "--table", str(p), "--backend", "sim")
+        assert [row[4] for row in parse_csv(out)[1:]] == ["inf", "inf"]
+        code, out, err = run_cli(capsys, "power", "--delta-mean", "0", "--variance", "0.003",
+                                 "--mc-check")
+        assert code == EXIT_OK and parse_csv(out)[1][3] == "inf"
+        assert err == "mc-check d=0: skipped (planned n is inf)\n"
 
     def test_rel_err_column(self, capsys):
         # one formula on every row, the cells printed as 1 included; those
@@ -737,6 +745,15 @@ class TestSimulateAndAttack:
         assert code == EXIT_OK
         rows = parse_csv(out)
         assert rows[1][1] == "GHZ"
+
+    def test_confidence_at_a_small_alpha(self, capsys):
+        # the planned test's opposite tail was NaN here, and the confidence
+        # cell was written empty
+        scenario = str(ROOT / "demos" / "scenarios" / "ghz_hardware.yaml")
+        code, out, _ = run_cli(capsys, "attack", "--scenario", scenario,
+                               "--attack", "uc", "--alpha", "1e-10")
+        assert code == EXIT_OK
+        assert parse_csv(out)[1][5] == "0.000232365374"
 
     @pytest.mark.parametrize("attack", ["uc", "co", "qp"])
     def test_a_plan_no_scenario_can_hold_is_named(self, capsys, scenario_file, attack):

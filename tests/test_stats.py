@@ -254,6 +254,25 @@ class TestPower:
         assert math.isnan(special.nctdtr(df, 5.5 * math.sqrt(50.0), tcrit))
         assert pooled_t_power(100, 5.5) == 1.0
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6, 1e-10, 1e-14])
+    def test_small_alpha_power_is_a_probability(self, alpha):
+        # while ncp < 4 the opposite tail's nctdtr is NaN at scattered
+        # points at small alpha, and pooled_t_power returned that NaN;
+        # the tail now takes the same normal fallback as the main one
+        ns = np.logspace(math.log10(1.5), 8, 300).tolist()
+        ncps = np.linspace(0.0, 4.0, 60, endpoint=False).tolist()
+        powers = np.array([pooled_t_power(n, ncp / math.sqrt(n / 2.0), alpha)
+                           for n in ns for ncp in ncps])
+        assert ((powers >= 0.0) & (powers <= 1.0)).all()
+
+    @pytest.mark.parametrize("n,d,alpha", [(622, 0.15895973391451704, 1e-15),
+                                           (5000, 0.0676, 1e-6)])
+    def test_opposite_tail_fallback(self, n, d, alpha):
+        df = 2.0 * n - 2.0
+        tcrit = special.stdtrit(df, 1.0 - alpha / 2.0)
+        assert math.isnan(special.nctdtr(df, d * math.sqrt(n / 2.0), -tcrit))
+        assert 0.0 < pooled_t_power(n, d, alpha) < 1.0
+
     @pytest.mark.parametrize("n", [1.0, np.float64(1.0), np.array(1.0), math.nan])
     def test_needs_two_per_group(self, n):
         with pytest.raises(ValueError):
@@ -271,9 +290,10 @@ class TestPower:
     def test_matches_where_formula(self):
         # ncp = d sqrt(n / 2) stays below 4, where the opposite tail is
         # added, over the whole range at d = 1e-3 and up to n = 355 at
-        # d = 0.3
+        # d = 0.3; at alpha 1e-10 that tail takes its normal fallback at
+        # 14 of these points
         ns = np.logspace(math.log10(1.0001), 7, 400)
-        for alpha in (0.05, 0.01, 0.001, 0.2):
+        for alpha in (0.05, 0.01, 0.001, 0.2, 1e-10):
             for d in (1e-3, 0.3, 5.5, 30.0):
                 powers = [pooled_t_power(n, d, alpha).hex() for n in ns]
                 assert powers == [p.hex() for p in where_power(ns, d, alpha).tolist()]
@@ -387,9 +407,11 @@ class TestBracketSearch:
     #: the specs of test_matches_full_scan
     SPECS = [PowerSpec(), PowerSpec(0.01, 0.9), PowerSpec(0.001, 0.99), PowerSpec(0.2, 0.5)]
 
-    #: beyond EFFECTS: a plan too large to be finite, and at alpha = 1e-14
-    #: effect sizes whose Guenther guess lies past hi
-    EXTRA = [(1e-200, PowerSpec()), (6.0, PowerSpec(1e-14, 0.5)), (8.0, PowerSpec(1e-14, 0.5))]
+    #: beyond EFFECTS: a plan too large to be finite, at alpha = 1e-14
+    #: effect sizes whose Guenther guess lies past hi, and at alpha = 1e-4
+    #: one whose Brent step once met a NaN opposite tail and raised
+    EXTRA = [(1e-200, PowerSpec()), (6.0, PowerSpec(1e-14, 0.5)), (8.0, PowerSpec(1e-14, 0.5)),
+             (0.6729500963161789, PowerSpec(1e-4, 0.5))]
 
     @pytest.fixture(scope="class")
     def full_scan(self):
@@ -463,16 +485,20 @@ class TestBracketSearch:
         # of it come first: a run of True, then a run of False. Effect sizes
         # from 2 up put that point below n = 4 or leave none, and those
         # from about 15 to 50 take the nctdtr NaN fallback.
+        def short_points(d, alpha, power):
+            spec = PowerSpec(alpha, power)
+            hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+            grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
+            short = where_power(grid, d, alpha) < power
+            k = int(np.count_nonzero(short))
+            assert short[:k].all(), (d, alpha, power)
+            return grid, k
+
         regimes, fallback = set(), False
         for d in np.logspace(math.log10(2.0), math.log10(500.0), 30):
             for alpha in (0.05, 0.01, 0.001):
                 for power in (0.5, 0.8, 0.9, 0.99):
-                    spec = PowerSpec(alpha, power)
-                    hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
-                    grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-                    short = where_power(grid, d, alpha) < power
-                    k = int(np.count_nonzero(short))
-                    assert short[:k].all(), (d, alpha, power)
+                    grid, k = short_points(d, alpha, power)
                     regimes.add("none" if k == 0 else grid[k - 1] < 4.0)
                 df = 2.0 * grid - 2.0
                 cdf = special.nctdtr(
@@ -481,6 +507,14 @@ class TestBracketSearch:
                 fallback |= bool(np.isnan(cdf).any())
         # no point short, the last short point below 4, and from 4 up
         assert regimes == {"none", True, False} and fallback
+        # at small alpha the opposite tail is NaN at scattered points, which
+        # read as not short before it took the fallback: at alpha 1e-14,
+        # power 0.5 and d = 1e-4 the points were short up to index 376 but
+        # not at 335, 337, 338, ...
+        for d in (1e-4, 3e-3, 0.1):
+            for alpha in (1e-6, 1e-10, 1e-14):
+                for power in (0.5, 0.8):
+                    short_points(d, alpha, power)
 
 
 class TestBracketGrid:
