@@ -6,17 +6,32 @@ Sample-size results are continuous per-group counts, not rounded.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-# the scipy.special ufuncs' own kernels, called on Python floats without the
-# ufunc machinery, which was about half of a scalar call; the tests compare
-# them with the ufuncs bit for bit. Their fused signatures take no ints
-from scipy.special import cython_special
+import numpy.random  # numpy loads it lazily; scipy.special's __init__ used to load it
+
+# cython_special: the scipy.special ufuncs' own kernels, called on Python floats
+# without the ufunc machinery (half of a scalar call); the tests compare them with
+# the ufuncs bit for bit. Their fused signatures take no ints. Unless scipy.special
+# is loaded, the extension is imported under a bare package whose __init__ (scipy's
+# array-API layer, most of numpy) never runs; on scipy 1.17.1 it needs only its
+# sibling extensions. A thread importing scipy.special meanwhile could get the bare one.
+_bare = "scipy.special" not in sys.modules
+if _bare:
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(
+        importlib.util.find_spec("scipy.special"))
+try:
+    cython_special = importlib.import_module("scipy.special.cython_special")
+finally:
+    if _bare:
+        del sys.modules["scipy.special"]
 
 
 #: confidence of the difference-of-means band; the null rule's

@@ -76,15 +76,28 @@ def run_command(argv: list[str]) -> dict:
     }
 
 
-def run_demo(script: str) -> subprocess.CompletedProcess:
-    """One demo in a fresh interpreter, from the repository root."""
-    env = dict(os.environ)
+def _run_fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """`python <args>` in a fresh interpreter, from the repository root."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True,
+        encoding="utf-8", timeout=300,
     )
+
+
+def run_demo(script: str) -> subprocess.CompletedProcess:
+    """One demo in a fresh interpreter, from the repository root."""
+    return _run_fresh([str(ROOT / "demos" / script)])
+
+
+def run_command_fresh(argv: list[str]) -> dict:
+    """Exit code and stdout and stderr hashes of one `python -m qleak.cli`
+    run in a fresh interpreter, for a command without --out-dir."""
+    proc = _run_fresh(["-m", "qleak.cli", *argv])
+    return {"exit": proc.returncode, "stdout": sha256(proc.stdout),
+            "stderr": sha256(proc.stderr)}
 
 
 def load_pins() -> dict:

@@ -45,7 +45,7 @@ from qleak.stats import (
 from qleak.trace import AttackerView, assemble_trace, reconstruct
 from oracles import ovl_numeric, runs_trace
 from pins import load_pins
-from table1_divergences import DIVERGENT_CELLS
+from table1_divergences import DIVERGENT_CELLS, LatencyAsGap
 
 
 def report(k: int, ok: bool, detail: str) -> None:
@@ -62,44 +62,21 @@ def _pair_n(table, a, b, backend):
     return required_sample_size(d)
 
 
-def _pairs_reproducing(table, backend, printed):
-    """Pairs of one column whose planning n is within tolerance of `printed`.
-
-    The planning n falls as the pair's latency gap grows, so the pairs
-    within tolerance are a run of the gap-sorted pairs: a bisection finds
-    where the run must start and only its neighbours are solved.
-    """
-    names = table.names
-    pairs = sorted(
-        ((a, b) for i, a in enumerate(names) for b in names[i + 1:]),
-        key=lambda ab: abs(
-            table.entry(ab[0]).latency(backend) - table.entry(ab[1]).latency(backend)
-        ),
-    )
-    lo, hi = 0, len(pairs)
-    while lo < hi:  # first pair whose n is at or below the printed value
-        mid = (lo + hi) // 2
-        if _pair_n(table, *pairs[mid], backend) > printed:
-            lo = mid + 1
-        else:
-            hi = mid
-    found = []
-    for step, start in ((-1, lo - 1), (1, lo)):
-        i = start
-        while 0 <= i < len(pairs) and within_tolerance(
-            printed, _pair_n(table, *pairs[i], backend)
-        ):
-            found.append(pairs[i])
-            i += step
-    return found
+def _cause_n(table, cause, backend):
+    """Planning n of a divergent cell's named cause in its column."""
+    if isinstance(cause, LatencyAsGap):
+        gap = table.entry(cause.circuit).latency(cause.backend)
+        return required_sample_size(gap / math.sqrt(table.variance(backend)))
+    return _pair_n(table, *cause, backend)
 
 
 def test_criterion_1_table_regression(table):
     """Recompute all 52 printed cells with the nearest-neighbour rule:
     exactly the seven published divergent cells fall outside tolerance,
-    six of them reproduce from the pair named for them, and Hidden
-    Shift/hardware matches no pair. All 52 cannot pass: the table pairs
-    QPE with GHZ but GHZ with BV, so no single pairing rule gives it."""
+    and each reproduces from the cause named for it: six from a pair, and
+    Hidden Shift/hardware from its own simulator latency as the mean gap.
+    All 52 cannot pass: the table pairs QPE with GHZ but GHZ with BV, so
+    no single pairing rule gives it."""
     failures = []
     for backend in BACKENDS:
         for entry in table.entries:
@@ -112,29 +89,24 @@ def test_criterion_1_table_regression(table):
     unexpected = sorted(set(failures) ^ set(DIVERGENT_CELLS))
 
     mismatched, unexplained = [], []
-    for (name, backend), (pair, _) in DIVERGENT_CELLS.items():
+    for (name, backend), (cause, _) in DIVERGENT_CELLS.items():
         printed = table.entry(name).required(backend)
-        if pair is None:
+        if cause is None:
             unexplained.append(f"{name}/{backend}")
-            if _pairs_reproducing(table, backend, printed):
-                mismatched.append(f"{name}/{backend}")
-        elif not within_tolerance(printed, _pair_n(table, *pair, backend)):
+        elif not within_tolerance(printed, _cause_n(table, cause, backend)):
             mismatched.append(f"{name}/{backend}")
 
-    ok = (
-        not unexpected
-        and not mismatched
-        and unexplained == ["Hidden Shift Application Benchmark/hardware"]
-    )
+    ok = not unexpected and not mismatched and not unexplained
     report(
         1,
         ok,
         f"52 cells, {len(failures)} outside tolerance, "
         f"unlisted or missing: {unexpected or 'none'}; "
-        f"{len(DIVERGENT_CELLS) - len(unexplained)} reproduce from their named "
-        f"pair, unexplained: {unexplained}, mismatched: {mismatched or 'none'}",
+        f"{len(DIVERGENT_CELLS) - len(unexplained) - len(mismatched)} reproduce "
+        f"from their named cause, unexplained: {unexplained}, "
+        f"mismatched: {mismatched or 'none'}",
     )
-    assert ok, f"unexpected {unexpected}, mismatched {mismatched}"
+    assert ok, f"unexpected {unexpected}, mismatched {mismatched}, unexplained {unexplained}"
 
 
 def test_criterion_2_power_oracle_equivalence():

@@ -640,21 +640,32 @@ class TestSolverWork:
         assert 0 < points[0] <= 500
 
 
-def test_import_skips_scipy_stats():
+def test_import_loads_the_kernels_alone():
+    """`import qleak` loads `cython_special` and `numpy.random`, but not
+    `scipy.special`'s __init__ (its array-API layer loads numpy.f2py and
+    more) nor scipy.stats and its kin; a later `import scipy.special` runs
+    the __init__ and finds the same kernel module."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     src = str(root / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, qleak, qleak.cli; print(sorted(m for m in sys.modules"
-        " if m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize')))"
-    )
+    code = """if True:
+        import sys, qleak, qleak.cli
+        print(sorted(m for m in ("scipy.special.cython_special", "numpy.random",
+              "scipy.special", "scipy._lib.array_api_compat", "numpy.f2py",
+              "scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules))
+        import scipy.special
+        from scipy.special import cython_special
+        print(scipy.special.ndtr(0.5) == cython_special.ndtr(0.5),
+              cython_special is qleak.stats.cython_special)
+    """
     proc = subprocess.run(
         [sys.executable, "-c", code], cwd=root, env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == [
+        "['numpy.random', 'scipy.special.cython_special']", "True True"]
 
 
 class TestKernels:
