@@ -10,6 +10,7 @@ import importlib.util
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -405,16 +406,16 @@ def mc_power_oracle(
     Independent of the planning path: draws samples and runs the test whose
     power `required_sample_size` solves for. In each batch of
     4,000,000 // (2n) trials, all of p's rows of n draws come from the
-    seeded stream before all of q's. Rows are drawn and reduced to their
-    mean and variance in blocks of about 2^16 draws, so memory is one block
-    plus four floats per trial. With n per group the pooled t is
-    (m_p - m_q) / sqrt(v_p/n + v_q/n) on 2n - 2 degrees of freedom, so one
-    critical value serves every trial. Returns NaN when a row's mean or
-    variance overflows (models near the largest float), as no test can be
-    run on it.
-    Raises `ValueError` unless n is an integer from 2 to 2^16
-    (`_MC_BLOCK_DRAWS`, so a block holds at least one row) and trials an
-    integer of at least 1000 (numpy integers count).
+    seeded stream before all of q's, in blocks of about 2^16 draws: one
+    helper thread per call only draws, into two reused blocks in turn, while
+    the caller reduces the other to row means and variances in place, so
+    memory is two blocks plus four floats per trial. With n per group the
+    pooled t is (m_p - m_q) / sqrt(v_p/n + v_q/n) on 2n - 2 degrees of
+    freedom, so one critical value serves every trial. Returns NaN when a
+    row's mean or variance overflows (models near the largest float), as no
+    test can be run on it. Raises `ValueError` unless n is an integer from 2
+    to 2^16 (`_MC_BLOCK_DRAWS`, so a block holds at least one row) and
+    trials an integer of at least 1000 (numpy integers count).
     """
     if not isinstance(n, numbers.Integral) or not 2 <= n <= _MC_BLOCK_DRAWS:
         raise ValueError(
@@ -424,25 +425,44 @@ def mc_power_oracle(
     rng = np.random.default_rng(seed)
     tcrit = cython_special.stdtrit(float(2 * n - 2), 1.0 - spec.alpha / 2.0)
     rows = _MC_BLOCK_DRAWS // n
-    rejected = 0
-    left = trials
     batch = 4_000_000 // (2 * n)
-    while left:
-        m = min(batch, left)
-        left -= m
-        mv = np.empty((4, m))  # means and variances of p's rows, then q's
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, dist in enumerate((p, q)):
-                for i in range(0, m, rows):
-                    x = rng.normal(dist.mean, dist.sd, (min(rows, m - i), n))
-                    mv[2 * k, i : i + len(x)] = x.mean(axis=1)
-                    mv[2 * k + 1, i : i + len(x)] = x.var(axis=1, ddof=1)
-        if not np.isfinite(mv).all():
-            return math.nan
-        # a t past the largest float, or from rows of equal draws (a
-        # variance below float resolution), is +-inf and rejects; equal
-        # means over such rows give NaN, which does not
+    ms = [min(batch, trials - s) for s in range(0, trials, batch)]  # trials per batch
+    blocks, turn, failed = np.empty((2, rows, n)), threading.Barrier(2), []
+    def draw():  # block j of the stream into blocks[j % 2], while the caller reduces j - 1
+        try:
+            for j, r in enumerate(min(rows, m - i) for m in ms for _ in (p, q)
+                                  for i in range(0, m, rows)):
+                rng.standard_normal(out=blocks[j % 2, :r])
+                turn.wait()
+        except BaseException as exc:  # the caller raises it; its own abort ends here too
+            failed.append(exc)
+            turn.abort()
+    (helper := threading.Thread(target=draw)).start()
+    try:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = (mv[0] - mv[2]) / np.sqrt(mv[1] / n + mv[3] / n)
-        rejected += int(np.count_nonzero(np.abs(t) > tcrit))
-    return rejected / trials
+            rejected = j = 0
+            for m in ms:
+                mv = np.empty((4, m))  # means and variances of p's rows, then q's
+                for k, dist in enumerate((p, q)):
+                    for i in range(0, m, rows):
+                        turn.wait()  # block j is drawn, and the helper goes on to j + 1
+                        x, j = blocks[j % 2, : min(rows, m - i)], j + 1
+                        x *= dist.sd
+                        x += dist.mean
+                        mean = mv[2 * k, i : i + len(x)] = x.sum(axis=1) / n
+                        x -= mean[:, None]
+                        np.multiply(x, x, out=x)
+                        mv[2 * k + 1, i : i + len(x)] = x.sum(axis=1) / (n - 1)
+                if not np.isfinite(mv).all():
+                    return math.nan
+                # a t past the largest float, or from rows of equal draws (a
+                # variance below float resolution), is +-inf and rejects; equal
+                # means over such rows give NaN, which does not
+                t = (mv[0] - mv[2]) / np.sqrt(mv[1] / n + mv[3] / n)
+                rejected += int(np.count_nonzero(np.abs(t) > tcrit))
+            return rejected / trials
+    except threading.BrokenBarrierError:  # only the helper breaks it while the caller runs
+        raise failed[0] from None
+    finally:
+        turn.abort()
+        helper.join()

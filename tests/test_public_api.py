@@ -222,18 +222,21 @@ def test_one_nearest_model_rule():
 
 
 def test_one_duration_draw():
-    """Job durations are drawn in one place: no class in src/ has a
-    `sample` method, and only `run_simulation` draws standard normals; a
-    timing model gives it per-job moments (`job_moments`) instead."""
+    """Normal deviates are drawn in two places, each for its own samples:
+    `run_simulation` draws the job durations of a session, and the helper
+    thread of `mc_power_oracle` (`draw`) draws the oracle's test samples.
+    No other function calls `normal` or `standard_normal`, and no class in
+    src/ has a `sample` method; a timing model gives the simulator per-job
+    moments (`job_moments`) instead."""
     samplers, drawers = [], set()
     for path, node, scope in _src_nodes():
         if isinstance(node, ast.ClassDef):
             samplers += [f"{node.name}.sample" for item in node.body
                          if isinstance(item, ast.FunctionDef) and item.name == "sample"]
-        elif _calls(node, "standard_normal"):
-            drawers.add(scope)
+        elif _calls(node, "standard_normal") or _calls(node, "normal"):
+            drawers.add(f"{path.name}:{scope}")
     assert samplers == []
-    assert drawers == {"run_simulation"}
+    assert drawers == {"cloudsim.py:run_simulation", "stats.py:draw"}
 
 
 def test_one_per_run_split():

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
@@ -395,6 +396,93 @@ class TestOracle:
                 tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @staticmethod
+    def call_alone(call):
+        """`call()` on a thread of its own, bounded in time: its result, or
+        its exception raised here, once no thread it started is left."""
+        before, out = threading.enumerate(), {}
+
+        def run():
+            try:
+                out["result"] = call()
+            except BaseException as exc:  # raised below, on the test's thread
+                out["error"] = exc
+
+        caller = threading.Thread(target=run, daemon=True)  # a hung call must not block exit
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the oracle call hung"
+        assert threading.enumerate() == before
+        if "error" in out:
+            raise out["error"]
+        return out["result"]
+
+    def test_no_thread_outlives_a_call(self):
+        p, q = TimingDistribution(1.0, 1.0), TimingDistribution(1.3, 1.0)
+        assert 0 < self.call_alone(lambda: mc_power_oracle(p, q, 74, trials=1000))
+        # the first of three batches of 40,000 trials overflows the variances
+        huge = TimingDistribution(1e300, 1e300)
+        assert math.isnan(self.call_alone(
+            lambda: mc_power_oracle(huge, huge, 50, trials=100_000)))
+        with pytest.raises(ValueError):
+            self.call_alone(lambda: mc_power_oracle(p, q, 1))
+
+    def test_caller_failure_ends_the_helper(self):
+        class Interrupting:  # the caller reads sd once per block: stop it at the second
+            mean, reads = 1.0, 0
+
+            @property
+            def sd(self):
+                self.reads += 1
+                if self.reads > 1:
+                    raise KeyboardInterrupt
+                return 1.0
+
+        p = TimingDistribution(1.0, 1.0)
+        with pytest.raises(KeyboardInterrupt):  # 167 blocks per group at n = 10,000
+            self.call_alone(lambda: mc_power_oracle(p, Interrupting(), 10_000, trials=1000))
+
+    def test_helper_failure_reaches_the_caller(self, monkeypatch):
+        default_rng = np.random.default_rng
+
+        class Failing:  # fails its third block
+            def __init__(self, seed):
+                self.rng, self.blocks = default_rng(seed), 0
+
+            def standard_normal(self, out):
+                self.blocks += 1
+                if self.blocks == 3:
+                    raise MemoryError("third block")
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(np.random, "default_rng", Failing)
+        p = TimingDistribution(1.0, 1.0)
+        with pytest.raises(MemoryError, match="third block"):
+            self.call_alone(lambda: mc_power_oracle(p, p, 10_000, trials=1000))
+
+    def test_reentrant(self):
+        # two calls and their helpers, four threads on a short switch interval
+        p, q = TimingDistribution(1.0, 1.0), TimingDistribution(1.2, 1.5)
+        alone = {seed: mc_power_oracle(p, q, 200, trials=6000, seed=seed) for seed in (3, 4)}
+        together, start = {}, threading.Barrier(2, timeout=60)
+
+        def call(seed):
+            start.wait()
+            together[seed] = mc_power_oracle(p, q, 200, trials=6000, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(seed,)) for seed in (3, 4)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert together == alone
+
 
 class TestBracketSearch:
     """`required_sample_size` against the full scan of its bracket grid."""
@@ -644,7 +732,9 @@ def test_import_loads_the_kernels_alone():
     """`import qleak` loads `cython_special` and `numpy.random`, but not
     `scipy.special`'s __init__ (its array-API layer loads numpy.f2py and
     more) nor scipy.stats and its kin; a later `import scipy.special` runs
-    the __init__ and finds the same kernel module."""
+    the __init__ and finds the same kernel module. The oracle's helper
+    thread needs only `threading`: no executor or queue module (and the
+    `logging` that `concurrent.futures` imports) is loaded."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     src = str(root / "src")
@@ -653,7 +743,8 @@ def test_import_loads_the_kernels_alone():
         import sys, qleak, qleak.cli
         print(sorted(m for m in ("scipy.special.cython_special", "numpy.random",
               "scipy.special", "scipy._lib.array_api_compat", "numpy.f2py",
-              "scipy.stats", "scipy.integrate", "scipy.optimize") if m in sys.modules))
+              "scipy.stats", "scipy.integrate", "scipy.optimize", "concurrent.futures",
+              "queue", "logging") if m in sys.modules))
         import scipy.special
         from scipy.special import cython_special
         print(scipy.special.ndtr(0.5) == cython_special.ndtr(0.5),
