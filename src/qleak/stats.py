@@ -234,154 +234,64 @@ def normal_approx_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
         return math.inf
 
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """Root of f between xa and xb by Brent's method.
-
-    A step-for-step port of scipy's brentq.c: the same branches and the
-    same order of arithmetic in each expression, so it returns the same
-    bits as `scipy.optimize.brentq` without importing `scipy.optimize`.
-    Raises `ValueError` when f has the same sign at both ends or returns
-    NaN, and `RuntimeError` after `maxiter` steps.
-    """
-    # f's values are checked for NaN where they are made, so past the
-    # checks for zero `v < 0` reads C's signbit(v)
-    xpre, xcur = float(xa), float(xb)
-    fpre = f(xpre)
-    if math.isnan(fpre):
-        raise ValueError(f"the function value at x={xpre} is NaN")
-    fcur = f(xcur)
-    if math.isnan(fcur):
-        raise ValueError(f"the function value at x={xcur} is NaN")
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # C's division gives inf or NaN, which fails the step test
-                stry = math.nan
-            # min(b, a) picks like C's MIN(a, b), NaN included
-            if 2 * abs(stry) < min(3 * abs(sbis) - delta, abs(spre)):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-        if math.isnan(fcur):
-            raise ValueError(f"the function value at x={xcur} is NaN")
-    raise RuntimeError(f"failed to converge after {maxiter} iterations")
-
-
-def _bracket_grid(hi: float) -> np.ndarray:
-    """`np.logspace(log10(1.5), log10(hi), 400)` in linspace's own
-    arithmetic, bit for bit (`TestBracketGrid`), without its call overhead.
-    Near the largest float 10**log10(hi) can round past it; that point is
-    inf, without a warning."""
-    start, stop = math.log10(1.5), math.log10(hi)
-    y = np.arange(400.0)
-    y *= (stop - start) / 399
-    y += start
-    y[-1] = stop
-    with np.errstate(over="ignore"):
-        return np.power(10.0, y)
-
-
 @lru_cache(maxsize=4096)
 def _solve_sample_size(d: float, spec: PowerSpec) -> float:
     alpha, power = spec.alpha, spec.power
     approx = normal_approx_sample_size(d, spec)
-    hi = max(4.0 * approx, 16.0)
-    if not math.isfinite(hi):
+    if not math.isfinite(4.0 * approx):
         return math.inf
-    # the bracket starts at the last point of this grid whose power is
-    # below target. The points below target form a prefix of the grid
-    # (TestBracketSearch.test_short_points_are_a_prefix), so gallop from
-    # the last point below Guenther's corrected n, in steps 1, 2, 4, ...,
-    # until a point lands on the other side of the target
-    grid = _bracket_grid(hi)
-    guess = approx + cython_special.ndtri(1 - alpha / 2) ** 2 / 4
-    k = max(int(np.searchsorted(grid, guess)) - 1, 0)
-    below, above, step = -1, grid.size, 1
-    while 0 <= k < grid.size and (below < 0 or above == grid.size):
-        p = pooled_t_power(grid[k], d, alpha)
-        if p < power:
-            below, p_lo, k = k, p, k + step
+    f = lambda n: pooled_t_power(n, d, alpha) - power
+    # bracket the root with a short end a and a long enough end b: from
+    # Guenther's corrected normal n, gallop up, or down toward n = 2, by a
+    # factor 1.05 that squares at each step
+    b = max(approx + cython_special.ndtri(1 - alpha / 2) ** 2 / 4, 2.0)
+    fb = f(b)
+    a, fa, r = b, fb, 1.05
+    while fb < 0:
+        a, fa, b = b, fb, b * r
+        fb, r = f(b), r * r
+    while fa >= 0:
+        if a == 2.0:
+            # a pooled test needs two observations per group; if two are
+            # enough, a single measurement already settles the question
+            return 1.0
+        b, fb, a = a, fa, max(a / r, 2.0)
+        fa, r = f(a), r * r
+    # then Illinois regula falsi: an end that stays put twice running has
+    # its value halved, so both ends close in
+    side = 0
+    while True:
+        n = b - fb * (b - a) / (fb - fa)
+        if b - a <= 5e-13 + 2e-16 * b or not a < n < b:
+            break
+        fn = f(n)
+        if fn < 0:
+            a, fa = n, fn
+            if side < 0:
+                fb /= 2
+            side = -1
         else:
-            above, k = k, k - step
-        step *= 2
-    # then bisect the last gap
-    while above - below > 1:
-        mid = (below + above) // 2
-        p = pooled_t_power(grid[mid], d, alpha)
-        if p < power:
-            below, p_lo = mid, p
-        else:
-            above = mid
-    if below < 0:
-        return 1.0
-    # Brent's first call is at grid[below], whose power is in hand
-    lo = float(grid[below])
-    n = _brentq(
-        lambda n: (p_lo if n == lo else pooled_t_power(n, d, alpha)) - power,
-        lo, hi, xtol=1e-12, rtol=8.9e-16,
-    )
-    # a pooled test needs two observations per group; solutions below that
-    # mean a single measurement already settles the question
-    return 1.0 if n < 2.0 else float(n)
+            b, fb = n, fn
+            if side > 0:
+                fa /= 2
+            side = 1
+    return n
 
 
 def required_sample_size(d: float, spec: PowerSpec = PowerSpec()) -> float:
     """Continuous per-group n for the pooled t-test to reach `spec.power`.
 
-    Solves P(|T'_{2n-2, d sqrt(n/2)}| > t_crit) = power by Brent's method
-    as in scipy's `brentq` (the tests check it bit for bit), bracketed
-    below by the last point of a 400-point log grid whose power falls
-    short of the target; the grid runs from 1.5 to hi, four times the
-    normal-approximation n but at least 16, and is built as
-    `np.logspace(log10(1.5), log10(hi), 400)` builds it, bit for bit. Where
-    10**log10(hi) rounds past the largest float the last point is inf,
-    whose power is 1.0, and no warning is raised. The points that fall short
-    form a prefix of the grid (`TestBracketSearch.test_short_points_are_a_prefix`
-    guards this), so the search for that point starts at the last grid
-    point below Guenther's corrected normal n, approx + z_{1-a/2}^2 / 4,
-    gallops away from it in steps of 1, 2, 4, ... grid points until a
-    point lands on the other side of the target, and bisects the last
-    gap. Brent's first end reuses the power the search found there.
-    Returns inf for effect sizes whose hi is not finite: non-positive ones
-    and those for which 4 × 2 ((z_{1-a/2} + z_power) / d)^2 overflows, below
-    about 5.9e-154 at alpha 0.05 and power 0.8. Raises `ValueError`
-    for NaN; results below two observations per group, and effect sizes
-    whose grid never falls short, report as 1.0.
+    Solves P(|T'_{2n-2, d sqrt(n/2)}| > t_crit) = power for n. The root is
+    bracketed from Guenther's corrected normal n, approx + z_{1-a/2}^2 / 4,
+    by galloping up, or down toward n = 2, with a step factor of 1.05 that
+    squares at each step, until the power crosses the target; Illinois
+    regula falsi then narrows the bracket to 5e-13 + 2e-16 n, so the result
+    is within 2.6e-13 relative of the root of `pooled_t_power`'s equation.
+    Returns inf for effect sizes whose four-fold normal-approximation n,
+    4 × 2 ((z_{1-a/2} + z_power) / d)^2, is not finite: non-positive ones
+    and those below about 5.9e-154 at alpha 0.05 and power 0.8. Returns 1.0
+    when the power at n = 2 already meets the target, so that the root lies
+    below two observations per group. Raises `ValueError` for NaN.
     """
     if math.isnan(d):
         raise ValueError("effect size must not be NaN")

@@ -76,10 +76,15 @@ def where_power(n, d: float, alpha: float) -> np.ndarray:
 
 
 def full_scan_sample_size(d: float, spec) -> float:
-    """Power at every point of the 400-point bracket grid, the bracket at
-    the last one below target, then `brentq`: the reference that
-    :func:`qleak.stats.required_sample_size` must match bit for bit."""
+    """Power at every point of a 400-point log grid from 1.5 to
+    max(4 × the normal-approximation n, 16), the bracket at the last
+    point below target, then scipy's `brentq` to 1e-12 + 8.9e-16 n: the
+    reference that :func:`qleak.stats.required_sample_size` must match
+    within 1e-12 relative, with the same conventions (inf where that end
+    is not finite, 1.0 where no point is short or the root is below 2)."""
     hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
+    if not math.isfinite(hi):
+        return math.inf
     grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
     below = np.flatnonzero(where_power(grid, d, spec.alpha) < spec.power)
     if below.size == 0:

@@ -1,5 +1,6 @@
 import dis
 import functools
+import json
 import math
 import os
 import subprocess
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.stats as sps
-from scipy import optimize, special
+from scipy import special
 
 from oracles import direct_mc_power, full_scan_sample_size, ovl_numeric, where_power
 from qleak import stats
@@ -190,8 +191,8 @@ class TestPower:
         (2.0, 5.089994568269908),
         (3.0, 3.0700090816768926),
         (5.5, 2.0241004944698635),
-        (10.0, 1.0),  # brentq lands below two observations
-        (30.0, 1.0),  # here and at 50 no grid point falls below the target
+        (10.0, 1.0),  # the root lies below two observations
+        (30.0, 1.0),  # here and at 50 the power at n = 2 meets the target
         (50.0, 1.0),
     ]
 
@@ -223,21 +224,26 @@ class TestPower:
         ],
     )
     def test_grid_ending_past_the_largest_float(self, d, spec, n):
-        # hi is finite but 10**log10(hi) rounds to inf: the grid's last
-        # point is inf, without a warning, and its power of 1.0 keeps it
-        # above target
+        # plans near the largest float: 4 × the normal n is finite, but a
+        # log grid up to it would end in inf (10**log10 rounds past the
+        # largest float). The plan stays within 1e-12 of scipy's brentq on
+        # that grid, n, and nothing warns
         stats._solve_sample_size.cache_clear()
         hi = 4.0 * normal_approx_sample_size(d, spec)
         with pytest.raises(OverflowError):
             10.0 ** math.log10(hi)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert required_sample_size(d, spec).hex() == n
+            assert required_sample_size(d, spec) == pytest.approx(float.fromhex(n), rel=1e-12)
 
     def test_tiny_effect_matches_scipy(self):
-        # the plan is finite but its Brent solve divides by zero on the way;
-        # scipy.optimize.brentq on the same bracket gives these bits
-        assert required_sample_size(1e-100).hex() == "0x1.4820074de3a81p+668"
+        # a finite plan far from the float range's ends: within 1e-12 of
+        # scipy.optimize.brentq on a 400-point log grid, without a warning
+        stats._solve_sample_size.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            n = required_sample_size(1e-100)
+        assert n == pytest.approx(float.fromhex("0x1.4820074de3a81p+668"), rel=1e-12)
 
     @pytest.mark.parametrize("n", [10, np.array(10.0)])
     @pytest.mark.parametrize(
@@ -484,8 +490,18 @@ class TestOracle:
         assert together == alone
 
 
+def assert_plans_close(got, expected, rel=1e-12):
+    """Plans equal where either is inf or 1.0, else within `rel`."""
+    for g, e in zip(got, expected, strict=True):
+        if math.isinf(e) or e == 1.0 or math.isinf(g) or g == 1.0:
+            assert g == e
+        else:
+            assert abs(g - e) <= rel * e, (g, e)
+
+
 class TestBracketSearch:
-    """`required_sample_size` against the full scan of its bracket grid."""
+    """`required_sample_size` against the full scan of a log grid, then
+    scipy's brentq (`oracles.full_scan_sample_size`)."""
 
     #: log-spaced effect sizes and 30; across the specs they reach the root
     #: from n = 4 up, the root below 4, no grid point short of target and
@@ -496,70 +512,36 @@ class TestBracketSearch:
     SPECS = [PowerSpec(), PowerSpec(0.01, 0.9), PowerSpec(0.001, 0.99), PowerSpec(0.2, 0.5)]
 
     #: beyond EFFECTS: a plan too large to be finite, at alpha = 1e-14
-    #: effect sizes whose Guenther guess lies past hi, and at alpha = 1e-4
-    #: one whose Brent step once met a NaN opposite tail and raised
+    #: effect sizes whose Guenther guess lies past the grid's end, and at
+    #: alpha = 1e-4 one whose solve once met a NaN opposite tail and raised
     EXTRA = [(1e-200, PowerSpec()), (6.0, PowerSpec(1e-14, 0.5)), (8.0, PowerSpec(1e-14, 0.5)),
              (0.6729500963161789, PowerSpec(1e-4, 0.5))]
 
-    @pytest.fixture(scope="class")
-    def full_scan(self):
-        """(d, spec) -> the full scan's n, its grid and the index of the
-        grid's last point short of target, each computed once per class"""
-
-        @functools.cache
-        def scan(d, spec):
-            hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
-            grid = np.logspace(math.log10(1.5), math.log10(hi), 400)
-            bracket = int(np.count_nonzero(where_power(grid, d, spec.alpha) < spec.power)) - 1
-            return full_scan_sample_size(d, spec), grid, bracket
-
-        return scan
+    #: the full scan's n, computed once per (d, spec)
+    full_scan = staticmethod(functools.cache(full_scan_sample_size))
 
     @pytest.mark.parametrize("spec", SPECS)
-    def test_matches_full_scan(self, spec, full_scan):
-        expected = [full_scan(float(d), spec)[0] for d in self.EFFECTS]
+    def test_matches_full_scan(self, spec):
+        expected = [self.full_scan(float(d), spec) for d in self.EFFECTS]
         stats._solve_sample_size.cache_clear()
         got = [required_sample_size(float(d), spec) for d in self.EFFECTS]
-        assert [n.hex() for n in got] == [n.hex() for n in expected]
+        assert_plans_close(got, expected)
         assert max(expected) > 4.0 and any(2.0 <= n < 4.0 for n in expected)
 
-    def test_search_starts_every_way(self, monkeypatch, full_scan):
-        # a cold solve first evaluates the point its search starts at. Over
-        # EFFECTS and EXTRA the search starts above the bracket point, 32 or
-        # more grid steps below it, at the grid's last point and on a grid
-        # with no point short of the target; every line of the solver runs
-        # and each result is the full scan's
-        evaluated, starts = [], set()
-        inner = stats.pooled_t_power
-
-        def recording(n, d, alpha=0.05):
-            evaluated.append(float(n))
-            return inner(n, d, alpha)
-
-        monkeypatch.setattr(stats, "pooled_t_power", recording)
-        cases = [(float(d), spec) for spec in self.SPECS for d in self.EFFECTS]
+    def test_cases_run_every_line(self):
+        # over EFFECTS and EXTRA the bracket gallops up and down, regula
+        # falsi halves either end's value, and every line of the solver
+        # runs; each result is within 1e-12 of the full scan
+        cases = [(float(d), spec) for spec in self.SPECS for d in self.EFFECTS] + self.EXTRA
+        stats._solve_sample_size.cache_clear()
         with every_line_runs(stats._solve_sample_size.__wrapped__.__code__):
-            for d, spec in cases + self.EXTRA:
-                evaluated.clear()
-                stats._solve_sample_size.cache_clear()
-                got = required_sample_size(d, spec)
-                if got == math.inf:
-                    assert not evaluated
-                    continue
-                expected, grid, bracket = full_scan(d, spec)
-                assert got.hex() == expected.hex(), (d, spec)
-                start = int(np.searchsorted(grid, evaluated[0]))
-                assert grid[start] == evaluated[0]
-                starts |= {
-                    "none" if bracket < 0 else "above" if start > bracket
-                    else "far below" if bracket - start >= 32 else "near",
-                    "last" if start == grid.size - 1 else "inside",
-                }
-        assert starts == {"none", "above", "far below", "near", "last", "inside"}
+            got = [required_sample_size(d, spec) for d, spec in cases]
+        assert_plans_close(got, [self.full_scan(d, spec) for d, spec in cases])
+        assert math.inf in got and 1.0 in got
 
     def test_regimes_reached(self):
-        # at d = 30 and 50 the grid ends at hi = 16, no point of it falls
-        # short of the target, and nctdtr is NaN on part of it
+        # at d = 30 and 50 the power at every n from 1.5 to 16 meets the
+        # target, and nctdtr is NaN on part of that range
         grid = np.logspace(math.log10(1.5), math.log10(16.0), 400)
         df = 2.0 * grid - 2.0
         for d in (30.0, 50.0):
@@ -568,11 +550,12 @@ class TestBracketSearch:
             assert np.isnan(cdf).any()
 
     def test_short_points_are_a_prefix(self):
-        # the solver bisects its whole grid for the last point short of the
-        # target, which finds the full scan's point only if the points short
-        # of it come first: a run of True, then a run of False. Effect sizes
-        # from 2 up put that point below n = 4 or leave none, and those
-        # from about 15 to 50 take the nctdtr NaN fallback.
+        # the solver brackets the root between a point short of the target
+        # and one that meets it, which gives the root only if the power
+        # crosses the target once: on a log grid, a run of True, then a run
+        # of False. Effect sizes from 2 up put the crossing below n = 4 or
+        # leave none, and those from about 15 to 50 take the nctdtr NaN
+        # fallback.
         def short_points(d, alpha, power):
             spec = PowerSpec(alpha, power)
             hi = max(4.0 * normal_approx_sample_size(d, spec), 16.0)
@@ -605,102 +588,43 @@ class TestBracketSearch:
                     short_points(d, alpha, power)
 
 
-class TestBracketGrid:
-    """The solver's bracket grid against `np.logspace`, bit for bit."""
+class TestPlannerReference:
+    """`required_sample_size` against the true root: `planner_reference.json`,
+    written by `make_planner_reference.py` with mpmath to 1e-20."""
 
-    def test_matches_logspace(self):
-        # hi from 16 up to the largest float, log-uniform between, and the
-        # two hi of test_grid_ending_past_the_largest_float, whose last
-        # grid point is inf
-        top = sys.float_info.max
-        log_uniform = 10.0 ** np.random.default_rng(0).uniform(
-            math.log10(16.0), math.log10(top), 10_000)
-        overflowing = [
-            4.0 * normal_approx_sample_size(1.0341325719950269e-153, PowerSpec(0.01, 0.99)),
-            4.0 * normal_approx_sample_size(2.7034808588303332e-154, PowerSpec(0.2, 0.5)),
-        ]
-        infs = 0
-        for hi in [16.0, *log_uniform.tolist(), *overflowing, top]:
-            got = stats._bracket_grid(hi)
-            with np.errstate(over="ignore"):
-                expected = np.logspace(math.log10(1.5), math.log10(hi), 400)
-            assert got.tobytes() == expected.tobytes(), hi.hex()
-            infs += math.isinf(got[-1])
-        assert infs >= 3
+    CASES = json.loads(Path(__file__).with_name("planner_reference.json").read_text())
 
+    #: (d, alpha, power) -> cause, for the cases further than 1e-12 from
+    #: the root
+    EXCEPTIONS = dict.fromkeys(
+        [(2.4375195465405075, 0.01, 0.8), (3.3435771119993123, 0.01, 0.8),
+         (2.5, 0.01, 0.8), (3.0, 0.01, 0.8), (4.0, 0.05, 0.8), (4.0, 0.01, 0.8),
+         (5.0, 0.05, 0.8)],
+        "pooled_t_power drops the opposite tail once ncp >= 4, which at under "
+        "about 8 degrees of freedom is 4e-12 to 1.3e-8 of power",
+    )
 
-class TestBrent:
-    """`stats._brentq` against `scipy.optimize.brentq`, bit for bit."""
-
-    #: (f, a, b, xtol, rtol); between them the cases interpolate,
-    #: extrapolate, fall back to bisection, divide by zero, take the minimum
-    #: `delta` step and find a root at either end (test_cases_run_every_line)
-    CASES = {
-        "square": (lambda x: x * x - 2.0, 0.0, 2.0, 1e-12, 8.9e-16),
-        "exp": (lambda x: math.exp(x) - 5.0, -4.0, 6.0, 1e-12, 8.9e-16),
-        "cos-loose-rtol": (lambda x: math.cos(x) - x, 0.0, 1.0, 2e-12, 1e-9),
-        "atan-coarse-xtol": (
-            lambda x: math.atan(x - 0.3), -50.0, 10.0, 1e-3, 8.9e-16
-        ),
-        "root-at-a": (lambda x: x - 1.0, 1.0, 5.0, 1e-12, 8.9e-16),
-        "root-at-b": (lambda x: x - 5.0, 1.0, 5.0, 1e-12, 8.9e-16),
-        # products of these values underflow to zero; only the signs count
-        "tiny-values": (
-            lambda x: math.copysign(1e-200, x - 0.3), 0.0, 1.0, 1e-12, 8.9e-16
-        ),
-        "power-solve": (
-            lambda n: pooled_t_power(n, 0.28) - 0.8, 50.0, 1000.0, 1e-12, 8.9e-16
-        ),
-        # the bracket of required_sample_size(1e-100): slopes near 1e-202
-        # multiply to zero, so extrapolation divides by zero and bisects
-        "zero-denominator": (
-            lambda n: pooled_t_power(n, 1e-100) - 0.8,
-            6.127199774293273e200, 6.279103787479272e201, 1e-12, 8.9e-16,
-        ),
-    }
-
-    #: (f, a, b, maxiter) on which both solvers raise
-    FAILURES = {
-        "same-sign": (lambda x: x * x + 1.0, -1.0, 1.0, 100),
-        "same-sign-tiny": (lambda x: math.copysign(1e-200, x), 1.0, 2.0, 100),
-        "nan-at-a": (lambda x: math.nan if x < 0.5 else x - 1.0, 0.0, 2.0, 100),
-        "nan-at-end": (lambda x: math.nan if x > 1.5 else x - 1.0, 0.0, 2.0, 100),
-        "nan-inside": (
-            lambda x: x - 1.0 if abs(x - 1.0) > 0.5 else math.nan, 0.0, 2.0, 100
-        ),
-        "too-flat": (lambda x: (x - 1.0) ** 9, 0.0, 3.0, 100),
-        "maxiter": (lambda x: x * x - 2.0, 0.0, 2.0, 2),
-    }
-
-    @pytest.mark.parametrize("f,a,b,xtol,rtol", CASES.values(), ids=list(CASES))
-    def test_matches_scipy(self, f, a, b, xtol, rtol):
-        got = stats._brentq(f, a, b, xtol, rtol)
-        assert got.hex() == optimize.brentq(f, a, b, xtol=xtol, rtol=rtol).hex()
-
-    @pytest.mark.parametrize("f,a,b,maxiter", FAILURES.values(), ids=list(FAILURES))
-    def test_raises_as_scipy(self, f, a, b, maxiter):
-        with pytest.raises((ValueError, RuntimeError)) as ref:
-            optimize.brentq(f, a, b, xtol=1e-12, rtol=8.9e-16, maxiter=maxiter)
-        with pytest.raises(ref.type):
-            stats._brentq(f, a, b, 1e-12, 8.9e-16, maxiter)
-
-    def test_cases_run_every_line(self):
-        with every_line_runs(stats._brentq.__code__):
-            for f, a, b, xtol, rtol in self.CASES.values():
-                stats._brentq(f, a, b, xtol, rtol)
-            for f, a, b, maxiter in self.FAILURES.values():
-                with pytest.raises((ValueError, RuntimeError)):
-                    stats._brentq(f, a, b, 1e-12, 8.9e-16, maxiter)
+    def test_within_1e_12_of_the_true_root(self):
+        stats._solve_sample_size.cache_clear()
+        keys = [(c["d"], c["alpha"], c["power"]) for c in self.CASES]
+        got = [required_sample_size(d, PowerSpec(alpha, power)) for d, alpha, power in keys]
+        expected = [float(c["n"]) for c in self.CASES]
+        off = {k for k, g, e in zip(keys, got, expected) if abs(g - e) > 1e-12 * e}
+        assert off == set(self.EXCEPTIONS)
+        assert_plans_close(got, expected, rel=1e-7)
+        assert len(self.CASES) == 139 and expected.count(1.0) == 12
 
 
 class TestSolverWork:
-    """Power points a cold solve evaluates, counted rather than timed. The
-    full scan of the 400-point grid took 131,345 for the hardware matrix
+    """Power points a cold solve evaluates, counted rather than timed. On
+    a 400-point log grid, the full scan took 131,345 for the hardware matrix
     and 21,217 for the Grover catalog; bisecting the grid from n = 4 up
     and scanning below 4 took 37,676 and 849; bisecting all of it took
-    4,072 and 877, and 4,543 for the simulator matrix. Galloping from the
+    4,072 and 877, and 4,543 for the simulator matrix; galloping from the
     grid point below Guenther's corrected normal n, with Brent's first end
-    taken from the search, takes 2,382, 469 and 3,277."""
+    taken from the search, took 2,382, 469 and 3,277. Galloping from
+    Guenther's n itself, then Illinois regula falsi, takes 1,341, 385 and
+    1,350."""
 
     @pytest.fixture
     def points(self, monkeypatch):
@@ -717,15 +641,15 @@ class TestSolverWork:
 
     def test_pairwise_matrix(self, points):
         pairwise_matrix(bundled_table(), HARDWARE)
-        assert 0 < points[0] <= 2_500
+        assert 0 < points[0] <= 1_400
 
     def test_simulator_matrix(self, points):
         pairwise_matrix(bundled_table(), SIMULATOR)
-        assert 0 < points[0] <= 3_400
+        assert 0 < points[0] <= 1_400
 
     def test_catalog_matrices(self, points):
         catalog_matrices(grover_catalog())
-        assert 0 < points[0] <= 500
+        assert 0 < points[0] <= 400
 
 
 def test_import_loads_the_kernels_alone():
